@@ -22,6 +22,7 @@ from .errors import (
     InputDomainError,
     MfrlError,
     ResourceBudgetError,
+    SchemaError,
     UnsupportedDimensionError,
 )
 from .fd import fd_solve
@@ -63,10 +64,6 @@ def _load_plan(path: str) -> dict:
     if version != PLAN_VERSION:
         raise SchemaError(f"unsupported plan version {version!r}")
     return doc
-
-
-class SchemaError(Exception):
-    pass
 
 
 def _require(doc: dict, keys: set, context: str) -> None:
@@ -173,14 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--plan", required=True)
     solve.add_argument("--out", required=True)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--threads", type=int, default=1)
     solve.set_defaults(func=cmd_solve)
 
     rate = sub.add_parser("rate", help="run a rate experiment from a plan file")
     rate.add_argument("--plan", required=True)
     rate.add_argument("--out", required=True)
     rate.add_argument("--seed", type=int, default=None)
-    rate.add_argument("--threads", type=int, default=1)
     rate.add_argument("--format", choices=("csv", "json"), default="csv")
     rate.set_defaults(func=cmd_rate)
 

@@ -28,14 +28,8 @@ import numpy as np
 from .errors import ConfigurationError, InputDomainError
 from .fd import GridValueFunction
 from .metric import metric_weights
-from .torus import TWO_PI, EmpiricalMeasure, Measure, TorusContext
+from .torus import TWO_PI, EmpiricalMeasure, Measure, TorusContext, circle_arc
 from .torus import fourier_coefficients
-
-
-def _circle_dist(x, y):
-    """Elementwise geodesic distance on the circle."""
-    diff = np.abs(np.mod(np.asarray(x, dtype=float) - y, TWO_PI))
-    return np.minimum(diff, TWO_PI - diff)
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,7 @@ def inf_convolve(
     delta = vn.dx / refine
     n_shift = mesh * refine
     w_vals = np.arange(n_shift) * delta
-    z_pen = (inv * _circle_dist(np.full(n_shift, z), w_vals) ** 2).reshape(
-        mesh, refine
-    )
+    z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)
     s_vals = np.linspace(0.0, vn.T, cfg.n_time)
 
     # multilinear blend of a lattice slice at uniform diagonal offset f*dx:
@@ -181,7 +173,7 @@ def inf_convolve(
         w0=w0,
         x0=x0,
         t_gap=abs(t - s0),
-        z_gap=float(_circle_dist(z, w0)),
+        z_gap=float(circle_arc(z - w0)),
         rho_gap=rho_gap,
     )
     return best, rec
@@ -209,7 +201,7 @@ def sup_convolve_testfn(
     z_grid = np.arange(n_z) * (TWO_PI / n_z)
     z_grid = np.append(z_grid, w)
     phi_vals = np.asarray([float(phi_at_z(z)) for z in z_grid])
-    pen = inv * _circle_dist(np.full(z_grid.size, w), z_grid) ** 2
+    pen = inv * circle_arc(w - z_grid) ** 2
     sup_term = float(np.max(phi_vals - pen))
     from .metric import rho_sq as _rho_sq
     from .metric import MetricOrder

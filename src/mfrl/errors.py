@@ -14,7 +14,11 @@ class UnsupportedDimensionError(MfrlError, ValueError):
 
 
 class ResourceBudgetError(MfrlError, RuntimeError):
-    """A hard resource budget (state count, support size) would be exceeded."""
+    """A hard resource budget (value-array bytes, support size) would be exceeded."""
+
+
+class SchemaError(MfrlError, ValueError):
+    """A plan or input file does not follow its schema."""
 
 
 class ConfigurationError(MfrlError, ValueError):

@@ -18,21 +18,26 @@ Time stepping is explicit Euler under a diffusion-dominated stability bound.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, log2
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
 from .torus import TWO_PI, EmpiricalMeasure, canonicalize, w1_circle
+from .trig import mean_field_eval
 
 _MAGIC = b"MFRL1"
 _VERSION = 1
 
-#: hard cap on state nodes of one solve
-STATE_NODE_BUDGET = 10_000_000
+#: hard cap on the bytes of the value array of one solve, (n_t + 1) mesh^N doubles
+VALUE_BYTES_BUDGET = 1 << 30
+
+#: magic, version, N, d, mesh, n_t, T
+_HEADER = struct.Struct("<5sIIIIId")
 
 _CFL_SAFETY = 0.9
 
@@ -103,70 +108,47 @@ class GridValueFunction:
     def save(self, path) -> None:
         """Binary layout: magic, version u32, N, d, mesh, n_t u32, T f64, f64 LE values."""
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IIIII", _VERSION, self.N, 1, self.mesh, self.n_t))
-            fh.write(struct.pack("<d", self.T))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, self.N, 1, self.mesh, self.n_t, self.T))
+            np.ascontiguousarray(self.values, dtype="<f8").tofile(fh)
 
     @classmethod
     def load(cls, path) -> "GridValueFunction":
         with open(path, "rb") as fh:
-            magic = fh.read(5)
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise InputDomainError(f"value file of {len(head)} bytes has no full header")
+            magic, version, n, d, mesh, n_t, t_horizon = _HEADER.unpack(head)
             if magic != _MAGIC:
                 raise InputDomainError(f"bad magic {magic!r}")
-            version, n, d, mesh, n_t = struct.unpack("<IIIII", fh.read(20))
             if version != _VERSION or d != 1:
                 raise InputDomainError("unsupported value-file version or dimension")
-            (t_horizon,) = struct.unpack("<d", fh.read(8))
+            # mesh^N of any real file is below 2^64; bounding it first keeps
+            # an absurd header from computing a huge power
+            if min(n, mesh, n_t) < 1 or n * log2(mesh) > 64:
+                raise InputDomainError(f"bad value-file grid N={n} mesh={mesh} n_t={n_t}")
             count = (n_t + 1) * mesh**n
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+            size = os.fstat(fh.fileno()).st_size
+            if size != _HEADER.size + 8 * count:
+                raise InputDomainError(
+                    f"value file has {size} bytes; its header needs {_HEADER.size + 8 * count}"
+                )
+            data = np.fromfile(fh, dtype="<f8", count=count)
         return cls(n, mesh, n_t, t_horizon, data.reshape((n_t + 1,) + (mesh,) * n))
 
 
-def _grid_moments(deg: int, mesh: int, n_particles: int) -> tuple[list, list]:
-    """Per-k grids of (1/N) sum_j cos(k x^j), sin(k x^j) via broadcast sums."""
-    nodes = np.arange(mesh) * (TWO_PI / mesh)
-    cos_grids, sin_grids = [], []
-    for k in range(1, deg + 1):
-        ck = np.zeros((mesh,) * n_particles)
-        sk = np.zeros((mesh,) * n_particles)
-        for ax in range(n_particles):
-            shape = [1] * n_particles
-            shape[ax] = mesh
-            ck = ck + np.cos(k * nodes).reshape(shape)
-            sk = sk + np.sin(k * nodes).reshape(shape)
-        cos_grids.append(ck / n_particles)
-        sin_grids.append(sk / n_particles)
-    return cos_grids, sin_grids
+def _kernel_fields(problem: ProblemSpec, lattice: np.ndarray):
+    """Per-axis drift grids b_i(x) and the aggregated running-cost grid.
 
-
-def _kernel_fields(problem: ProblemSpec, N: int, mesh: int):
-    """Per-axis drift grids b_i(x) and the aggregated running-cost grid."""
+    ``lattice`` stacks the node configurations, shape (mesh,) * N + (N,).
+    """
     drift = problem.hamiltonian.drift_kernel
     cost = problem.hamiltonian.cost_kernel
-    deg = max(drift.degree, cost.degree)
-    cos_grids, sin_grids = _grid_moments(deg, mesh, N)
-    nodes = np.arange(mesh) * (TWO_PI / mesh)
-
-    def field_for(kernel, axis):
-        shape = [1] * N
-        shape[axis] = mesh
-        out = np.full((mesh,) * N, kernel.const)
-        for k in range(1, kernel.degree + 1):
-            a, b = kernel.cos_coeffs[k - 1], kernel.sin_coeffs[k - 1]
-            ck = np.cos(k * nodes).reshape(shape)
-            sk = np.sin(k * nodes).reshape(shape)
-            out = out + ck * (a * cos_grids[k - 1] - b * sin_grids[k - 1])
-            out = out + sk * (a * sin_grids[k - 1] + b * cos_grids[k - 1])
-        return out
-
-    drift_fields = [field_for(drift, i) for i in range(N)] if not drift.is_zero else None
-    cost_sum = None
-    if not cost.is_zero:
-        cost_sum = np.zeros((mesh,) * N)
-        for i in range(N):
-            cost_sum = cost_sum + field_for(cost, i)
-        cost_sum /= N
+    drift_fields = None
+    if not drift.is_zero:
+        b = mean_field_eval(drift, lattice)
+        # contiguous per axis: the sweep reads each of them every step
+        drift_fields = [np.ascontiguousarray(b[..., i]) for i in range(lattice.shape[-1])]
+    cost_sum = None if cost.is_zero else mean_field_eval(cost, lattice).mean(axis=-1)
     return drift_fields, cost_sum
 
 
@@ -217,9 +199,10 @@ def fd_solve(
         raise InputDomainError("fd_solve supports d = 1 only")
     if N < 1:
         raise InputDomainError("N must be >= 1")
-    if mesh**N > STATE_NODE_BUDGET:
+    value_bytes = (int(n_t) + 1) * int(mesh) ** int(N) * 8
+    if value_bytes > VALUE_BYTES_BUDGET:
         raise ResourceBudgetError(
-            f"state count {mesh**N} exceeds budget {STATE_NODE_BUDGET}"
+            f"value array of {value_bytes} bytes exceeds budget {VALUE_BYTES_BUDGET}"
         )
     n_req = required_time_steps(problem, N, mesh)
     if n_t < n_req:
@@ -232,14 +215,13 @@ def fd_solve(
     dt = problem.T / n_t
     lam = problem.hamiltonian.lam
     a = problem.a
-    drift_fields, cost_sum = _kernel_fields(problem, N, mesh)
+    nodes = np.arange(mesh) * dx
+    lattice = np.stack(np.meshgrid(*([nodes] * N), indexing="ij"), axis=-1)
+    drift_fields, cost_sum = _kernel_fields(problem, lattice)
     if upwind is None:
         b_max = max((np.max(np.abs(b)) for b in drift_fields), default=0.0) if drift_fields else 0.0
         upwind = bool(b_max * dx / 2.0 > 1.0)
-
-    nodes = np.arange(mesh) * dx
-    grids = np.meshgrid(*([nodes] * N), indexing="ij")
-    terminal = problem.terminal.value_atoms(np.stack(grids, axis=-1))
+    terminal = problem.terminal.value_atoms(lattice)
 
     values = np.empty((n_t + 1,) + (mesh,) * N)
     values[n_t] = terminal

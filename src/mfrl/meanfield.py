@@ -26,6 +26,7 @@ from .errors import ConfigurationError, ConsistencyError, InputDomainError
 from .metric import alpha_rate
 from .problems import ProblemSpec
 from .torus import TWO_PI, EmpiricalMeasure, GridDensity, sample_iid
+from .trig import convolve, density_moments, harmonics
 
 #: mass drift tolerated per unit time by the conservative flow
 MASS_TOLERANCE = 1e-10
@@ -88,22 +89,6 @@ def _resample_density(mu: GridDensity, m: int) -> GridDensity:
     return GridDensity(vals)
 
 
-def _kernel_field(kernel, nodes: np.ndarray, rho: np.ndarray, dx: float) -> np.ndarray:
-    """x -> int K(x - y) rho_col(y) dy at the nodes, one column per density."""
-    out = np.full_like(rho, kernel.const)
-    if kernel.degree == 0:
-        return out
-    k = np.arange(1, kernel.degree + 1, dtype=float)
-    cos_k = np.cos(k[:, None] * nodes[None, :])  # (deg, m)
-    sin_k = np.sin(k[:, None] * nodes[None, :])
-    cm = (cos_k @ rho) * dx  # (deg, n_cols) trig moments
-    sm = (sin_k @ rho) * dx
-    a = kernel.cos_coeffs[:, None]
-    b = kernel.sin_coeffs[:, None]
-    out += cos_k.T @ (a * cm - b * sm) + sin_k.T @ (a * sm + b * cm)
-    return out
-
-
 def fokker_planck_flow_batch(
     problem: ProblemSpec,
     rho0: np.ndarray,
@@ -130,34 +115,47 @@ def fokker_planck_flow_batch(
     rho = np.array(rho0, dtype=float)
     if rho.ndim != 2:
         raise InputDomainError("rho0 must have shape (m, n_cols)")
-    m = rho.shape[0]
+    m, n_cols = rho.shape
     dx = TWO_PI / m
-    nodes = np.arange(m) * dx
-    running = np.zeros(rho.shape[1])
+    running = np.zeros(n_cols)
     if horizon == 0.0:
         return rho, running, 0.0
     ds = horizon / n_t
 
-    have_cost = not problem.hamiltonian.cost_kernel.is_zero
-    have_drift = not problem.hamiltonian.drift_kernel.is_zero
+    drift = problem.hamiltonian.drift_kernel
+    cost = problem.hamiltonian.cost_kernel
+    have_cost = not cost.is_zero
+    have_drift = not drift.is_zero
     r = ds / (dx * dx)
     first_col = np.zeros(m)
     first_col[0] = 1.0 + 2.0 * r
     first_col[1] = -r
     first_col[-1] = -r
 
-    def cost_rate(density: np.ndarray) -> np.ndarray:
+    # node harmonics once per flow; each step takes the moments of its
+    # columns from them and refills a per-column copy for the drift field
+    cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
+    cos_b = np.empty((drift.degree, m, n_cols))
+    sin_b = np.empty_like(cos_b)
+
+    def moments(density: np.ndarray):
+        return (cos_n @ density) * dx, (sin_n @ density) * dx
+
+    def cost_rate(cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
+        """<f(., mu), mu>: the field's table integrated against mu is mu's moments."""
         if not have_cost:
-            return np.zeros(density.shape[1])
-        f = _kernel_field(problem.hamiltonian.cost_kernel, nodes, density, dx)
-        return np.sum(f * density, axis=0) * dx
+            return np.zeros(n_cols)
+        return convolve(cost, cm, sm, cm.copy(), sm.copy())
 
     max_drift = 0.0
     for step in range(n_t):
         weight = 0.5 if step == 0 else 1.0
-        running += weight * ds * cost_rate(rho)
+        cm, sm = moments(rho)
+        running += weight * ds * cost_rate(cm, sm)
         if have_drift:
-            b = _kernel_field(problem.hamiltonian.drift_kernel, nodes, rho, dx)
+            np.copyto(cos_b, cos_n[: drift.degree, :, None])
+            np.copyto(sin_b, sin_n[: drift.degree, :, None])
+            b = convolve(drift, cm[:, None, :], sm[:, None, :], cos_b, sin_b)
             b_face = 0.5 * (b + np.roll(b, -1, axis=0))  # value at node j + 1/2
             flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
                 rho, -1, axis=0
@@ -166,7 +164,7 @@ def fokker_planck_flow_batch(
         rho = solve_circulant(first_col, rho)
         drift_err = float(np.max(np.abs(np.sum(rho, axis=0) * dx - 1.0)))
         max_drift = max(max_drift, drift_err)
-    running += 0.5 * ds * cost_rate(rho)
+    running += 0.5 * ds * cost_rate(*moments(rho))
     if max_drift > MASS_TOLERANCE * max(horizon, 1.0):
         raise ConsistencyError(
             f"Fokker-Planck mass drift {max_drift:.3e} exceeds tolerance"
@@ -200,16 +198,6 @@ def default_flow_steps(problem: ProblemSpec, mesh: int) -> int:
     return int(np.ceil(problem.T * rate / 0.4)) + 1
 
 
-def terminal_values_batch(problem: ProblemSpec, rho: np.ndarray) -> np.ndarray:
-    """G(mu) for a batch of grid densities stacked as columns."""
-    m = rho.shape[0]
-    dx = TWO_PI / m
-    nodes = np.arange(m) * dx
-    gm = (problem.terminal.g(nodes) @ rho) * dx
-    hm = (problem.terminal.h(nodes) @ rho) * dx
-    return gm + hm * hm
-
-
 def mean_field_reference_batch(
     problem: ProblemSpec,
     t: float,
@@ -221,7 +209,8 @@ def mean_field_reference_batch(
         raise InputDomainError("batched reference requires a = 0")
     steps = n_t if n_t > 0 else default_flow_steps(problem, rho0.shape[0])
     rho_end, running, _ = fokker_planck_flow_batch(problem, rho0, t, steps)
-    return running + terminal_values_batch(problem, rho_end)
+    term = problem.terminal
+    return running + term.value_moments(*density_moments(rho_end, term.degree))
 
 
 def mean_field_reference(

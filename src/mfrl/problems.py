@@ -10,7 +10,7 @@ with b(x, mu) = int K(x - y) mu(dy) and f(x, mu) = int J(x - y) mu(dy) for
 trig-polynomial kernels K, J.  Terminal functionals have the form
 G(mu) = int g dmu + (int h dmu)^2.  These families are smooth with bounded
 derivatives of every order, so the standing regularity assumptions hold by
-construction; validators report the implied constants.
+construction.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import InputDomainError
-from .torus import EmpiricalMeasure, GridDensity, Measure, TorusContext
-from .trig import ZERO_POLY, TrigPoly, trig_moments
+from .torus import Measure, TorusContext
+from .trig import ZERO_POLY, TrigPoly, convolve, harmonics, trig_moments
 
 Family = Literal["zero", "linear", "quadratic"]
 
@@ -50,17 +50,6 @@ class HamiltonianSpec:
     def is_linear(self) -> bool:
         """True when the induced PDE is linear (zero or linear-in-p family)."""
         return self.family in ("zero", "linear")
-
-    def implied_lipschitz(self) -> float:
-        """Reported regularity constant of the family (finite by construction)."""
-        k, j = self.drift_kernel, self.cost_kernel
-        return (
-            k.sup_norm()
-            + k.derivative().sup_norm()
-            + j.sup_norm()
-            + j.derivative().sup_norm()
-            + self.lam
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -90,29 +79,27 @@ class TerminalSpec:
     g: TrigPoly = ZERO_POLY
     h: TrigPoly = ZERO_POLY
 
+    @property
+    def degree(self) -> int:
+        return max(self.g.degree, self.h.degree)
+
+    def value_moments(self, cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
+        """G(mu) = <g, mu> + <h, mu>^2 from the trig moments of mu.
+
+        Row k - 1 of ``cm``, ``sm`` holds harmonic k; further axes index
+        measures, one value each.
+        """
+        hm = self.h.integrate(cm, sm)
+        return self.g.integrate(cm, sm) + hm * hm
+
     def value_measure(self, mu: Measure) -> float:
-        if isinstance(mu, EmpiricalMeasure):
-            return self.value_atoms(mu.atoms[:, 0])
-        if isinstance(mu, GridDensity):
-            dx = 2.0 * np.pi / mu.m
-            gm = float(np.dot(self.g(mu.nodes), mu.values) * dx)
-            hm = float(np.dot(self.h(mu.nodes), mu.values) * dx)
-            return gm + hm * hm
-        raise InputDomainError(f"unsupported measure type {type(mu)!r}")
+        return float(self.value_moments(*trig_moments(mu, self.degree)))
 
     def value_atoms(self, atoms: np.ndarray) -> float | np.ndarray:
         """G(mu^x) for configurations stacked on the last axis."""
-        atoms = np.asarray(atoms, dtype=float)
-        gm = self.g(atoms).mean(axis=-1)
-        hm = self.h(atoms).mean(axis=-1)
-        out = gm + hm * hm
+        c, s = harmonics(atoms, self.degree)
+        out = self.value_moments(c.mean(axis=-1), s.mean(axis=-1))
         return float(out) if out.ndim == 0 else out
-
-    def lipschitz_constant(self, ctx: TorusContext) -> float:
-        """Reported C^{-k_star} Lipschitz constant of G on this family."""
-        return self.g.ck_norm(ctx.k_star) + 2.0 * self.h.sup_norm() * self.h.ck_norm(
-            ctx.k_star
-        )
 
     def to_dict(self) -> dict:
         return {"g": self.g.to_dict(), "h": self.h.to_dict()}
@@ -157,14 +144,9 @@ class ProblemSpec:
     def drift_at(self, x: np.ndarray, mu: Measure) -> np.ndarray:
         """b(x, mu) evaluated at points x."""
         kernel = self.hamiltonian.drift_kernel
-        c, s = trig_moments(mu, kernel.degree)
-        return kernel.convolve_moments(c, s)(np.asarray(x, dtype=float))
-
-    def running_cost_at(self, x: np.ndarray, mu: Measure) -> np.ndarray:
-        """f(x, mu) evaluated at points x."""
-        kernel = self.hamiltonian.cost_kernel
-        c, s = trig_moments(mu, kernel.degree)
-        return kernel.convolve_moments(c, s)(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        cm, sm = (m.reshape(m.shape + (1,) * x.ndim) for m in trig_moments(mu, kernel.degree))
+        return convolve(kernel, cm, sm, *harmonics(x, kernel.degree))
 
     def to_dict(self) -> dict:
         return {

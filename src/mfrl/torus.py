@@ -49,12 +49,15 @@ def canonicalize(point):
     return np.mod(p, TWO_PI)
 
 
+def circle_arc(diff):
+    """Geodesic distance on the circle of circumference 2 pi, from a coordinate difference."""
+    diff = np.mod(diff, TWO_PI)
+    return np.minimum(diff, TWO_PI - diff)
+
+
 def torus_geodesic(x, y):
     """Geodesic distance between points (arrays broadcast over leading axes)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = np.abs(np.mod(x - y, TWO_PI))
-    arc = np.minimum(diff, TWO_PI - diff)
+    arc = circle_arc(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     return np.sqrt(np.sum(arc * arc, axis=-1))
 
 
@@ -252,8 +255,9 @@ def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     i = np.arange(n)
     # ys[(i + k) % n] for all rotations k, shape (n, n): rows i, cols k
     rot = ys[(i[:, None] + i[None, :]) % n]
-    diff = np.abs(xs[:, None] - rot)
-    arc = np.minimum(diff, TWO_PI - diff)
+    # canonical atoms give |xs - rot| < 2 pi, which the mod keeps exact (a
+    # negative difference would be rounded by it)
+    arc = circle_arc(np.abs(xs[:, None] - rot))
     return float(arc.mean(axis=0).min())
 
 

@@ -1,11 +1,15 @@
 """Real trigonometric polynomials on the circle.
 
 These are the coefficient fields out of which problem data (drift kernels,
-running-cost kernels, terminal integrands) is built.  Everything the solvers
-need reduces to three operations: pointwise evaluation, differentiation, and
-convolution against a probability measure, the latter expressed through the
-measure's trigonometric moments so interacting-particle drifts cost O(N deg)
-instead of O(N^2).
+running-cost kernels, terminal integrands) is built.  Two functions here are
+the only evaluation of that data: ``harmonics``, the table cos(k x), sin(k x)
+of a point set, and ``convolve``, the identity
+
+    int K(x - y) mu(dy) = c0 + sum_k cos(kx) (a_k C_k - b_k S_k) + sin(kx) (a_k S_k + b_k C_k)
+
+on such a table, with C_k, S_k the trigonometric moments of mu, so
+interacting-particle drifts cost O(N deg) instead of O(N^2).  Pointwise
+evaluation is the convolution with the point mass at 0.
 """
 
 from __future__ import annotations
@@ -52,12 +56,16 @@ class TrigPoly:
         )
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.const, dtype=float)
-        for k in range(1, self.degree + 1):
-            out += self.cos_coeffs[k - 1] * np.cos(k * x)
-            out += self.sin_coeffs[k - 1] * np.sin(k * x)
-        return out
+        """p(x), the convolution of p with the point mass at 0."""
+        return convolve(self, 1.0, 0.0, *harmonics(x, self.degree))
+
+    def integrate(self, cm, sm) -> np.ndarray:
+        """int p dmu from the trig moments of mu (mass one), leading axis k - 1.
+
+        The harmonic table integrated against mu is mu's moments, so this is
+        p evaluated on a copy of the moments in place of the table.
+        """
+        return convolve(self, 1.0, 0.0, np.array(cm, dtype=float), np.array(sm, dtype=float))
 
     def derivative(self) -> "TrigPoly":
         k = np.arange(1, self.degree + 1, dtype=float)
@@ -74,17 +82,6 @@ class TrigPoly:
             total += f.sup_norm(samples)
             f = f.derivative()
         return total
-
-    def convolve_moments(self, cos_m: np.ndarray, sin_m: np.ndarray) -> "TrigPoly":
-        """Trig polynomial x -> integral K(x - y) mu(dy) from moments of mu.
-
-        ``cos_m[k-1] = int cos(k y) mu(dy)`` and likewise for ``sin_m``; the
-        measure is assumed to have total mass one.
-        """
-        a, b = self.cos_coeffs, self.sin_coeffs
-        c = np.asarray(cos_m, dtype=float)[: self.degree]
-        s = np.asarray(sin_m, dtype=float)[: self.degree]
-        return TrigPoly(self.const, a * c - b * s, a * s + b * c)
 
     def to_dict(self) -> dict:
         return {
@@ -108,18 +105,70 @@ class TrigPoly:
 ZERO_POLY = TrigPoly()
 
 
+def harmonics(x, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonic table (cos(k x), sin(k x)), k = 1..deg, of the points x.
+
+    Each array has shape (deg,) + x.shape; row k - 1 holds harmonic k.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.empty((deg,) + x.shape)
+    s = np.empty_like(c)
+    for k in range(1, deg + 1):
+        ck, sk = c[k - 1, ...], s[k - 1, ...]
+        # ck holds k x until its cosine overwrites it
+        arg = x if k == 1 else np.multiply(x, k, out=ck)
+        np.sin(arg, out=sk)
+        np.cos(arg, out=ck)
+    return c, s
+
+
+def convolve(poly: TrigPoly, cm, sm, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x -> int K(x - y) mu(dy) on the harmonic table (c, s) of the points x.
+
+    ``cm[k-1] = int cos(k y) mu(dy)`` and likewise ``sm`` (mu of mass one),
+    or scalars meaning the same moments for every k.  The moments broadcast
+    against the table rows, which already have the shape of the result;
+    rows past the degree of ``poly`` are ignored.  The table is overwritten
+    and the result is stored in its first row.
+    """
+    deg = poly.degree
+    c, s = c[:deg], s[:deg]
+    if deg == 0:
+        return np.full(c.shape[1:], poly.const)
+    if np.ndim(cm):
+        cm, sm = cm[:deg], sm[:deg]
+    col = (deg,) + (1,) * (c.ndim - 1)
+    a, b = poly.cos_coeffs.reshape(col), poly.sin_coeffs.reshape(col)
+    c_weight = a * cm - b * sm
+    s_weight = a * sm + b * cm
+    # in place, and each harmonic's two terms are added before it joins the
+    # sum in harmonic order: the same operations as a per-harmonic loop
+    c *= c_weight
+    s *= s_weight
+    c += s
+    out = c[0, ...]
+    out += poly.const
+    for k in range(1, deg):
+        out += c[k]
+    return out
+
+
+def density_moments(rho: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of densities on the uniform mesh of rho.shape[0] nodes, one per column."""
+    dx = TWO_PI / rho.shape[0]
+    c, s = harmonics(np.arange(rho.shape[0]) * dx, deg)
+    return (c @ rho) * dx, (s @ rho) * dx
+
+
 def trig_moments(mu: Measure, deg: int) -> tuple[np.ndarray, np.ndarray]:
     """Moments (int cos(k y) dmu, int sin(k y) dmu) for k = 1..deg."""
-    k = np.arange(1, deg + 1, dtype=float)
     if isinstance(mu, EmpiricalMeasure):
         if mu.d != 1:
             raise InputDomainError("trig moments are d=1 only")
-        ky = k[:, None] * mu.atoms[:, 0][None, :]
-        return np.cos(ky).mean(axis=1), np.sin(ky).mean(axis=1)
+        c, s = harmonics(mu.atoms[:, 0], deg)
+        return c.mean(axis=-1), s.mean(axis=-1)
     if isinstance(mu, GridDensity):
-        dx = TWO_PI / mu.m
-        ky = k[:, None] * mu.nodes[None, :]
-        return (np.cos(ky) @ mu.values) * dx, (np.sin(ky) @ mu.values) * dx
+        return density_moments(mu.values, deg)
     raise InputDomainError(f"unsupported measure type {type(mu)!r}")
 
 
@@ -129,19 +178,7 @@ def mean_field_eval(poly: TrigPoly, x: np.ndarray) -> np.ndarray:
     ``x`` has shape (..., N); the result has the same shape.  The self term
     j = i is included, matching b(x^i, mu^x) with mu^x containing atom i.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.full_like(x, poly.const)
-    # three full-size scratch arrays, reused for every harmonic
-    kx, ck, sk = np.empty_like(out), np.empty_like(out), np.empty_like(out)
-    for k in range(1, poly.degree + 1):
-        arg = x if k == 1 else np.multiply(x, k, out=kx)
-        np.cos(arg, out=ck)
-        np.sin(arg, out=sk)
-        cm = ck.mean(axis=-1, keepdims=True)
-        sm = sk.mean(axis=-1, keepdims=True)
-        a, b = poly.cos_coeffs[k - 1], poly.sin_coeffs[k - 1]
-        ck *= a * cm - b * sm
-        sk *= a * sm + b * cm
-        ck += sk
-        out += ck
-    return out
+    c, s = harmonics(x, poly.degree)
+    cm = c.mean(axis=-1, keepdims=True)
+    sm = s.mean(axis=-1, keepdims=True)
+    return convolve(poly, cm, sm, c, s)

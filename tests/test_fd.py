@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from mfrl.errors import ConfigurationError, ResourceBudgetError
+from mfrl import fd
+from mfrl.errors import ConfigurationError, InputDomainError, ResourceBudgetError
 from mfrl.fd import (
+    VALUE_BYTES_BUDGET,
     GridValueFunction,
     extend_value,
     fd_solve,
@@ -114,6 +118,44 @@ def test_state_budget_guard():
         fd_solve(null_problem(), 6, 128, 10)
 
 
+def test_value_bytes_budget_guard():
+    # 301 slices of 48^4 doubles: 12.8 GB, refused before anything is allocated
+    prob = linear_problem(a=0.5)
+    n_t = required_time_steps(prob, 4, 48)
+    assert (n_t + 1) * 48**4 * 8 > VALUE_BYTES_BUDGET
+    with pytest.raises(ResourceBudgetError):
+        fd_solve(prob, 4, 48, n_t)
+
+
+def _kernel(poly, d):
+    """K(d) written out with numpy's own cos and sin."""
+    out = np.full_like(d, poly.const)
+    for k, (a, b) in enumerate(zip(poly.cos_coeffs, poly.sin_coeffs), start=1):
+        out += a * np.cos(k * d) + b * np.sin(k * d)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_fields_equal_direct_sum(n):
+    mesh = 10
+    ham = HamiltonianSpec(
+        "linear",
+        drift_kernel=TrigPoly(0.05, [0.4, -0.3], [0.2, 0.25]),
+        cost_kernel=TrigPoly(0.1, [0.0, 0.3], [0.2]),
+    )
+    prob = ProblemSpec(ham, TerminalSpec(), T=0.5, ctx=CTX)
+    nodes = np.arange(mesh) * (TWO_PI / mesh)
+    lattice = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
+    drift_fields, cost_sum = fd._kernel_fields(prob, lattice)
+    diff = lattice[..., :, None] - lattice[..., None, :]  # x_i - x_j
+    drift = _kernel(ham.drift_kernel, diff).mean(axis=-1)
+    cost = _kernel(ham.cost_kernel, diff).mean(axis=-1)
+    for i in range(n):
+        assert drift_fields[i].flags.c_contiguous
+        assert np.max(np.abs(drift_fields[i] - drift[..., i])) < 1e-13
+    assert np.max(np.abs(cost_sum - cost.mean(axis=-1))) < 1e-13
+
+
 def test_stable_dt_scales_with_particle_count():
     prob = null_problem()
     assert max_stable_dt(prob, 4, 32) < max_stable_dt(prob, 1, 32)
@@ -149,6 +191,34 @@ def test_save_load_roundtrip(tmp_path):
     assert back.N == vn.N and back.mesh == vn.mesh and back.n_t == vn.n_t
     assert back.T == vn.T
     assert np.array_equal(back.values, vn.values)
+
+
+def _header(n, mesh, n_t):
+    return struct.pack("<5sIIIIId", b"MFRL1", 1, n, 1, mesh, n_t, 0.5)
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    path = tmp_path / "v.bin"
+    solve(null_problem(T=0.5), 2, 16).save(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(InputDomainError):
+        GridValueFunction.load(path)
+
+
+def test_load_rejects_short_header(tmp_path):
+    path = tmp_path / "v.bin"
+    path.write_bytes(_header(2, 16, 4)[:12])
+    with pytest.raises(InputDomainError):
+        GridValueFunction.load(path)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_load_rejects_header_larger_than_body(tmp_path, n):
+    # the header asks for mesh 2^31; the body holds two doubles
+    path = tmp_path / "v.bin"
+    path.write_bytes(_header(n, 2**31, 1) + bytes(16))
+    with pytest.raises(InputDomainError):
+        GridValueFunction.load(path)
 
 
 def test_lipschitz_probe_zero_for_constants():

@@ -10,11 +10,10 @@ from mfrl.meanfield import (
     fokker_planck_flow_batch,
     mean_field_reference,
     mean_field_reference_batch,
-    terminal_values_batch,
 )
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly
+from mfrl.trig import TrigPoly, density_moments
 
 CTX = TorusContext(1, 64)
 
@@ -124,7 +123,7 @@ def test_terminal_values_batch_quadratic_part():
     m = 512
     nodes = np.arange(m) * TWO_PI / m
     rho = ((1.0 + 0.4 * np.cos(nodes) + 0.6 * np.sin(2 * nodes)) / TWO_PI)[:, None]
-    val = terminal_values_batch(prob, rho)[0]
+    val = prob.terminal.value_moments(*density_moments(rho, prob.terminal.degree))[0]
     assert val == pytest.approx(0.2 + 0.3**2, abs=1e-10)
 
 

@@ -4,7 +4,7 @@ import pytest
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly
+from mfrl.trig import TrigPoly, density_moments
 
 
 def linear_ham():
@@ -52,6 +52,42 @@ def test_terminal_batched_atoms():
     vals = term.value_atoms(configs)
     assert vals.shape == (5,)
     assert np.allclose(vals, np.cos(configs).mean(axis=1))
+
+
+def _poly(p, x):
+    """p(x) written out with numpy's own cos and sin."""
+    out = np.full_like(x, p.const)
+    for k, (a, b) in enumerate(zip(p.cos_coeffs, p.sin_coeffs), start=1):
+        out += a * np.cos(k * x) + b * np.sin(k * x)
+    return out
+
+
+QUAD_TERMINAL = TerminalSpec(
+    g=TrigPoly(0.3, [1.0, -0.2], [0.5]), h=TrigPoly(-0.1, [0.0, 0.4], [0.7, 0.2])
+)
+
+
+def test_terminal_moments_match_quadrature_on_atoms():
+    term = QUAD_TERMINAL
+    configs = np.random.default_rng(4).uniform(0, TWO_PI, (6, 5))
+    direct = _poly(term.g, configs).mean(axis=1) + _poly(term.h, configs).mean(axis=1) ** 2
+    assert np.max(np.abs(term.value_atoms(configs) - direct)) < 1e-13
+    mu = EmpiricalMeasure(configs[0][:, None])
+    assert term.value_measure(mu) == pytest.approx(direct[0], abs=1e-13)
+
+
+def test_terminal_moments_match_quadrature_on_densities():
+    term = QUAD_TERMINAL
+    m = 64
+    dx = TWO_PI / m
+    nodes = np.arange(m) * dx
+    rho = np.random.default_rng(5).uniform(0.5, 1.5, (m, 3))
+    rho /= rho.sum(axis=0) * dx
+    direct = (_poly(term.g, nodes) @ rho) * dx + ((_poly(term.h, nodes) @ rho) * dx) ** 2
+    batch = term.value_moments(*density_moments(rho, term.degree))
+    assert np.max(np.abs(batch - direct)) < 1e-13
+    for j in range(3):
+        assert term.value_measure(GridDensity(rho[:, j])) == pytest.approx(direct[j], abs=1e-13)
 
 
 def test_problem_validation():
