@@ -6,8 +6,16 @@ For linear-in-p problems without common noise the mean-field value function is
 
 where mu_s solves the Fokker-Planck equation d_s mu = d_xx mu - d_x(b(., mu) mu)
 started from mu at time t.  The flow is discretized with a conservative upwind
-drift flux and backward-Euler diffusion (a circulant solve per step), so mass
-is preserved to rounding.
+drift flux and backward-Euler diffusion, so mass is preserved to rounding.  The
+backward-Euler matrix is circulant: its rfft symbol is computed once per flow,
+and each step's solve is ``irfft(rfft(rho) / symbol)``.
+
+Drift, running cost and G do not depend on time, so v(t_i, mu) for every time
+of a sweep is read off one flow started at mu: at the step where the elapsed
+time equals T - t_i, the running cost integral closed there plus G of the
+density.  ``mean_field_reference_batch`` runs that one flow for a whole batch
+of densities and times, with its step count rounded up so that every time
+falls on a step.
 
 With common noise (a > 0) the mean-field state is itself stochastic and there
 is no deterministic flow; the reference is then a large-M particle surrogate
@@ -17,10 +25,11 @@ the bias budget alpha(M_ref)^{1/3} recorded alongside the estimate.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_circulant
 
 from .errors import ConfigurationError, ConsistencyError, InputDomainError
 from .metric import alpha_rate
@@ -30,6 +39,8 @@ from .trig import convolve, density_moments, harmonics
 
 #: mass drift tolerated per unit time by the conservative flow
 MASS_TOLERANCE = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,11 +100,22 @@ def _resample_density(mu: GridDensity, m: int) -> GridDensity:
     return GridDensity(vals)
 
 
+def solve_circulant(symbol: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Solve ``C x = rho`` column by column for a real circulant matrix C.
+
+    ``symbol`` is the rfft of C's first column and ``rho`` has shape (m, n_cols).
+    """
+    return np.fft.irfft(
+        np.fft.rfft(rho, axis=0) / symbol[:, None], n=rho.shape[0], axis=0
+    )
+
+
 def fokker_planck_flow_batch(
     problem: ProblemSpec,
     rho0: np.ndarray,
     t: float,
     n_t: int,
+    observe: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Evolve a batch of densities from time t to the horizon.
 
@@ -102,6 +124,11 @@ def fokker_planck_flow_batch(
     the explicit conservative upwind drift flux followed by a backward-Euler
     diffusion solve with the circulant second-difference matrix (L-stable, so
     delta-like initial data is damped rather than left oscillating).
+
+    ``observe(step, rho, running)``, if given, sees the state after every step
+    0..n_t: the densities (not yet clipped at 0) and the running cost integral
+    with its trapezoid closed at that step.  At ``step = n_t`` ``running`` is
+    the returned integral.
     """
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("Fokker-Planck reference requires a linear family")
@@ -119,6 +146,8 @@ def fokker_planck_flow_batch(
     dx = TWO_PI / m
     running = np.zeros(n_cols)
     if horizon == 0.0:
+        if observe is not None:
+            observe(0, rho, running)
         return rho, running, 0.0
     ds = horizon / n_t
 
@@ -131,15 +160,13 @@ def fokker_planck_flow_batch(
     first_col[0] = 1.0 + 2.0 * r
     first_col[1] = -r
     first_col[-1] = -r
+    symbol = np.fft.rfft(first_col)
 
     # node harmonics once per flow; each step takes the moments of its
     # columns from them and refills a per-column copy for the drift field
     cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
     cos_b = np.empty((drift.degree, m, n_cols))
     sin_b = np.empty_like(cos_b)
-
-    def moments(density: np.ndarray):
-        return (cos_n @ density) * dx, (sin_n @ density) * dx
 
     def cost_rate(cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
         """<f(., mu), mu>: the field's table integrated against mu is mu's moments."""
@@ -148,10 +175,15 @@ def fokker_planck_flow_batch(
         return convolve(cost, cm, sm, cm.copy(), sm.copy())
 
     max_drift = 0.0
-    for step in range(n_t):
-        weight = 0.5 if step == 0 else 1.0
-        cm, sm = moments(rho)
-        running += weight * ds * cost_rate(cm, sm)
+    for step in range(n_t + 1):
+        cm, sm = (cos_n @ rho) * dx, (sin_n @ rho) * dx
+        rate = cost_rate(cm, sm)
+        if observe is not None:
+            closed = running + 0.5 * ds * rate if step else np.zeros(n_cols)
+            observe(step, rho, closed)
+        if step == n_t:
+            break
+        running += (0.5 if step == 0 else 1.0) * ds * rate
         if have_drift:
             np.copyto(cos_b, cos_n[: drift.degree, :, None])
             np.copyto(sin_b, sin_n[: drift.degree, :, None])
@@ -161,10 +193,10 @@ def fokker_planck_flow_batch(
                 rho, -1, axis=0
             )
             rho = rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
-        rho = solve_circulant(first_col, rho)
+        rho = solve_circulant(symbol, rho)
         drift_err = float(np.max(np.abs(np.sum(rho, axis=0) * dx - 1.0)))
         max_drift = max(max_drift, drift_err)
-    running += 0.5 * ds * cost_rate(*moments(rho))
+    running += 0.5 * ds * rate
     if max_drift > MASS_TOLERANCE * max(horizon, 1.0):
         raise ConsistencyError(
             f"Fokker-Planck mass drift {max_drift:.3e} exceeds tolerance"
@@ -198,19 +230,73 @@ def default_flow_steps(problem: ProblemSpec, mesh: int) -> int:
     return int(np.ceil(problem.T * rate / 0.4)) + 1
 
 
+def _steps_on_every_time(fractions: np.ndarray, n_t: int) -> int:
+    """Least step count >= n_t whose grid holds every fraction of the horizon.
+
+    Rounding up may at most double the step count; times that share no grid
+    that fine are refused.
+    """
+    for steps in range(n_t, 2 * n_t + 1):
+        k = fractions * steps
+        if np.all(np.abs(k - np.rint(k)) <= 1e-9):
+            return steps
+    raise InputDomainError(
+        f"the requested times share no step grid between {n_t} and {2 * n_t} steps"
+    )
+
+
 def mean_field_reference_batch(
     problem: ProblemSpec,
-    t: float,
+    times,
     rho0: np.ndarray,
     n_t: int = 0,
-) -> np.ndarray:
-    """Mean-field values v(t, mu) for a batch of densities (a = 0 only)."""
+) -> tuple[np.ndarray, int, float]:
+    """Mean-field values v(t_i, mu_j) for a batch of densities and times (a = 0 only).
+
+    ``rho0`` has shape (m, n_cols).  One Fokker-Planck flow runs from every
+    column over the longest horizon T - min(times), with ``n_t`` steps
+    (``default_flow_steps`` when 0) rounded up so that every T - t_i is a
+    whole number of steps.  Returns ``(values, steps, max_mass_drift)`` with
+    ``values`` of shape (len(times), n_cols) and ``steps`` the flow's step
+    count (0 when every time is T).
+    """
     if problem.a != 0.0:
         raise InputDomainError("batched reference requires a = 0")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or times.size == 0:
+        raise InputDomainError("times must be a non-empty sequence")
+    horizons = problem.T - times
+    if np.any(horizons < 0):
+        raise InputDomainError("a requested time is past the horizon")
+    longest = float(horizons.max())
     steps = n_t if n_t > 0 else default_flow_steps(problem, rho0.shape[0])
-    rho_end, running, _ = fokker_planck_flow_batch(problem, rho0, t, steps)
+    if longest > 0.0:
+        steps = _steps_on_every_time(horizons / longest, steps)
+        read_at = np.rint(horizons / longest * steps).astype(int)
+    else:
+        steps, read_at = 0, np.zeros(times.size, dtype=int)
+
     term = problem.terminal
-    return running + term.value_moments(*density_moments(rho_end, term.degree))
+    values = np.empty((times.size, rho0.shape[1]))
+
+    def record(step: int, rho: np.ndarray, running: np.ndarray) -> None:
+        rows = read_at == step
+        if rows.any():
+            values[rows] = running + term.value_moments(
+                *density_moments(np.maximum(rho, 0.0), term.degree)
+            )
+
+    _, _, mass_drift = fokker_planck_flow_batch(
+        problem, rho0, float(times.min()), max(steps, 1), record
+    )
+    log.info(
+        "fp reference: %d columns, %d steps, ds %.3e, mass drift %.2e",
+        rho0.shape[1],
+        steps,
+        longest / steps if steps else 0.0,
+        mass_drift,
+    )
+    return values, steps, mass_drift
 
 
 def mean_field_reference(
@@ -226,11 +312,11 @@ def mean_field_reference(
         raise InputDomainError("mean-field reference is d = 1 only")
     if problem.a == 0.0:
         mu0 = _resample_density(mu, cfg.mesh)
-        n_t = cfg.n_t if cfg.n_t > 0 else default_flow_steps(problem, cfg.mesh)
-        mu_end, running, drift = fokker_planck_flow(problem, mu0, t, n_t)
-        value = running + problem.terminal.value_measure(mu_end)
+        values, _, drift = mean_field_reference_batch(
+            problem, [t], mu0.values[:, None], cfg.n_t
+        )
         return ReferenceValue(
-            value=float(value),
+            value=float(values[0, 0]),
             method="exact-fp",
             bias_budget=0.0,
             mass_drift=drift,

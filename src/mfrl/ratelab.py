@@ -48,9 +48,36 @@ def fit_rate(points) -> tuple[float, float, np.ndarray]:
     return beta, float(np.exp(log_c)), residuals
 
 
+#: the plan's integer fields besides n_list
+_INT_FIELDS = (
+    "n_time_points",
+    "n_configs",
+    "n_paths",
+    "n_steps",
+    "ref_mesh",
+    "ref_steps",
+    "m_ref",
+    "seed",
+)
+
+
+def _plan_int(name: str, value) -> int:
+    """An integer plan field; bools and floats (even whole ones) are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputDomainError(f"plan field {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Budgets and seeds for one rate sweep."""
+    """Budgets and seeds for one rate sweep.
+
+    ``ref_mesh`` is the node count of the Fokker-Planck reference grid and
+    ``ref_steps`` its step count over the longest horizon, from t = 0 to T,
+    rounded up so that every time of the sweep falls on a step (0 means
+    ``default_flow_steps``).  ``m_ref`` is the atom count of the particle
+    surrogate used when a > 0.
+    """
 
     problem: ProblemSpec
     n_list: tuple[int, ...]
@@ -64,12 +91,23 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_list)
+        try:
+            ns = tuple(_plan_int("n_list", n) for n in self.n_list)
+        except TypeError as exc:
+            raise InputDomainError("n_list must be a list of integers") from exc
         object.__setattr__(self, "n_list", ns)
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _plan_int(name, getattr(self, name)))
         if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise InputDomainError("n_list must be strictly increasing, length >= 3")
+        if ns[0] < 1:
+            raise InputDomainError("particle counts in n_list must be >= 1")
         if min(self.n_time_points, self.n_configs, self.n_paths, self.n_steps) < 1:
             raise InputDomainError("all sampling budgets must be >= 1")
+        if self.ref_mesh < 2:
+            raise InputDomainError("ref_mesh must be >= 2")
+        if min(self.ref_steps, self.m_ref) < 0:
+            raise InputDomainError("ref_steps and m_ref must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -87,25 +125,13 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
-        known = {
-            "problem",
-            "n_list",
-            "n_time_points",
-            "n_configs",
-            "n_paths",
-            "n_steps",
-            "ref_mesh",
-            "ref_steps",
-            "m_ref",
-            "seed",
-        }
+        known = {"problem", "n_list", *_INT_FIELDS}
         unknown = set(obj) - known
         if unknown:
             raise InputDomainError(f"unknown plan fields {sorted(unknown)}")
         if "problem" not in obj or "n_list" not in obj:
             raise InputDomainError("plan needs 'problem' and 'n_list'")
         kwargs = {k: obj[k] for k in known & set(obj) if k != "problem"}
-        kwargs["n_list"] = tuple(int(n) for n in obj["n_list"])
         return cls(problem=ProblemSpec.from_dict(obj["problem"]), **kwargs)
 
 
@@ -186,22 +212,35 @@ def _surrogate_reference(
 
 
 def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
-    """Sweep N, record sup |v^N - v| over sampled (t, x), fit the rate."""
+    """Sweep N, record sup |v^N - v| over sampled (t, x), fit the rate.
+
+    With a = 0 every configuration of every N is deposited as one column of
+    a single density batch, and one Fokker-Planck flow gives the mean-field
+    value of every column at every time.
+    """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("rate experiment needs a linear-in-p family")
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
-    rows = []
+    draws = []
     for n in plan.n_list:
         rng = np.random.Generator(np.random.Philox(key=_derived_seed(plan.seed, n, 0)))
-        configs = rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))
+        draws.append((n, rng, rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))))
+    fp_steps, fp_mass_drift = 0, 0.0
+    if problem.a == 0.0:
         densities = np.stack(
             [
                 deposit_empirical(EmpiricalMeasure(c[:, None]), plan.ref_mesh).values
+                for _, _, configs in draws
                 for c in configs
             ],
             axis=1,
         )
+        refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
+            problem, t_points, densities, n_t=plan.ref_steps
+        )
+    rows = []
+    for i, (n, rng, configs) in enumerate(draws):
         sup_error = 0.0
         mc_std = 0.0
         for ti, t in enumerate(t_points):
@@ -216,9 +255,7 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
             vn_mean = vals.mean(axis=1)
             se = vals.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
             if problem.a == 0.0:
-                ref = mean_field_reference_batch(
-                    problem, float(t), densities, n_t=plan.ref_steps
-                )
+                ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
             else:
                 ref = _surrogate_reference(plan, float(t), configs, rng)
             sup_error = max(sup_error, float(np.max(np.abs(vn_mean - ref))))
@@ -252,6 +289,8 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         "ref_mesh": plan.ref_mesh,
         "ref_steps": plan.ref_steps,
         "m_ref": plan.m_ref,
+        "fp_steps": fp_steps,
+        "fp_mass_drift": fp_mass_drift,
         "reference": "exact-fp" if problem.a == 0.0 else f"surrogate-m{plan.m_ref}",
         "surrogate_bias_budget": (
             0.0

@@ -150,6 +150,39 @@ def test_rate_seed_override_and_json_format(tmp_path, capsys):
     assert len(doc["rows"]) == 3
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ref_mesh", 2.5),
+        ("n_list", [2, 4, 8.5]),
+        ("ref_steps", -3),
+        ("m_ref", -1),
+    ],
+)
+def test_rate_plan_with_bad_integer_field_exits_with_schema_code(
+    tmp_path, capsys, field, value
+):
+    plan = write(
+        tmp_path / "rate.json",
+        {
+            "version": 1,
+            "plan": {
+                "problem": problem_dict(),
+                "n_list": [2, 4, 8],
+                "n_time_points": 2,
+                "n_configs": 4,
+                "n_paths": 200,
+                "n_steps": 20,
+                field: value,
+            },
+        },
+    )
+    out = tmp_path / "r.csv"
+    assert main(["rate", "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metric_command_matches_library(tmp_path, capsys):
     mu = EmpiricalMeasure(np.array([[0.0]]))
     nu = EmpiricalMeasure(np.array([[np.pi]]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mfrl.errors import ConfigurationError, InputDomainError
 from mfrl.meanfield import (
@@ -10,6 +11,7 @@ from mfrl.meanfield import (
     fokker_planck_flow_batch,
     mean_field_reference,
     mean_field_reference_batch,
+    solve_circulant,
 )
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
@@ -144,9 +146,96 @@ def test_batched_reference_matches_scalar_reference():
     m = 256
     nodes = np.arange(m) * TWO_PI / m
     rho = ((1.0 + 0.3 * np.cos(nodes)) / TWO_PI)[:, None]
-    batch = mean_field_reference_batch(prob, 0.0, rho)
+    batch, _, _ = mean_field_reference_batch(prob, [0.0], rho)
     scalar = mean_field_reference(prob, 0.0, GridDensity(rho[:, 0]))
-    assert batch[0] == pytest.approx(scalar.value, abs=1e-10)
+    assert batch[0, 0] == pytest.approx(scalar.value, abs=1e-10)
+
+
+def interaction_problem():
+    """Criterion 8's problem: sin drift kernel, G with a quadratic part."""
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]), cost_kernel=TrigPoly()
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
+    return ProblemSpec(ham, term, T=0.5, ctx=CTX)
+
+
+def linear_problem():
+    """Criterion 3's problem: drift and running-cost kernels, quadratic G."""
+    ham = HamiltonianSpec(
+        "linear",
+        drift_kernel=TrigPoly(0.0, [0.4], [0.2]),
+        cost_kernel=TrigPoly(0.1, [0.0, 0.3]),
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
+    return ProblemSpec(ham, term, T=0.5, ctx=CTX)
+
+
+def empirical_columns(seed, sizes=(3, 8), m=256):
+    rng = np.random.default_rng(seed)
+    return np.column_stack(
+        [
+            deposit_empirical(EmpiricalMeasure(rng.uniform(0, TWO_PI, (n, 1))), m).values
+            for n in sizes
+        ]
+    )
+
+
+def flow_value(prob, rho, t, n_t):
+    """v(t, .) of each column from its own flow of n_t steps."""
+    rho_end, running, _ = fokker_planck_flow_batch(prob, rho, t, n_t)
+    return running + prob.terminal.value_moments(
+        *density_moments(rho_end, prob.terminal.degree)
+    )
+
+
+@pytest.mark.parametrize("make", [interaction_problem, linear_problem])
+def test_folded_reference_equals_a_flow_from_each_time(make):
+    prob = make()
+    rho = empirical_columns(5)
+    times = [0.0, 0.125, 0.25, 0.375, 0.5]
+    values, steps, drift = mean_field_reference_batch(prob, times, rho, n_t=402)
+    # 402 steps over T = 0.5 are rounded up to the next multiple of 4
+    assert steps == 404
+    assert 0.0 <= drift <= 1e-12
+    for i, t in enumerate(times[:-1]):
+        k = round((prob.T - t) / prob.T * steps)
+        assert np.max(np.abs(values[i] - flow_value(prob, rho, t, k))) < 1e-13
+    # at t = T nothing flows: the value is G of the deposited measure
+    g = prob.terminal.value_moments(*density_moments(rho, prob.terminal.degree))
+    assert np.max(np.abs(values[-1] - g)) < 1e-13
+
+
+@pytest.mark.parametrize("make", [interaction_problem, linear_problem])
+def test_folded_reference_close_to_a_fine_flow_from_each_time(make):
+    # the rule before folding: default_flow_steps steps from every t_i
+    prob = make()
+    rho = empirical_columns(6)
+    times = np.linspace(0.0, prob.T, 4, endpoint=False)
+    values, steps, _ = mean_field_reference_batch(prob, times, rho)
+    assert steps >= default_flow_steps(prob, rho.shape[0])
+    for i, t in enumerate(times):
+        own = flow_value(prob, rho, t, default_flow_steps(prob, rho.shape[0]))
+        assert np.max(np.abs(values[i] - own)) < 1e-4
+
+
+def test_reference_refuses_times_without_a_common_step_grid():
+    prob = interaction_problem()
+    rho = empirical_columns(7)
+    with pytest.raises(InputDomainError):
+        mean_field_reference_batch(prob, [0.0, 0.5 - 0.5 / 7.0], rho, n_t=3)
+    with pytest.raises(InputDomainError):
+        mean_field_reference_batch(prob, [0.0, 0.6], rho)
+
+
+def test_spectral_solve_matches_scipy():
+    rng = np.random.default_rng(0)
+    m, r = 256, 0.7
+    first_col = np.zeros(m)
+    first_col[0], first_col[1], first_col[-1] = 1.0 + 2.0 * r, -r, -r
+    rho = rng.random((m, 16))
+    ours = solve_circulant(np.fft.rfft(first_col), rho)
+    assert np.max(np.abs(ours - scipy.linalg.solve_circulant(first_col, rho))) < 1e-14
 
 
 def test_running_cost_accumulates_for_uniform_law():

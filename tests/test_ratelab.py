@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mfrl.meanfield
+import mfrl.ratelab
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
@@ -71,6 +73,9 @@ def test_plan_validation_and_roundtrip():
         ExperimentPlan.from_dict({**plan.to_dict(), "bogus": 1})
     with pytest.raises(InputDomainError):
         ExperimentPlan.from_dict({"n_list": [2, 4, 8]})
+    for bad in (dict(n_configs=True), dict(seed=1.0), dict(n_list=(0, 2, 4))):
+        with pytest.raises(InputDomainError):
+            small_plan(**bad)
 
 
 def test_run_rate_experiment_deterministic_and_well_formed():
@@ -86,6 +91,35 @@ def test_run_rate_experiment_deterministic_and_well_formed():
     assert r1.metadata["surrogate_bias_budget"] == 0.0
     header = r1.to_csv().splitlines()[0]
     assert header == "N,alpha,alpha_cbrt,sup_error,mc_std,notes"
+
+
+def test_sweep_runs_one_flow_for_every_n_and_time(monkeypatch):
+    calls = []
+    flow = mfrl.meanfield.fokker_planck_flow_batch
+
+    def counted(problem, rho0, t, n_t, observe=None):
+        calls.append((rho0.shape, t, n_t))
+        return flow(problem, rho0, t, n_t, observe)
+
+    monkeypatch.setattr(mfrl.meanfield, "fokker_planck_flow_batch", counted)
+    plan = small_plan(n_time_points=3)
+    report = run_rate_experiment(plan)
+    # 8 configurations of each of 3 particle counts, all from t = 0
+    assert calls == [((256, 24), 0.0, report.metadata["fp_steps"])]
+    assert report.metadata["fp_steps"] % 3 == 0
+    assert 0.0 <= report.metadata["fp_mass_drift"] <= 1e-12
+
+
+def test_common_noise_sweep_runs_no_flow_and_deposits_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a > 0 needs no densities")
+
+    monkeypatch.setattr(mfrl.ratelab, "deposit_empirical", refuse)
+    monkeypatch.setattr(mfrl.ratelab, "mean_field_reference_batch", refuse)
+    plan = small_plan(problem=null_problem(a=0.5), m_ref=16, n_paths=100)
+    report = run_rate_experiment(plan)
+    assert report.metadata["fp_steps"] == 0
+    assert report.metadata["fp_mass_drift"] == 0.0
 
 
 def test_errors_shrink_with_n_on_closed_form_benchmark():
