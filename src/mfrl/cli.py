@@ -29,7 +29,7 @@ from .fd import fd_solve
 from .mc import mc_solve_linear
 from .metric import MetricOrder, rho
 from .problems import ProblemSpec
-from .ratelab import ExperimentPlan, run_rate_experiment
+from .ratelab import ExperimentPlan, plan_int, run_rate_experiment
 from .torus import TorusContext, measure_from_json
 
 PLAN_VERSION = 1
@@ -72,6 +72,14 @@ def _require(doc: dict, keys: set, context: str) -> None:
         raise SchemaError(f"unknown {context} fields {sorted(unknown)}")
 
 
+def _int_field(doc: dict, name: str, default: int) -> int:
+    """An integer plan field, by the rate plan's rule; anything else is a schema error."""
+    try:
+        return plan_int(name, doc.get(name, default))
+    except InputDomainError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def cmd_solve(args) -> int:
     doc = _load_plan(args.plan)
     _require(
@@ -84,9 +92,10 @@ def cmd_solve(args) -> int:
     except InputDomainError as exc:
         raise SchemaError(str(exc)) from exc
     solver = doc.get("solver", "fd")
-    n = int(doc.get("N", 1))
+    n = _int_field(doc, "N", 1)
     if solver == "fd":
-        vn = fd_solve(problem, n, int(doc.get("mesh", 64)), int(doc.get("n_t", 0)))
+        mesh, n_t = _int_field(doc, "mesh", 64), _int_field(doc, "n_t", 0)
+        vn = fd_solve(problem, n, mesh, n_t)
         vn.save(args.out)
         summary = {
             "solver": "fd",
@@ -97,13 +106,14 @@ def cmd_solve(args) -> int:
         }
     elif solver == "mc":
         atoms = np.asarray(doc.get("atoms", []), dtype=float)
+        n_paths, n_steps = _int_field(doc, "n_paths", 1000), _int_field(doc, "n_steps", 200)
         est = mc_solve_linear(
             problem,
             n,
             float(doc.get("t", 0.0)),
             atoms,
-            n_paths=int(doc.get("n_paths", 1000)),
-            n_steps=int(doc.get("n_steps", 200)),
+            n_paths=n_paths,
+            n_steps=n_steps,
             seed=args.seed,
         )
         summary = {

@@ -17,61 +17,36 @@ density.  ``mean_field_reference_batch`` runs that one flow for a whole batch
 of densities and times, with its step count rounded up so that every time
 falls on a step.
 
-With common noise (a > 0) the mean-field state is itself stochastic and there
-is no deterministic flow; the reference is then a large-M particle surrogate
-v^M computed by the Feynman-Kac solver on M_ref atoms sampled from mu, with
-the bias budget alpha(M_ref)^{1/3} recorded alongside the estimate.
+With common noise (a > 0) the mean-field state is random, but every drift and
+cost is a convolution K * mu, so the flow commutes with shifts: mu_s is the
+a = 0 flow nu_s from the same mu, shifted by sqrt(2a)(B_s - B_t).  The running
+cost <f(., mu), mu> does not change under a shift, hence
+
+    v_a(t, mu) = int_t^T <f(., nu_s), nu_s> ds + E_z G(tau_z nu_T),
+    z ~ N(0, 2a(T - t)),
+
+and the Gaussian average of G has a closed form in the moments of nu_T
+(``TerminalSpec.value_moments`` with a variance).  The same one a = 0 flow
+therefore gives the exact reference for every a.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ConsistencyError, InputDomainError
-from .metric import alpha_rate
+from .errors import ConsistencyError, InputDomainError
 from .problems import ProblemSpec
-from .torus import TWO_PI, EmpiricalMeasure, GridDensity, sample_iid
+from .torus import TWO_PI, EmpiricalMeasure, GridDensity
 from .trig import convolve, density_moments, harmonics
 
 #: mass drift tolerated per unit time by the conservative flow
 MASS_TOLERANCE = 1e-10
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RefConfig:
-    """Budgets for mean_field_reference.
-
-    ``mesh`` and ``n_t`` drive the Fokker-Planck flow (a = 0); ``m_ref``,
-    ``n_paths``, ``n_steps`` and ``seed`` drive the particle surrogate
-    (a > 0).  ``m_ref = 0`` means the surrogate is unavailable.
-    """
-
-    mesh: int = 256
-    n_t: int = 0
-    m_ref: int = 0
-    n_paths: int = 20_000
-    n_steps: int = 200
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ReferenceValue:
-    """A reference value plus the provenance needed to audit tolerances."""
-
-    value: float
-    method: str
-    bias_budget: float
-    mass_drift: float = 0.0
-    std_error: float = 0.0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def deposit_empirical(mu: EmpiricalMeasure, m: int) -> GridDensity:
@@ -88,16 +63,6 @@ def deposit_empirical(mu: EmpiricalMeasure, m: int) -> GridDensity:
     np.add.at(weights, left % m, 1.0 - frac)
     np.add.at(weights, (left + 1) % m, frac)
     return GridDensity(weights / (mu.N * dx))
-
-
-def _resample_density(mu: GridDensity, m: int) -> GridDensity:
-    if mu.m == m:
-        return mu
-    new_nodes = np.arange(m) * (TWO_PI / m)
-    vals = np.interp(
-        new_nodes, np.append(mu.nodes, TWO_PI), np.append(mu.values, mu.values[0])
-    )
-    return GridDensity(vals)
 
 
 def solve_circulant(symbol: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -167,6 +132,9 @@ def fokker_planck_flow_batch(
     cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
     cos_b = np.empty((drift.degree, m, n_cols))
     sin_b = np.empty_like(cos_b)
+    # the drift step's buffers: the field at the faces j + 1/2, the upwind flux
+    # through them, its other half and then its divergence, and the moved density
+    face, flux, part, moved = (np.empty((m, n_cols)) for _ in range(4))
 
     def cost_rate(cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
         """<f(., mu), mu>: the field's table integrated against mu is mu's moments."""
@@ -188,11 +156,22 @@ def fokker_planck_flow_batch(
             np.copyto(cos_b, cos_n[: drift.degree, :, None])
             np.copyto(sin_b, sin_n[: drift.degree, :, None])
             b = convolve(drift, cm[:, None, :], sm[:, None, :], cos_b, sin_b)
-            b_face = 0.5 * (b + np.roll(b, -1, axis=0))  # value at node j + 1/2
-            flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
-                rho, -1, axis=0
-            )
-            rho = rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
+            # periodic neighbours by shifted slices, in the operation order of
+            # 0.5 (b + b_next), max(face, 0) rho + min(face, 0) rho_next and
+            # rho - (ds/dx) (flux - flux_prev)
+            np.add(b[:-1], b[1:], out=face[:-1])
+            np.add(b[-1], b[0], out=face[-1])
+            face *= 0.5
+            np.maximum(face, 0.0, out=flux)
+            flux *= rho
+            np.minimum(face, 0.0, out=part)
+            part[:-1] *= rho[1:]
+            part[-1] *= rho[0]
+            flux += part
+            np.subtract(flux[1:], flux[:-1], out=part[1:])
+            np.subtract(flux[0], flux[-1], out=part[0])
+            part *= ds / dx
+            rho = np.subtract(rho, part, out=moved)
         rho = solve_circulant(symbol, rho)
         drift_err = float(np.max(np.abs(np.sum(rho, axis=0) * dx - 1.0)))
         max_drift = max(max_drift, drift_err)
@@ -202,19 +181,6 @@ def fokker_planck_flow_batch(
             f"Fokker-Planck mass drift {max_drift:.3e} exceeds tolerance"
         )
     return np.maximum(rho, 0.0), running, max_drift
-
-
-def fokker_planck_flow(
-    problem: ProblemSpec,
-    mu0: GridDensity,
-    t: float,
-    n_t: int,
-) -> tuple[GridDensity, float, float]:
-    """Single-density Fokker-Planck flow; see fokker_planck_flow_batch."""
-    rho, running, drift = fokker_planck_flow_batch(
-        problem, mu0.values[:, None], t, n_t
-    )
-    return GridDensity(rho[:, 0]), float(running[0]), drift
 
 
 def default_flow_steps(problem: ProblemSpec, mesh: int) -> int:
@@ -251,17 +217,17 @@ def mean_field_reference_batch(
     rho0: np.ndarray,
     n_t: int = 0,
 ) -> tuple[np.ndarray, int, float]:
-    """Mean-field values v(t_i, mu_j) for a batch of densities and times (a = 0 only).
+    """Mean-field values v(t_i, mu_j) for a batch of densities and times.
 
-    ``rho0`` has shape (m, n_cols).  One Fokker-Planck flow runs from every
-    column over the longest horizon T - min(times), with ``n_t`` steps
-    (``default_flow_steps`` when 0) rounded up so that every T - t_i is a
-    whole number of steps.  Returns ``(values, steps, max_mass_drift)`` with
-    ``values`` of shape (len(times), n_cols) and ``steps`` the flow's step
-    count (0 when every time is T).
+    ``rho0`` has shape (m, n_cols).  One Fokker-Planck flow of the a = 0
+    problem runs from every column over the longest horizon T - min(times),
+    with ``n_t`` steps (``default_flow_steps`` when 0) rounded up so that
+    every T - t_i is a whole number of steps.  v(t_i, .) is read off at that
+    step, with G averaged over shifts of variance 2a(T - t_i) (see the module
+    docstring).  Returns ``(values, steps, max_mass_drift)`` with ``values``
+    of shape (len(times), n_cols) and ``steps`` the flow's step count (0 when
+    every time is T).
     """
-    if problem.a != 0.0:
-        raise InputDomainError("batched reference requires a = 0")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise InputDomainError("times must be a non-empty sequence")
@@ -277,70 +243,29 @@ def mean_field_reference_batch(
         steps, read_at = 0, np.zeros(times.size, dtype=int)
 
     term = problem.terminal
+    shift_var = 2.0 * problem.a * horizons
     values = np.empty((times.size, rho0.shape[1]))
 
     def record(step: int, rho: np.ndarray, running: np.ndarray) -> None:
-        rows = read_at == step
-        if rows.any():
-            values[rows] = running + term.value_moments(
-                *density_moments(np.maximum(rho, 0.0), term.degree)
-            )
+        rows = np.flatnonzero(read_at == step)
+        if rows.size:
+            moments = density_moments(np.maximum(rho, 0.0), term.degree)
+            for i in rows:
+                values[i] = running + term.value_moments(*moments, shift_var[i])
 
     _, _, mass_drift = fokker_planck_flow_batch(
-        problem, rho0, float(times.min()), max(steps, 1), record
+        dataclasses.replace(problem, a=0.0),
+        rho0,
+        float(times.min()),
+        max(steps, 1),
+        record,
     )
     log.info(
-        "fp reference: %d columns, %d steps, ds %.3e, mass drift %.2e",
+        "fp reference: %d columns, %d steps, ds %.3e, mass drift %.2e%s",
         rho0.shape[1],
         steps,
         longest / steps if steps else 0.0,
         mass_drift,
+        f", shift variance up to {shift_var.max():.3e}" if problem.a else "",
     )
     return values, steps, mass_drift
-
-
-def mean_field_reference(
-    problem: ProblemSpec,
-    t: float,
-    mu: GridDensity,
-    cfg: RefConfig = RefConfig(),
-) -> ReferenceValue:
-    """Reference mean-field value v(t, mu) for linear-in-p problems."""
-    if not problem.hamiltonian.is_linear:
-        raise InputDomainError("mean-field reference requires a linear family")
-    if problem.ctx.d != 1:
-        raise InputDomainError("mean-field reference is d = 1 only")
-    if problem.a == 0.0:
-        mu0 = _resample_density(mu, cfg.mesh)
-        values, _, drift = mean_field_reference_batch(
-            problem, [t], mu0.values[:, None], cfg.n_t
-        )
-        return ReferenceValue(
-            value=float(values[0, 0]),
-            method="exact-fp",
-            bias_budget=0.0,
-            mass_drift=drift,
-        )
-    if cfg.m_ref < 1:
-        raise ConfigurationError(
-            "a > 0 needs the particle surrogate: set m_ref in RefConfig"
-        )
-    from .mc import mc_solve_linear  # local import to avoid a module cycle
-
-    atoms = sample_iid(mu, cfg.m_ref, seed=cfg.seed)
-    est = mc_solve_linear(
-        problem,
-        cfg.m_ref,
-        t,
-        atoms,
-        n_paths=cfg.n_paths,
-        n_steps=cfg.n_steps,
-        seed=cfg.seed,
-    )
-    budget = alpha_rate(cfg.m_ref, problem.ctx.d) ** (1.0 / 3.0)
-    return ReferenceValue(
-        value=est.mean,
-        method=f"surrogate-m{cfg.m_ref}",
-        bias_budget=budget,
-        std_error=est.std_error,
-    )

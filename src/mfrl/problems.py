@@ -83,14 +83,37 @@ class TerminalSpec:
     def degree(self) -> int:
         return max(self.g.degree, self.h.degree)
 
-    def value_moments(self, cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
-        """G(mu) = <g, mu> + <h, mu>^2 from the trig moments of mu.
+    def value_moments(self, cm: np.ndarray, sm: np.ndarray, var: float = 0.0) -> np.ndarray:
+        """E_z G(tau_z mu), z ~ N(0, var), from the trig moments of mu.
 
         Row k - 1 of ``cm``, ``sm`` holds harmonic k; further axes index
-        measures, one value each.
+        measures, one value each.  ``tau_z mu``, mu shifted by z, has moments
+        e^{ikz} m_k (m_k = C_k + i S_k), and E e^{ijz} = phi_j = e^{-j^2 var/2}:
+        the moments of g are damped by phi_k, and with q_k = (a_k - i b_k) m_k
+        the coefficients of h,
+
+            E <h, tau_z mu>^2 = h_0^2 + 2 h_0 sum_k Re(phi_k q_k)
+                + 1/2 sum_{k,k'} Re(phi_{k+k'} q_k q_k' + phi_{k-k'} q_k conj(q_k')).
+
+        ``var = 0`` is G(mu) = <g, mu> + <h, mu>^2 itself.
         """
-        hm = self.h.integrate(cm, sm)
-        return self.g.integrate(cm, sm) + hm * hm
+        if var == 0.0:
+            hm = self.h.integrate(cm, sm)
+            return self.g.integrate(cm, sm) + hm * hm
+        cm, sm = np.asarray(cm, dtype=float), np.asarray(sm, dtype=float)
+        col = (1,) * (cm.ndim - 1)
+        g, h = self.g, self.h
+        phi = np.exp(-0.5 * var * np.arange(2 * self.degree + 1) ** 2)
+        damp = phi[1 : g.degree + 1].reshape((g.degree,) + col)
+        mean_g = g.integrate(damp * cm[: g.degree], damp * sm[: g.degree])
+        k = np.arange(1, h.degree + 1)
+        coef = (h.cos_coeffs - 1j * h.sin_coeffs).reshape((h.degree,) + col)
+        q = coef * (cm[: h.degree] + 1j * sm[: h.degree])
+        linear = np.einsum("k,k...->...", phi[k], q)
+        pairs = np.einsum("kl,k...,l...->...", phi[k[:, None] + k], q, q) + np.einsum(
+            "kl,k...,l...->...", phi[np.abs(k[:, None] - k)], q, q.conj()
+        )
+        return mean_g + (h.const**2 + 2.0 * h.const * linear.real + 0.5 * pairs.real)
 
     def value_measure(self, mu: Measure) -> float:
         return float(self.value_moments(*trig_moments(mu, self.degree)))

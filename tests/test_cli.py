@@ -83,6 +83,41 @@ def test_bad_plan_exits_with_schema_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+SOLVE_PLANS = {
+    "fd": {"N": 2, "mesh": 16, "n_t": 32},
+    "mc": {"N": 2, "t": 0.1, "atoms": [0.5, 2.5], "n_paths": 200, "n_steps": 20},
+}
+
+
+@pytest.mark.parametrize(
+    "solver, field, value",
+    [
+        ("fd", "N", 2.7),
+        ("fd", "mesh", 16.9),
+        ("fd", "n_t", 32.5),
+        ("mc", "n_paths", 200.5),
+        ("mc", "n_steps", 20.0),
+    ],
+)
+def test_solve_plan_with_non_integer_field_exits_with_schema_code(
+    tmp_path, capsys, solver, field, value
+):
+    plan = write(
+        tmp_path / "plan.json",
+        {
+            "version": 1,
+            "solver": solver,
+            "problem": problem_dict(),
+            **SOLVE_PLANS[solver],
+            field: value,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unstable_fd_plan_exits_with_precondition_code(tmp_path, capsys):
     plan = write(
         tmp_path / "plan.json",

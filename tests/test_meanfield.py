@@ -2,27 +2,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mfrl.errors import ConfigurationError, InputDomainError
+from mfrl.errors import InputDomainError
+from mfrl.mc import mc_path_values
 from mfrl.meanfield import (
-    RefConfig,
     default_flow_steps,
     deposit_empirical,
-    fokker_planck_flow,
     fokker_planck_flow_batch,
-    mean_field_reference,
     mean_field_reference_batch,
     solve_circulant,
 )
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly, density_moments
+from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext, sample_iid
+from mfrl.trig import TrigPoly, convolve, density_moments, harmonics
 
 CTX = TorusContext(1, 64)
 
 
-def heat_problem(T=0.5):
+def heat_problem(T=0.5, a=0.0):
     return ProblemSpec(
-        HamiltonianSpec("zero"), TerminalSpec(g=TrigPoly(0.0, [1.0])), T=T, ctx=CTX
+        HamiltonianSpec("zero"), TerminalSpec(g=TrigPoly(0.0, [1.0])), a=a, T=T, ctx=CTX
     )
 
 
@@ -53,22 +51,24 @@ def test_deposit_preserves_mass_and_mean_position():
 def test_pure_diffusion_mode_decay():
     # d_s rho = d_xx rho damps the cos mode by e^{-s}
     prob = heat_problem(T=0.4)
-    rho0 = GridDensity((1.0 + 0.5 * np.cos(np.arange(256) * TWO_PI / 256)) / TWO_PI)
-    out, running, drift = fokker_planck_flow(prob, rho0, 0.0, 400)
+    nodes = np.arange(256) * TWO_PI / 256
+    rho0 = (1.0 + 0.5 * np.cos(nodes)) / TWO_PI
+    out, running, drift = fokker_planck_flow_batch(prob, rho0[:, None], 0.0, 400)
     dx = TWO_PI / 256
-    c1 = np.sum(np.cos(out.nodes) * out.values) * dx
+    c1 = np.sum(np.cos(nodes) * out[:, 0]) * dx
     # cos moment of (1 + 0.5 cos)/2pi is 0.25; pure diffusion damps it by e^{-s}
     assert c1 == pytest.approx(0.25 * np.exp(-0.4), abs=2e-3)
-    assert running == pytest.approx(0.0, abs=1e-14)
+    assert running[0] == pytest.approx(0.0, abs=1e-14)
     assert drift <= 1e-12
 
 
 def test_delta_initial_data_damped_not_oscillating():
     prob = heat_problem(T=0.25)
     mu = deposit_empirical(EmpiricalMeasure(np.array([[np.pi]])), 256)
-    out, _, _ = fokker_planck_flow(prob, mu, 0.0, 200)
+    out, _, _ = fokker_planck_flow_batch(prob, mu.values[:, None], 0.0, 200)
+    out = out[:, 0]
     # heat kernel on the circle at time 0.25 started from delta_pi
-    nodes = out.nodes
+    nodes = mu.nodes
     ls = np.arange(1, 200)
     exact = (
         1.0
@@ -78,8 +78,8 @@ def test_delta_initial_data_damped_not_oscillating():
             axis=0,
         )
     ) / TWO_PI
-    assert np.max(np.abs(out.values - exact)) < 2e-3
-    assert np.all(out.values >= 0.0)
+    assert np.max(np.abs(out - exact)) < 2e-3
+    assert np.all(out >= 0.0)
 
 
 def test_pure_transport_by_constant_drift():
@@ -90,11 +90,11 @@ def test_pure_transport_by_constant_drift():
     prob = ProblemSpec(ham, TerminalSpec(), T=0.5, ctx=CTX)
     m = 256
     nodes = np.arange(m) * TWO_PI / m
-    rho0 = GridDensity((1.0 + 0.4 * np.cos(nodes)) / TWO_PI)
-    out, _, _ = fokker_planck_flow(prob, rho0, 0.0, 4000)
+    rho0 = (1.0 + 0.4 * np.cos(nodes)) / TWO_PI
+    out, _, _ = fokker_planck_flow_batch(prob, rho0[:, None], 0.0, 4000)
     dx = TWO_PI / m
-    c1 = np.sum(np.cos(nodes) * out.values) * dx
-    s1 = np.sum(np.sin(nodes) * out.values) * dx
+    c1 = np.sum(np.cos(nodes) * out[:, 0]) * dx
+    s1 = np.sum(np.sin(nodes) * out[:, 0]) * dx
     # moments rotate: (c1, s1) = 0.2 (cos(cT + T decay), ...) with diffusion decay e^{-T}
     shift = 0.7 * 0.5
     decay = np.exp(-0.5)
@@ -112,9 +112,9 @@ def test_batch_matches_single():
         prob, np.column_stack([d1, d2]), 0.1, 300
     )
     for j, d in enumerate((d1, d2)):
-        single, run_s, _ = fokker_planck_flow(prob, GridDensity(d), 0.1, 300)
-        assert np.max(np.abs(batch[:, j] - single.values)) < 1e-13
-        assert running[j] == pytest.approx(run_s, abs=1e-13)
+        single, run_s, _ = fokker_planck_flow_batch(prob, d[:, None], 0.1, 300)
+        assert np.max(np.abs(batch[:, j] - single[:, 0])) < 1e-13
+        assert running[j] == pytest.approx(run_s[0], abs=1e-13)
 
 
 def test_terminal_values_batch_quadratic_part():
@@ -134,21 +134,39 @@ def test_reference_matches_closed_form_heat_value():
     prob = heat_problem(T=0.5)
     m = 256
     nodes = np.arange(m) * TWO_PI / m
-    mu = GridDensity((1.0 + 0.8 * np.cos(nodes)) / TWO_PI)
-    ref = mean_field_reference(prob, 0.1, mu)
-    assert ref.method == "exact-fp"
-    assert ref.bias_budget == 0.0
-    assert float(ref) == pytest.approx(0.4 * np.exp(-0.4), abs=2e-4)
+    mu = (1.0 + 0.8 * np.cos(nodes)) / TWO_PI
+    values, _, _ = mean_field_reference_batch(prob, [0.1], mu[:, None])
+    assert values[0, 0] == pytest.approx(0.4 * np.exp(-0.4), abs=2e-4)
+
+
+def test_common_noise_reference_matches_closed_form_heat_value():
+    # a > 0: v(t, mu) = e^{-(1+a)(T-t)} int cos dmu, the idiosyncratic noise
+    # damping the mode by e^{-(T-t)} and the shift average by e^{-a(T-t)}
+    a = 0.5
+    prob = heat_problem(T=0.5, a=a)
+    m = 256
+    nodes = np.arange(m) * TWO_PI / m
+    mu = np.column_stack(
+        [(1.0 + 0.8 * np.cos(nodes)) / TWO_PI, (1.0 + 0.6 * np.cos(nodes - 1.0)) / TWO_PI]
+    )
+    times = np.array([0.0, 0.1, 0.25])
+    values, steps, drift = mean_field_reference_batch(prob, times, mu)
+    assert steps > 0 and 0.0 <= drift <= 1e-12
+    cos_moment = np.array([0.4, 0.3 * np.cos(1.0)])
+    exact = np.exp(-(1 + a) * (prob.T - times))[:, None] * cos_moment
+    assert np.max(np.abs(values - exact)) < 2e-4
 
 
 def test_batched_reference_matches_scalar_reference():
+    # one column's value does not depend on the other columns of the batch
     prob = drift_problem()
     m = 256
     nodes = np.arange(m) * TWO_PI / m
     rho = ((1.0 + 0.3 * np.cos(nodes)) / TWO_PI)[:, None]
-    batch, _, _ = mean_field_reference_batch(prob, [0.0], rho)
-    scalar = mean_field_reference(prob, 0.0, GridDensity(rho[:, 0]))
-    assert batch[0, 0] == pytest.approx(scalar.value, abs=1e-10)
+    other = ((1.0 - 0.5 * np.sin(nodes)) / TWO_PI)[:, None]
+    batch, _, _ = mean_field_reference_batch(prob, [0.0], np.hstack([rho, other]))
+    scalar, _, _ = mean_field_reference_batch(prob, [0.0], rho)
+    assert batch[0, 0] == pytest.approx(scalar[0, 0], abs=1e-10)
 
 
 def interaction_problem():
@@ -244,40 +262,22 @@ def test_running_cost_accumulates_for_uniform_law():
         "linear", drift_kernel=TrigPoly(), cost_kernel=TrigPoly(0.25)
     )
     prob = ProblemSpec(ham, TerminalSpec(), T=0.8, ctx=CTX)
-    ref = mean_field_reference(prob, 0.0, uniform())
-    assert float(ref) == pytest.approx(0.25 * 0.8, abs=1e-10)
-
-
-def test_common_noise_requires_surrogate_budget():
-    prob = ProblemSpec(
-        HamiltonianSpec("zero"),
-        TerminalSpec(g=TrigPoly(0.0, [1.0])),
-        a=0.5,
-        T=0.5,
-        ctx=CTX,
-    )
-    with pytest.raises(ConfigurationError):
-        mean_field_reference(prob, 0.0, uniform())
-    ref = mean_field_reference(
-        prob, 0.0, uniform(), RefConfig(m_ref=64, n_paths=2000, n_steps=40, seed=1)
-    )
-    assert ref.method == "surrogate-m64"
-    assert ref.bias_budget > 0.0
-    # uniform law: int cos d mu_T has mean 0, so the value is near 0
-    assert abs(float(ref)) < 0.15
+    values, _, _ = mean_field_reference_batch(prob, [0.0], uniform().values[:, None])
+    assert values[0, 0] == pytest.approx(0.25 * 0.8, abs=1e-10)
 
 
 def test_flow_rejects_bad_inputs():
     prob = heat_problem()
+    rho = uniform().values[:, None]
     with pytest.raises(InputDomainError):
-        fokker_planck_flow(prob, uniform(), 0.9, 0)
+        fokker_planck_flow_batch(prob, rho, 0.9, 0)
     with pytest.raises(InputDomainError):
-        fokker_planck_flow(prob, uniform(), 1.5, 100)
+        fokker_planck_flow_batch(prob, rho, 1.5, 100)
     noisy = ProblemSpec(
         HamiltonianSpec("zero"), TerminalSpec(), a=0.1, T=1.0, ctx=CTX
     )
     with pytest.raises(InputDomainError):
-        fokker_planck_flow(noisy, uniform(), 0.0, 100)
+        fokker_planck_flow_batch(noisy, rho, 0.0, 100)
 
 
 def test_default_flow_steps_respects_cfl():
@@ -291,3 +291,75 @@ def test_default_flow_steps_respects_cfl():
     )
     assert (prob.T / steps) * b_max / dx <= 0.4 + 1e-12
     assert steps >= 500 * prob.T / 0.4
+
+
+def roll_flow(prob, rho0, t, n_t):
+    """The flow with its drift step written with np.roll, one state per step.
+
+    Returns the densities seen at steps 0..n_t (before clipping) and the
+    running cost integral.
+    """
+    rho = np.array(rho0, dtype=float)
+    m, n_cols = rho.shape
+    dx = TWO_PI / m
+    ds = (prob.T - t) / n_t
+    r = ds / (dx * dx)
+    first_col = np.zeros(m)
+    first_col[0], first_col[1], first_col[-1] = 1.0 + 2.0 * r, -r, -r
+    symbol = np.fft.rfft(first_col)
+    drift, cost = prob.hamiltonian.drift_kernel, prob.hamiltonian.cost_kernel
+    cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
+    running, states = np.zeros(n_cols), []
+    for step in range(n_t + 1):
+        states.append(rho)
+        cm, sm = (cos_n @ rho) * dx, (sin_n @ rho) * dx
+        rate = convolve(cost, cm, sm, cm.copy(), sm.copy())
+        if step == n_t:
+            break
+        running += (0.5 if step == 0 else 1.0) * ds * rate
+        table = [np.repeat(h[: drift.degree, :, None], n_cols, axis=2) for h in (cos_n, sin_n)]
+        b = convolve(drift, cm[:, None, :], sm[:, None, :], *table)
+        b_face = 0.5 * (b + np.roll(b, -1, axis=0))
+        flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
+            rho, -1, axis=0
+        )
+        rho = rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
+        rho = solve_circulant(symbol, rho)
+    running += 0.5 * ds * rate
+    return states, running
+
+
+@pytest.mark.parametrize("make", [interaction_problem, linear_problem])
+def test_flow_bit_identical_to_roll_based_step(make):
+    prob = make()
+    rho = np.hstack([empirical_columns(8), empirical_columns(9, sizes=(5,))])
+    seen = []
+    out, running, _ = fokker_planck_flow_batch(
+        prob, rho, 0.1, 60, lambda step, r, _: seen.append(r.copy())
+    )
+    states, ref_running = roll_flow(prob, rho, 0.1, 60)
+    assert len(seen) == len(states) == 61
+    for ours, theirs in zip(seen, states):
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(out, np.maximum(states[-1], 0.0))
+    assert np.array_equal(running, ref_running)
+
+
+def test_common_noise_reference_agrees_with_particle_monte_carlo():
+    # criterion 3's problem at a = 0.5, N = 300 atoms of a non-uniform law:
+    # the shift identity is checked against the N-particle system with common
+    # noise simulated (v^N - v is O(1/N), below the MC error), and the a = 0
+    # value is far enough off that the check discriminates
+    prob = linear_problem()
+    noisy = ProblemSpec(prob.hamiltonian, prob.terminal, a=0.5, T=prob.T, ctx=CTX)
+    nodes = np.arange(256) * TWO_PI / 256
+    mu = GridDensity((1.0 + 0.8 * np.cos(nodes - 1.0)) / TWO_PI)
+    atoms = sample_iid(mu, 300, seed=12).atoms
+    rho = deposit_empirical(EmpiricalMeasure(atoms), 256).values[:, None]
+    t, n_paths = 0.1, 3000
+    ref = mean_field_reference_batch(noisy, [t], rho)[0][0, 0]
+    ref_a0 = mean_field_reference_batch(prob, [t], rho)[0][0, 0]
+    paths = mc_path_values(noisy, atoms[:, 0][None, :], t, n_paths, 60, seed=13)[0]
+    se = paths.std(ddof=1) / np.sqrt(n_paths)
+    assert abs(ref - paths.mean()) < 3.0 * se
+    assert abs(ref_a0 - paths.mean()) > 5.0 * se

@@ -4,7 +4,7 @@ import pytest
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly, density_moments
+from mfrl.trig import TrigPoly, density_moments, harmonics
 
 
 def linear_ham():
@@ -88,6 +88,24 @@ def test_terminal_moments_match_quadrature_on_densities():
     assert np.max(np.abs(batch - direct)) < 1e-13
     for j in range(3):
         assert term.value_measure(GridDensity(rho[:, j])) == pytest.approx(direct[j], abs=1e-13)
+
+
+@pytest.mark.parametrize("var", [0.05, 0.6, 3.0])
+def test_shift_average_matches_gauss_hermite(var):
+    # E_z G(tau_z mu), z ~ N(0, var): 64-node Gauss-Hermite over the moments
+    # of the shifted measures, e^{ikz} (C_k + i S_k)
+    term = QUAD_TERMINAL
+    configs = np.random.default_rng(6).uniform(0, TWO_PI, (4, 7))
+    cm, sm = (h.mean(axis=-1) for h in harmonics(configs, term.degree))
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    k = np.arange(1, term.degree + 1)[:, None]
+    average = 0.0
+    for x, w in zip(nodes, weights):
+        cz, sz = np.cos(k * np.sqrt(2.0 * var) * x), np.sin(k * np.sqrt(2.0 * var) * x)
+        average = average + w / np.sqrt(np.pi) * term.value_moments(
+            cz * cm - sz * sm, sz * cm + cz * sm
+        )
+    assert np.max(np.abs(term.value_moments(cm, sm, var) - average)) < 1e-12
 
 
 def test_problem_validation():

@@ -1,8 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mfrl.meanfield
-import mfrl.ratelab
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
@@ -17,6 +18,7 @@ from mfrl.torus import TWO_PI, GridDensity, TorusContext
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def null_problem(a=0.0):
@@ -110,16 +112,43 @@ def test_sweep_runs_one_flow_for_every_n_and_time(monkeypatch):
     assert 0.0 <= report.metadata["fp_mass_drift"] <= 1e-12
 
 
-def test_common_noise_sweep_runs_no_flow_and_deposits_nothing(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a > 0 needs no densities")
+def test_common_noise_sweep_runs_one_flow_without_noise(monkeypatch):
+    calls = []
+    flow = mfrl.meanfield.fokker_planck_flow_batch
 
-    monkeypatch.setattr(mfrl.ratelab, "deposit_empirical", refuse)
-    monkeypatch.setattr(mfrl.ratelab, "mean_field_reference_batch", refuse)
-    plan = small_plan(problem=null_problem(a=0.5), m_ref=16, n_paths=100)
+    def counted(problem, rho0, t, n_t, observe=None):
+        calls.append((problem.a, rho0.shape, t, n_t))
+        return flow(problem, rho0, t, n_t, observe)
+
+    monkeypatch.setattr(mfrl.meanfield, "fokker_planck_flow_batch", counted)
+    report = run_rate_experiment(small_plan(problem=null_problem(a=0.5), n_paths=100))
+    # the a = 0 flow of every configuration; the noise enters through G alone
+    assert calls == [(0.0, (256, 24), 0.0, report.metadata["fp_steps"])]
+    assert report.metadata["fp_steps"] > 0
+    assert 0.0 <= report.metadata["fp_mass_drift"] <= 1e-12
+    assert report.metadata["reference"] == "exact-fp-shift"
+    assert report.metadata["surrogate_bias_budget"] == 0.0
+
+
+def test_noise_free_report_is_byte_identical_to_recorded():
+    # the benchmark's rate_meanfield plan at seed 1; the recorded report was
+    # made before the flow's drift step lost its np.roll calls and before the
+    # reference took a common-noise variance (numpy 2.4.6, x86-64 AVX-512)
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]), cost_kernel=TrigPoly()
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
+    plan = ExperimentPlan(
+        problem=ProblemSpec(ham, term, a=0.0, T=0.5, ctx=CTX),
+        n_list=(4, 8, 16, 32),
+        n_time_points=2,
+        n_configs=4,
+        n_paths=500,
+        n_steps=60,
+        seed=1,
+    )
     report = run_rate_experiment(plan)
-    assert report.metadata["fp_steps"] == 0
-    assert report.metadata["fp_mass_drift"] == 0.0
+    assert report.to_json() == (DATA / "rate_meanfield_seed1.json").read_text()
 
 
 def test_errors_shrink_with_n_on_closed_form_benchmark():
@@ -144,13 +173,16 @@ def test_rejects_quadratic_family():
         run_rate_experiment(small_plan(problem=prob))
 
 
-def test_common_noise_requires_m_ref():
-    plan = small_plan(problem=null_problem(a=0.5), m_ref=0)
+def test_common_noise_sweep_ignores_m_ref():
+    noisy = null_problem(a=0.5)
+    without = run_rate_experiment(small_plan(problem=noisy, m_ref=0))
+    with_m_ref = run_rate_experiment(small_plan(problem=noisy, m_ref=32))
+    assert without.to_csv() == with_m_ref.to_csv()
+    assert without.to_json() == with_m_ref.to_json().replace(
+        '"m_ref": 32', '"m_ref": 0'
+    )
     with pytest.raises(InputDomainError):
-        run_rate_experiment(plan)
-    rep = run_rate_experiment(small_plan(problem=null_problem(a=0.5), m_ref=32))
-    assert rep.metadata["reference"] == "surrogate-m32"
-    assert rep.metadata["surrogate_bias_budget"] > 0.0
+        small_plan(problem=noisy, m_ref=-1)
 
 
 def test_sample_complexity_half_slope_for_smooth_density():
