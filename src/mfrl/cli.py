@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -80,6 +81,18 @@ def _int_field(doc: dict, name: str, default: int) -> int:
         raise SchemaError(str(exc)) from exc
 
 
+def _finite_float(name: str, value) -> float:
+    """A finite JSON number (not a boolean) as a float; anything else is a schema error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"plan field {name} must be a finite number, got {value!r}")
+
+
 def cmd_solve(args) -> int:
     doc = _load_plan(args.plan)
     _require(
@@ -105,12 +118,16 @@ def cmd_solve(args) -> int:
             "value_file": args.out,
         }
     elif solver == "mc":
-        atoms = np.asarray(doc.get("atoms", []), dtype=float)
+        t = _finite_float("t", doc.get("t", 0.0))
+        atoms = doc.get("atoms", [])
+        if not isinstance(atoms, list) or len(atoms) != n:
+            raise SchemaError(f"plan field atoms must be a list of N = {n} numbers")
+        atoms = np.array([_finite_float("atoms", x) for x in atoms])
         n_paths, n_steps = _int_field(doc, "n_paths", 1000), _int_field(doc, "n_steps", 200)
         est = mc_solve_linear(
             problem,
             n,
-            float(doc.get("t", 0.0)),
+            t,
             atoms,
             n_paths=n_paths,
             n_steps=n_steps,

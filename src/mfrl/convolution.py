@@ -12,6 +12,18 @@ grid solution.  The scan exploits that shifting every particle by a mesh
 multiple is an index roll of the value array, so only the fractional part of
 the shift needs multilinear corner weights.
 
+Only time nodes inside an exact window are scanned.  Every blended value
+v(s, y) is a convex combination of stored values, so it lies in
+[min v, max v]; a node s with
+
+    |t - s|^2 / (2 eps) > min_s' |t - s'|^2 / (2 eps) + (max v - min v) + margin
+
+is beaten at every y by the node nearest t and can never hold a minimum.  The
+margin, 1e-12 (1 + max|v| + largest time penalty), covers the rounding of the
+corner weights and of the sums.  Dropping such nodes, and keeping the others
+in ascending order, leaves the minimum and its argmin record bit for bit as
+the full scan gives them.
+
 The argmin gaps |t - s0|, dist(z, w0), rho_star(mu^{x0}, mu) shrink with eps at
 known rates (2/3, 1, and an eps + alpha(N) mix respectively), which
 ``gap_scaling_probe`` measures by log-log fits across an eps sweep.
@@ -29,7 +41,7 @@ from .errors import ConfigurationError, InputDomainError
 from .fd import GridValueFunction
 from .metric import metric_weights
 from .torus import TWO_PI, EmpiricalMeasure, Measure, TorusContext, circle_arc
-from .torus import fourier_coefficients
+from .torus import fourier_coefficients, phase_table
 
 
 @dataclass(frozen=True)
@@ -66,18 +78,20 @@ def _config_rho_sq(vn: GridValueFunction, mu: Measure, ctx: TorusContext) -> np.
     per-node coefficient table, accumulated axis by axis.
     """
     mw = metric_weights(ctx, ctx.k_star)
-    modes = ctx.modes[:, 0]
     nodes = np.arange(vn.mesh) * vn.dx
-    norm = TWO_PI ** (-0.5)
-    table = norm * np.exp(-1j * np.outer(modes, nodes))  # (n_modes, mesh)
+    table = phase_table(nodes[:, None], ctx)  # (n_modes, mesh)
+    n_modes = table.shape[0]
     shape = (vn.mesh,) * vn.N
-    total = np.zeros((len(modes),) + shape, dtype=complex)
+    total = np.zeros((n_modes,) + shape, dtype=complex)
     for axis in range(vn.N):
         view = [None] * (vn.N + 1)
         view[0] = slice(None)
         view[axis + 1] = slice(None)
         total += table[tuple(view)]
-    coeffs = (total / vn.N).reshape(len(modes), -1)  # (n_modes, n_cfg)
+    # normalized as fourier_coefficients normalizes a mean, so a target on
+    # the lattice (N <= 2) reads exactly 0 at its own configuration
+    norm = TWO_PI ** (-0.5)
+    coeffs = norm * (total / vn.N).reshape(n_modes, -1)  # (n_modes, n_cfg)
     target = fourier_coefficients(mu, ctx).coeffs
     diff = coeffs - target[:, None]
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
@@ -89,6 +103,19 @@ def _time_slice(vn: GridValueFunction, s: float) -> np.ndarray:
     k = min(int(pos), vn.n_t - 1)
     theta = pos - k
     return (1.0 - theta) * vn.values[k] + theta * vn.values[k + 1]
+
+
+def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np.ndarray:
+    """The time nodes that can hold a minimum, in ascending order.
+
+    The exact window of the module docstring; a value array with a
+    non-finite entry keeps every node.
+    """
+    s_vals = np.linspace(0.0, vn.T, n_time)
+    t_pen = inv * (t - s_vals) ** 2
+    v_lo, v_hi = float(vn.values.min()), float(vn.values.max())
+    margin = 1e-12 * (1.0 + max(abs(v_lo), abs(v_hi)) + float(t_pen.max()))
+    return s_vals[~(t_pen > t_pen.min() + (v_hi - v_lo) + margin)]
 
 
 def inf_convolve(
@@ -116,7 +143,7 @@ def inf_convolve(
     n_shift = mesh * refine
     w_vals = np.arange(n_shift) * delta
     z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)
-    s_vals = np.linspace(0.0, vn.T, cfg.n_time)
+    s_vals = _time_window(vn, t, inv, cfg.n_time)
 
     # multilinear blend of a lattice slice at uniform diagonal offset f*dx:
     # 2^N corners with weight f^{|e|} (1-f)^{N-|e|}

@@ -14,12 +14,23 @@ Peclet number exceeds one.  The common-noise cross term is discretized through
 the shift identity sum_{i,j} d^2_{ij} v = d^2/dw^2 [v(w + x)] at w = 0, i.e. a
 3-point stencil along the global diagonal, which avoids N^2 mixed stencils.
 Time stepping is explicit Euler under a diffusion-dominated stability bound.
+
+The step is fused: every linear term is folded, once per solve, into
+coefficients of the node itself, of its two neighbours along each axis
+(arrays when there is drift, since the drift and the upwind choice vary by
+node; scalars otherwise) and of its two diagonal neighbours (a scalar), plus
+dt f.  The neighbours are views of one periodic halo array, refreshed once a
+step, and the step writes straight into its slice of the value array through
+one scratch buffer, so the step loop allocates no array.  The quadratic
+(lambda > 0) term adds one pass per axis.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import struct
+import time
 from dataclasses import dataclass
 from math import ceil, log2
 
@@ -40,6 +51,8 @@ VALUE_BYTES_BUDGET = 1 << 30
 _HEADER = struct.Struct("<5sIIIIId")
 
 _CFL_SAFETY = 0.9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -211,49 +224,93 @@ def fd_solve(
             f"at mesh {mesh}, N {N}"
         )
 
+    start = time.perf_counter()
     dx = TWO_PI / mesh
     dt = problem.T / n_t
-    lam = problem.hamiltonian.lam
-    a = problem.a
     nodes = np.arange(mesh) * dx
     lattice = np.stack(np.meshgrid(*([nodes] * N), indexing="ij"), axis=-1)
     drift_fields, cost_sum = _kernel_fields(problem, lattice)
     if upwind is None:
         b_max = max((np.max(np.abs(b)) for b in drift_fields), default=0.0) if drift_fields else 0.0
         upwind = bool(b_max * dx / 2.0 > 1.0)
-    terminal = problem.terminal.value_atoms(lattice)
-
     values = np.empty((n_t + 1,) + (mesh,) * N)
-    values[n_t] = terminal
-    axes = tuple(range(N))
-    v = terminal
+    values[n_t] = problem.terminal.value_atoms(lattice)
+    del lattice
+    center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
+    del drift_fields
+    source = None if cost_sum is None else dt * cost_sum
+    diag = problem.a * dt / dx**2
+    # dt (lam N / 2) ((v(+e_i) - v(-e_i)) / (2 dx))^2
+    quad = dt * problem.hamiltonian.lam * N / (8.0 * dx**2)
+
+    # periodic halo: neighbours of every node are views of one padded array
+    halo = np.empty((mesh + 2,) * N)
+    inner = (slice(1, -1),) * N
+
+    def shifted(step):
+        return halo[tuple(slice(1 + e, mesh + 1 + e) for e in step)]
+
+    unit = np.eye(N, dtype=int)
+    ups = [shifted(unit[i]) for i in range(N)]
+    dns = [shifted(-unit[i]) for i in range(N)]
+    diag_up, diag_dn = shifted([1] * N), shifted([-1] * N)
+    faces = [
+        ((slice(None),) * i + (end,), (slice(None),) * i + (src,))
+        for i in range(N)
+        for end, src in ((0, mesh), (mesh + 1, 1))
+    ]
+    tmp = np.empty((mesh,) * N)
+    finite = np.empty((mesh,) * N, dtype=bool)
     for k in range(n_t - 1, -1, -1):
-        rhs = np.zeros_like(v)
+        v, out = values[k + 1], values[k]
+        halo[inner] = v
+        for end, src in faces:
+            halo[end] = halo[src]
+        np.multiply(center, v, out=out)
         for i in range(N):
-            up = np.roll(v, -1, axis=i)
-            dn = np.roll(v, 1, axis=i)
-            rhs += (up - 2.0 * v + dn) / dx**2
-            grad_c = (up - dn) / (2.0 * dx)
-            if drift_fields is not None:
-                b = drift_fields[i]
-                if upwind:
-                    rhs += np.maximum(b, 0.0) * (up - v) / dx
-                    rhs += np.minimum(b, 0.0) * (v - dn) / dx
-                else:
-                    rhs += b * grad_c
-            if lam > 0:
-                rhs += 0.5 * lam * N * grad_c**2
-        if a > 0:
-            diag_up = np.roll(v, (-1,) * N, axis=axes)
-            diag_dn = np.roll(v, (1,) * N, axis=axes)
-            rhs += a * (diag_up - 2.0 * v + diag_dn) / dx**2
-        if cost_sum is not None:
-            rhs += cost_sum
-        v = v + dt * rhs
-        if not np.all(np.isfinite(v)):
+            out += np.multiply(plus[i], ups[i], out=tmp)
+            out += np.multiply(minus[i], dns[i], out=tmp)
+            if quad > 0:
+                np.subtract(ups[i], dns[i], out=tmp)
+                np.square(tmp, out=tmp)
+                out += np.multiply(tmp, quad, out=tmp)
+        if diag > 0:
+            out += np.multiply(np.add(diag_up, diag_dn, out=tmp), diag, out=tmp)
+        if source is not None:
+            out += source
+        if not np.isfinite(out, out=finite).all():
             raise DivergenceError(f"non-finite values at time step {k}")
-        values[k] = v
+    log.debug(
+        "fd solve: N %d, mesh %d, n_t %d (stability needs %d), upwind %s, %.3f s",
+        N, mesh, n_t, n_req, upwind, time.perf_counter() - start,
+    )
     return GridValueFunction(N, mesh, n_t, problem.T, values)
+
+
+def _step_coefficients(drift_fields, N: int, a: float, dx: float, dt: float, upwind: bool):
+    """Node coefficients of the linear part of one explicit step.
+
+    ``v_k = center v + sum_i (plus_i v(+e_i) + minus_i v(-e_i)) + ...``: the
+    N axis Laplacians, the common-noise diagonal's centre weight and the
+    drift (central, or monotone upwind) folded into one array per neighbour.
+    Without drift every coefficient is a scalar.
+    """
+    lap = dt / dx**2
+    center = 1.0 - 2.0 * (N + a) * lap
+    plus, minus = [lap] * N, [lap] * N
+    if drift_fields is None:
+        return center, plus, minus
+    center = np.full(drift_fields[0].shape, center)
+    for i, b in enumerate(drift_fields):
+        if upwind:
+            fwd = np.maximum(b, 0.0) * (dt / dx)
+            bwd = np.minimum(b, 0.0) * (dt / dx)
+            plus[i], minus[i] = lap + fwd, lap - bwd
+            center += bwd - fwd
+        else:
+            half = b * (dt / (2.0 * dx))
+            plus[i], minus[i] = lap + half, lap - half
+    return center, plus, minus
 
 
 def extend_value(vn, t: float, z, atoms) -> float:

@@ -187,25 +187,48 @@ class GridDensity:
 Measure = EmpiricalMeasure | GridDensity
 
 
+def phase_table(points, ctx: TorusContext) -> np.ndarray:
+    """exp(-i l.x) for every retained mode l (rows, in ``ctx.modes`` order)
+    and every point x of an (n, d) array (columns).
+
+    One complex exponential per point and coordinate: the powers z^l of
+    z = exp(-i x_c), l = 1..L, come by repeated multiplication, the negative
+    modes as their conjugates, and a mode of d > 1 is the product of its
+    coordinates' powers.  Each power carries at most about l roundings, so
+    the table agrees with ``np.exp(-1j * modes @ x.T)`` to a few times L ulp.
+    """
+    pts = np.asarray(points, dtype=float)
+    L = ctx.trunc
+    # powers[c, L + l, j] = z_jc^l, each row contiguous
+    powers = np.empty((ctx.d, 2 * L + 1, pts.shape[0]), dtype=complex)
+    powers[:, L] = 1.0
+    powers[:, L + 1] = np.exp(-1j * pts.T)
+    for row in range(L + 2, 2 * L + 1):
+        np.multiply(powers[:, row - 1], powers[:, L + 1], out=powers[:, row])
+    np.conjugate(powers[:, : L : -1], out=powers[:, :L])
+    index = ctx.modes.astype(np.intp) + L
+    table = powers[0, index[:, 0]]
+    for c in range(1, ctx.d):
+        table *= powers[c, index[:, c]]
+    return table
+
+
 def fourier_coefficients(mu: Measure, ctx: TorusContext) -> FourierVector:
     """Truncated Fourier coefficients F_l(mu), |l|_inf <= ctx.trunc.
 
     Empirical measures are summed exactly; grid densities use the rectangle
-    rule, which is spectrally accurate for smooth periodic densities.
+    rule, which is spectrally accurate for smooth periodic densities.  Both
+    read their phases off ``phase_table``.
     """
-    modes = ctx.modes
     norm = (TWO_PI) ** (-ctx.d / 2.0)
     if isinstance(mu, EmpiricalMeasure):
         if mu.d != ctx.d:
             raise InputDomainError("measure dimension does not match context")
-        phases = modes @ mu.atoms.T  # (n_modes, N)
-        coeffs = norm * np.exp(-1j * phases).mean(axis=1)
+        coeffs = norm * phase_table(mu.atoms, ctx).mean(axis=1)
     elif isinstance(mu, GridDensity):
         if ctx.d != 1:
             raise InputDomainError("grid densities are d=1 only")
-        x = mu.nodes
-        phases = modes[:, 0][:, None] * x[None, :]
-        coeffs = norm * (np.exp(-1j * phases) @ mu.values) * (TWO_PI / mu.m)
+        coeffs = norm * (phase_table(mu.nodes[:, None], ctx) @ mu.values) * (TWO_PI / mu.m)
     else:
         raise InputDomainError(f"unsupported measure type {type(mu)!r}")
     return FourierVector(ctx, coeffs)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,57 @@ def test_solve_plan_with_non_integer_field_exits_with_schema_code(
     assert main(["solve", "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t", "soon"),
+        ("t", True),
+        ("t", float("nan")),
+        ("t", float("inf")),
+        ("t", 10**400),
+        ("atoms", "x"),
+        ("atoms", [0.5]),
+        ("atoms", [0.5, "a"]),
+        ("atoms", [0.5, float("-inf")]),
+        ("atoms", [[0.5], [2.5]]),
+    ],
+    ids=[
+        "t-string", "t-bool", "t-nan", "t-inf", "t-huge-int", "atoms-string",
+        "atoms-short", "atoms-string-entry", "atoms-inf", "atoms-nested",
+    ],
+)
+def test_mc_plan_with_bad_time_or_atoms_exits_with_schema_code(tmp_path, capsys, field, value):
+    plan = write(
+        tmp_path / "plan.json",
+        {"version": 1, "solver": "mc", "problem": problem_dict(), **SOLVE_PLANS["mc"], field: value},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_debug_log_leaves_stdout_and_value_file_unchanged(tmp_path):
+    plan = write(
+        tmp_path / "plan.json",
+        {"version": 1, "solver": "fd", "problem": problem_dict(), **SOLVE_PLANS["fd"]},
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for level in ("warn", "debug"):
+        out = tmp_path / f"{level}.bin"
+        env = {**os.environ, "MFRL_LOG": level, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrl.cli", "solve", "--plan", plan, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (proc.stdout.replace(str(out), "OUT"), out.read_bytes(), proc.stderr)
+    assert runs["debug"][:2] == runs["warn"][:2]
+    assert runs["warn"][2] == ""
+    assert runs["debug"][2].startswith("fd solve: N 2, mesh 16, n_t 32 (stability needs ")
 
 
 def test_unstable_fd_plan_exits_with_precondition_code(tmp_path, capsys):

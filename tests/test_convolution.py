@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfrl import convolution
 from mfrl.convolution import (
     ArgminRecord,
     ConvolutionConfig,
@@ -171,3 +172,89 @@ def test_gap_probe_requires_three_epsilons():
     vn = solved(n=1, mesh=8)
     with pytest.raises(InputDomainError):
         gap_scaling_probe(vn, [], [0.1, 0.05])
+
+
+def pinned():
+    """Criterion 7's single-particle problem, weak drift and small terminal, at mesh 64."""
+    ham = HamiltonianSpec("linear", drift_kernel=TrigPoly(0.1), cost_kernel=TrigPoly())
+    prob = ProblemSpec(ham, TerminalSpec(g=TrigPoly(0.0, [0.02])), T=0.5, ctx=CTX)
+    return fd_solve(prob, 1, 64, required_time_steps(prob, 1, 64))
+
+
+def scan_both_ways(monkeypatch, vn, target, cfg):
+    """inf_convolve with the time window and with every time node scanned."""
+    pruned = inf_convolve(vn, target, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(convolution, "_time_window", lambda vn, t, inv, n: np.linspace(0.0, vn.T, n))
+        full = inf_convolve(vn, target, cfg)
+    return pruned, full
+
+
+def assert_same_scan(pruned, full):
+    (val, rec), (val_full, rec_full) = pruned, full
+    assert val == val_full
+    for name in ("s0", "w0", "t_gap", "z_gap", "rho_gap"):
+        assert getattr(rec, name) == getattr(rec_full, name), name
+    assert np.array_equal(rec.x0, rec_full.x0)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025])
+def test_time_window_keeps_the_scan_bit_identical_on_criterion_7_targets(monkeypatch, eps):
+    vn = pinned()
+    cfg = ConvolutionConfig(epsilon=eps, n_time=201, shift_refine=16)
+    inv = 1.0 / (2.0 * eps)
+    for ti, xi in ((10, 5), (22, 20), (34, 41), (46, 58)):
+        t, x = ti / 64.0 * vn.T, xi * vn.dx
+        target = (t, x, EmpiricalMeasure(np.array([[x]])))
+        assert_same_scan(*scan_both_ways(monkeypatch, vn, target, cfg))
+        assert convolution._time_window(vn, t, inv, cfg.n_time).size < cfg.n_time
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_time_window_keeps_the_scan_bit_identical_for_two_particles(monkeypatch, eps):
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.4], [0.2]), cost_kernel=TrigPoly(0.1, [0.0, 0.3])
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
+    prob = ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
+    vn = fd_solve(prob, 2, 12, required_time_steps(prob, 2, 12))
+    cfg = ConvolutionConfig(epsilon=eps, n_time=vn.n_t + 1, shift_refine=4)
+    for k, idx, z in ((0, (3, 7), 0.0), (vn.n_t // 2, (11, 0), 0.3), (vn.n_t, (5, 5), 2.0)):
+        atoms = EmpiricalMeasure((np.array(idx) * vn.dx)[:, None])
+        target = (float(vn.times[k]), z, atoms)
+        assert_same_scan(*scan_both_ways(monkeypatch, vn, target, cfg))
+
+
+def test_time_window_of_a_constant_value_keeps_the_nearest_nodes(monkeypatch):
+    prob = ProblemSpec(HamiltonianSpec("zero"), TerminalSpec(g=TrigPoly(0.8)), T=0.5, ctx=CTX)
+    vn = fd_solve(prob, 2, 8, required_time_steps(prob, 2, 8))
+    assert np.ptp(vn.values) == 0.0
+    cfg = ConvolutionConfig(epsilon=0.05, n_time=33)
+    mu = EmpiricalMeasure(np.array([[0.3], [2.0]]))
+    # nodes k / 64; t = 13 / 128 is equally far from two of them, a tie
+    for t in (0.0, 0.1, 13 / 128, 0.5):
+        assert_same_scan(*scan_both_ways(monkeypatch, vn, (t, 0.4, mu), cfg))
+        assert convolution._time_window(vn, t, 10.0, 33).size <= 2
+
+
+def test_time_window_keeps_the_scan_bit_identical_on_a_value_steep_in_time(monkeypatch):
+    # v(s, x) = 5 (T - s) + G: the minimizing s lies well inside the window,
+    # about a quarter of the oscillation of v above the smallest penalty
+    ham = HamiltonianSpec("linear", cost_kernel=TrigPoly(5.0))
+    prob = ProblemSpec(ham, TerminalSpec(g=TrigPoly(0.0, [0.02])), T=0.5, ctx=CTX)
+    vn = fd_solve(prob, 1, 16, required_time_steps(prob, 1, 16))
+    cfg = ConvolutionConfig(epsilon=0.05, n_time=65, shift_refine=4)
+    for t in (0.0, 0.1):
+        target = (t, 1.0, EmpiricalMeasure(np.array([[1.0]])))
+        (val, rec), full = scan_both_ways(monkeypatch, vn, target, cfg)
+        assert_same_scan((val, rec), full)
+        assert rec.t_gap > 0.2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
+    vn = solved(n=n, mesh=16)
+    idx = np.array([3, 11])[:n]
+    mu = EmpiricalMeasure((idx * vn.dx)[:, None])
+    flat = _config_rho_sq(vn, mu, CTX)
+    assert flat[np.ravel_multi_index(tuple(idx), (16,) * n)] == 0.0

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -235,3 +236,67 @@ def test_gradient_bound_uniform_in_n():
     prob = linear_problem(a=0.0)
     bounds = [lipschitz_probe(solve(prob, n, 32)).max_scaled_gradient for n in (1, 2, 3)]
     assert max(bounds) <= 1.5 * min(bounds)
+
+
+def roll_solve(problem, n, mesh, n_t, upwind):
+    """The explicit sweep written out with np.roll and fresh temporaries."""
+    dx, dt, lam, a = TWO_PI / mesh, problem.T / n_t, problem.hamiltonian.lam, problem.a
+    nodes = np.arange(mesh) * dx
+    lattice = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
+    drift_fields, cost_sum = fd._kernel_fields(problem, lattice)
+    v = problem.terminal.value_atoms(lattice)
+    out = [v]
+    for _ in range(n_t):
+        rhs = np.zeros_like(v)
+        for i in range(n):
+            up, dn = np.roll(v, -1, axis=i), np.roll(v, 1, axis=i)
+            rhs += (up - 2.0 * v + dn) / dx**2
+            grad_c = (up - dn) / (2.0 * dx)
+            if drift_fields is not None:
+                b = drift_fields[i]
+                if upwind:
+                    rhs += np.maximum(b, 0.0) * (up - v) / dx + np.minimum(b, 0.0) * (v - dn) / dx
+                else:
+                    rhs += b * grad_c
+            rhs += 0.5 * lam * n * grad_c**2
+        axes = tuple(range(n))
+        rhs += a * (np.roll(v, (-1,) * n, axis=axes) - 2.0 * v + np.roll(v, (1,) * n, axis=axes)) / dx**2
+        if cost_sum is not None:
+            rhs += cost_sum
+        v = v + dt * rhs
+        out.append(v)
+    return np.stack(out[::-1])
+
+
+@pytest.mark.parametrize("upwind", [False, True])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("n, mesh", [(1, 24), (2, 12), (3, 8)])
+def test_fused_step_matches_roll_stencil(n, mesh, a, upwind):
+    prob = linear_problem(a=a)
+    n_t = required_time_steps(prob, n, mesh)
+    got = fd_solve(prob, n, mesh, n_t, upwind=upwind).values
+    assert np.max(np.abs(got - roll_solve(prob, n, mesh, n_t, upwind))) < 1e-12
+
+
+def test_fused_step_matches_roll_stencil_quadratic():
+    def problem(lam):
+        ham = HamiltonianSpec("quadratic", cost_kernel=TrigPoly(0.1, [0.0, 0.3]), lam=lam)
+        return ProblemSpec(ham, linear_problem().terminal, a=0.25, T=0.5, ctx=CTX)
+
+    n_t = required_time_steps(problem(0.8), 2, 12)
+    got = fd_solve(problem(0.8), 2, 12, n_t).values
+    ref = roll_solve(problem(0.8), 2, 12, n_t, upwind=False)
+    assert np.max(np.abs(got - ref)) < 1e-12
+    # the quadratic term is not negligible in the comparison
+    assert np.max(np.abs(ref - roll_solve(problem(0.0), 2, 12, n_t, upwind=False))) > 1e-3
+
+
+
+def test_debug_log_reports_the_solve(caplog):
+    prob = linear_problem(a=0.5)
+    n_req = required_time_steps(prob, 2, 12)
+    with caplog.at_level(logging.DEBUG, logger="mfrl.fd"):
+        fd_solve(prob, 2, 12, n_req + 3)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "mfrl.fd"]
+    assert line.startswith(f"fd solve: N 2, mesh 12, n_t {n_req + 3} (stability needs {n_req})")
+    assert "upwind False" in line and line.endswith(" s")

@@ -71,6 +71,25 @@ def test_fourier_grid_matches_empirical_in_the_limit():
     assert fv.coeffs[idx[0]] == pytest.approx(TWO_PI**-0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, n, trunc", [(1, 1, 64), (1, 16, 64), (1, 1024, 64), (2, 16, 12), (2, 200, 12)])
+def test_fourier_coefficients_match_direct_exponential_sum(d, n, trunc):
+    ctx = TorusContext(d, trunc)
+    atoms = np.random.default_rng(n).uniform(0.0, TWO_PI, (n, d))
+    direct = TWO_PI ** (-d / 2) * np.exp(-1j * (ctx.modes @ atoms.T)).mean(axis=1)
+    got = fourier_coefficients(EmpiricalMeasure(atoms), ctx).coeffs
+    assert np.max(np.abs(got - direct)) < 1e-13
+
+
+def test_grid_fourier_coefficients_match_direct_exponential_sum():
+    ctx = TorusContext(1, 64)
+    rng = np.random.default_rng(3)
+    dens = GridDensity(rng.uniform(0.1, 1.0, 64))
+    phases = np.exp(-1j * np.outer(ctx.modes[:, 0], dens.nodes))
+    direct = TWO_PI**-0.5 * (phases @ dens.values) * (TWO_PI / dens.m)
+    got = fourier_coefficients(dens, ctx).coeffs
+    assert np.max(np.abs(got - direct)) < 1e-13
+
+
 def test_grid_density_normalizes_mass():
     vals = np.abs(np.random.default_rng(1).normal(size=64)) + 0.1
     dens = GridDensity(vals)
