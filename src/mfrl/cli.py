@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -25,12 +24,14 @@ from .errors import (
     ResourceBudgetError,
     SchemaError,
     UnsupportedDimensionError,
+    plan_float,
+    plan_int,
 )
 from .fd import fd_solve
 from .mc import mc_solve_linear
 from .metric import MetricOrder, rho
 from .problems import ProblemSpec
-from .ratelab import ExperimentPlan, plan_int, run_rate_experiment
+from .ratelab import ExperimentPlan, run_rate_experiment
 from .torus import TorusContext, measure_from_json
 
 PLAN_VERSION = 1
@@ -83,14 +84,10 @@ def _int_field(doc: dict, name: str, default: int) -> int:
 
 def _finite_float(name: str, value) -> float:
     """A finite JSON number (not a boolean) as a float; anything else is a schema error."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise SchemaError(f"plan field {name} must be a finite number, got {value!r}")
+    try:
+        return plan_float(name, value)
+    except InputDomainError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:

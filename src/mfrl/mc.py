@@ -17,7 +17,10 @@ Euler-Maruyama step and the sampling error reported as a standard error.
 
 from __future__ import annotations
 
+import logging
 import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -28,6 +31,8 @@ from .errors import InputDomainError
 from .problems import ProblemSpec
 from .torus import EmpiricalMeasure, GridDensity, Measure, sample_iid
 from .trig import mean_field_eval
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,13 @@ def _require_linear(problem: ProblemSpec):
 #: thread, where handing chunks to the pool costs more than it saves
 _SPLIT_MIN = 8_192
 
+#: particle coordinates per step up to which a call of a sweep runs whole on
+#: one pool worker (``runs_whole``); larger calls split their rows instead,
+#: which keeps one big call's buffers alive at a time
+_WHOLE_MAX = 2**18
+
 _POOL: ThreadPoolExecutor | None = None
+_WORKER = threading.local()
 
 
 def _cpu_count() -> int:
@@ -67,10 +78,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool() -> ThreadPoolExecutor:
+def _mark_worker() -> None:
+    _WORKER.active = True
+
+
+def _on_worker() -> bool:
+    return getattr(_WORKER, "active", False)
+
+
+def worker_pool() -> ThreadPoolExecutor:
+    """The one pool of MC worker threads, one per CPU.
+
+    A job on it never waits on another job: code running on a worker takes
+    its steps in one row chunk (``_row_chunks``), so no worker can end up
+    waiting on work queued behind itself.
+    """
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="mfrl-mc")
+        _POOL = ThreadPoolExecutor(
+            _cpu_count(), thread_name_prefix="mfrl-mc", initializer=_mark_worker
+        )
     return _POOL
 
 
@@ -82,10 +109,23 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+def runs_whole(starts_shape, n_paths: int) -> bool:
+    """Whether a sweep runs an ``mc_path_values`` call whole on one worker.
+
+    Independent calls that each fit in ``_WHOLE_MAX`` particle coordinates
+    per step use the cores best one call per core: no step waits for one
+    thread to draw all the noise or pays for two thread hand-offs.
+    """
+    return int(np.prod(starts_shape)) * n_paths <= _WHOLE_MAX
+
+
 def _row_chunks(n_rows: int, n_particles: int) -> list[slice]:
-    """One contiguous block of path rows per CPU, or all rows for small steps."""
-    n = _cpu_count() if n_rows * n_particles >= _SPLIT_MIN else 1
-    n = max(1, min(n, n_rows))
+    """One contiguous block of path rows per CPU, or all rows for small steps.
+
+    A call running on a pool worker always takes one chunk.
+    """
+    split = n_rows * n_particles >= _SPLIT_MIN and not _on_worker()
+    n = max(1, min(_cpu_count() if split else 1, n_rows))
     bounds = [n_rows * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -107,11 +147,22 @@ def mc_path_values(
     _require_linear(problem)
     if n_paths < 1 or n_steps < 1:
         raise InputDomainError("n_paths and n_steps must be >= 1")
+    if not 0.0 <= t <= problem.T:
+        raise InputDomainError(f"evaluation time {t} is outside [0, T = {problem.T}]")
+    start = time.perf_counter()
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     m_batch, n_particles = starts.shape
     horizon = problem.T - t
-    if horizon < 0:
-        raise InputDomainError("evaluation time is past the horizon")
+
+    def done(values, particle_steps, n_chunks):
+        log.debug(
+            "mc paths: N %d, t %.6g, %d particle-steps, %s, %.3f s",
+            n_particles, t, particle_steps,
+            "whole" if n_chunks == 1 else f"split into {n_chunks} row chunks",
+            time.perf_counter() - start,
+        )
+        return values
+
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     x = np.broadcast_to(starts[:, None, :], (m_batch, n_paths, n_particles)).copy()
 
@@ -122,9 +173,8 @@ def mc_path_values(
 
     running = np.zeros((m_batch, n_paths))
     if horizon == 0.0:
-        return np.broadcast_to(
-            problem.terminal.value_atoms(starts)[:, None], (m_batch, n_paths)
-        ).copy()
+        values = problem.terminal.value_atoms(starts)[:, None]
+        return done(np.broadcast_to(values, (m_batch, n_paths)).copy(), 0, 1)
     dt = horizon / n_steps
     sig_w = sqrt(2.0 * dt)
     sig_b = sqrt(2.0 * problem.a * dt) if problem.a > 0 else 0.0
@@ -151,7 +201,7 @@ def mc_path_values(
         if len(chunks) == 1:
             fields(chunks[0], with_drift)
             return []
-        return [_pool().submit(fields, part, with_drift) for part in chunks]
+        return [worker_pool().submit(fields, part, with_drift) for part in chunks]
 
     for step in range(n_steps):
         pending = start_fields(True)
@@ -175,7 +225,8 @@ def mc_path_values(
         for job in start_fields(False):
             job.result()
         run_rows += 0.5 * dt * cost_mean
-    return running + problem.terminal.value_atoms(x)
+    values = running + problem.terminal.value_atoms(x)
+    return done(values, rows.size * n_steps, len(chunks))
 
 
 def mc_solve_linear(

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, check_fields, plan_float, plan_int
 from .torus import Measure, TorusContext
 from .trig import ZERO_POLY, TrigPoly, convolve, harmonics, trig_moments
 
@@ -61,14 +61,12 @@ class HamiltonianSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HamiltonianSpec":
-        unknown = set(obj) - {"family", "drift", "cost", "lambda"}
-        if unknown:
-            raise InputDomainError(f"unknown Hamiltonian fields {sorted(unknown)}")
+        check_fields(obj, ("family", "drift", "cost", "lambda"), "Hamiltonian")
         return cls(
             family=obj.get("family", "zero"),
             drift_kernel=TrigPoly.from_dict(obj.get("drift", {})),
             cost_kernel=TrigPoly.from_dict(obj.get("cost", {})),
-            lam=float(obj.get("lambda", 0.0)),
+            lam=plan_float("lambda", obj.get("lambda", 0.0)),
         )
 
 
@@ -129,9 +127,7 @@ class TerminalSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TerminalSpec":
-        unknown = set(obj) - {"g", "h"}
-        if unknown:
-            raise InputDomainError(f"unknown terminal fields {sorted(unknown)}")
+        check_fields(obj, ("g", "h"), "terminal")
         return cls(
             g=TrigPoly.from_dict(obj.get("g", {})),
             h=TrigPoly.from_dict(obj.get("h", {})),
@@ -183,13 +179,13 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProblemSpec":
-        unknown = set(obj) - {"d", "trunc", "T", "a", "hamiltonian", "terminal"}
-        if unknown:
-            raise InputDomainError(f"unknown problem fields {sorted(unknown)}")
+        check_fields(obj, ("d", "trunc", "T", "a", "hamiltonian", "terminal"), "problem")
         return cls(
             hamiltonian=HamiltonianSpec.from_dict(obj.get("hamiltonian", {})),
             terminal=TerminalSpec.from_dict(obj.get("terminal", {})),
-            a=float(obj.get("a", 0.0)),
-            T=float(obj.get("T", 1.0)),
-            ctx=TorusContext(int(obj.get("d", 1)), int(obj.get("trunc", 64))),
+            a=plan_float("a", obj.get("a", 0.0)),
+            T=plan_float("T", obj.get("T", 1.0)),
+            ctx=TorusContext(
+                plan_int("d", obj.get("d", 1)), plan_int("trunc", obj.get("trunc", 64))
+            ),
         )

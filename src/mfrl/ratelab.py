@@ -16,14 +16,16 @@ alpha(N) scale in the first place.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError
-from .mc import mc_path_values
+from .errors import InputDomainError, check_fields, plan_int
+from .mc import mc_path_values, runs_whole, worker_pool
 from .meanfield import deposit_empirical, mean_field_reference_batch
 from .metric import alpha_rate, rho_star, truncation_tail_bound
 from .problems import ProblemSpec
@@ -68,13 +70,6 @@ _INT_FIELDS = (
     "m_ref",
     "seed",
 )
-
-
-def plan_int(name: str, value) -> int:
-    """An integer plan field; bools and floats (even whole ones) are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputDomainError(f"plan field {name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -136,9 +131,7 @@ class ExperimentPlan:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
         known = {"problem", "n_list", *_INT_FIELDS}
-        unknown = set(obj) - known
-        if unknown:
-            raise InputDomainError(f"unknown plan fields {sorted(unknown)}")
+        check_fields(obj, known, "plan")
         if "problem" not in obj or "n_list" not in obj:
             raise InputDomainError("plan needs 'problem' and 'n_list'")
         kwargs = {k: obj[k] for k in known & set(obj) if k != "problem"}
@@ -203,7 +196,14 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
 
     Every configuration of every N is deposited as one column of a single
     density batch, and one Fokker-Planck flow gives the mean-field value of
-    every column at every time.
+    every column at every time.  Every Monte Carlo call small enough to run
+    whole (``runs_whole``) is an independent job on the MC worker pool, and
+    this thread runs the flow meanwhile; larger calls run here afterwards,
+    one at a time, their steps split over the pool.  Each call has its own
+    seed and draws its noise in its own fixed order, so the report does not
+    depend on which thread ran what.  If anything fails, the jobs not yet
+    started are cancelled and the error is raised once the running ones have
+    finished.
     """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
@@ -221,36 +221,54 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         ],
         axis=1,
     )
-    refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
-        problem, t_points, densities, n_t=plan.ref_steps
-    )
-    rows = []
-    for i, (n, configs) in enumerate(draws):
-        sup_error = 0.0
-        mc_std = 0.0
-        for ti, t in enumerate(t_points):
-            vals = mc_path_values(
-                problem,
-                configs,
-                float(t),
-                n_paths=plan.n_paths,
-                n_steps=plan.n_steps,
-                seed=_derived_seed(plan.seed, n, ti + 1),
-            )
-            vn_mean = vals.mean(axis=1)
-            se = vals.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
-            ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
-            sup_error = max(sup_error, float(np.max(np.abs(vn_mean - ref))))
-            mc_std = max(mc_std, float(np.max(se)))
-        rows.append(
-            RateRow(
-                N=n,
-                alpha=alpha_rate(n, problem.ctx.d),
-                alpha_cbrt=alpha_rate(n, problem.ctx.d) ** (1.0 / 3.0),
-                sup_error=sup_error,
-                mc_std=mc_std,
-            )
+    pool = worker_pool()
+    jobs = []
+
+    def mc_call(n, configs, ti, t):
+        """The call for (N, t_i): a job submitted now, or a call to make here."""
+        call = functools.partial(
+            mc_path_values,
+            problem,
+            configs,
+            float(t),
+            n_paths=plan.n_paths,
+            n_steps=plan.n_steps,
+            seed=_derived_seed(plan.seed, n, ti + 1),
         )
+        if runs_whole(configs.shape, plan.n_paths):
+            call = pool.submit(call)
+            jobs.append(call)
+        return call
+
+    rows = []
+    try:
+        calls = [[mc_call(n, c, ti, t) for ti, t in enumerate(t_points)] for n, c in draws]
+        refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
+            problem, t_points, densities, n_t=plan.ref_steps
+        )
+        for i, (n, _) in enumerate(draws):
+            sup_error = 0.0
+            mc_std = 0.0
+            for ti, call in enumerate(calls[i]):
+                vals = call.result() if isinstance(call, Future) else call()
+                vn_mean = vals.mean(axis=1)
+                se = vals.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+                ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
+                sup_error = max(sup_error, float(np.max(np.abs(vn_mean - ref))))
+                mc_std = max(mc_std, float(np.max(se)))
+            rows.append(
+                RateRow(
+                    N=n,
+                    alpha=alpha_rate(n, problem.ctx.d),
+                    alpha_cbrt=alpha_rate(n, problem.ctx.d) ** (1.0 / 3.0),
+                    sup_error=sup_error,
+                    mc_std=mc_std,
+                )
+            )
+    finally:
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
 
     noted = []
     for i, r in enumerate(rows):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, check_fields, plan_float
 from .torus import TWO_PI, EmpiricalMeasure, GridDensity, Measure
 
 
@@ -92,14 +92,15 @@ class TrigPoly:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrigPoly":
-        unknown = set(obj) - {"const", "cos", "sin"}
-        if unknown:
-            raise InputDomainError(f"unknown trig polynomial fields {sorted(unknown)}")
-        return cls(
-            float(obj.get("const", 0.0)),
-            np.asarray(obj.get("cos", []), dtype=float),
-            np.asarray(obj.get("sin", []), dtype=float),
-        )
+        check_fields(obj, ("const", "cos", "sin"), "trig polynomial")
+
+        def coeffs(name):
+            values = obj.get(name, [])
+            if not isinstance(values, list):
+                raise InputDomainError(f"plan field {name} must be a list of numbers")
+            return np.array([plan_float(name, v) for v in values])
+
+        return cls(plan_float("const", obj.get("const", 0.0)), coeffs("cos"), coeffs("sin"))
 
 
 ZERO_POLY = TrigPoly()

@@ -152,6 +152,72 @@ def test_mc_plan_with_bad_time_or_atoms_exits_with_schema_code(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_mc_plan_with_negative_time_exits_with_precondition_code(tmp_path, capsys):
+    plan = write(
+        tmp_path / "plan.json",
+        {"version": 1, "solver": "mc", "problem": problem_dict(), **SOLVE_PLANS["mc"], "t": -3.0},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--plan", plan, "--out", str(out)]) == EXIT_PRECONDITION
+    assert "evaluation time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RATE_PLAN = {
+    "n_list": [2, 4, 8],
+    "n_time_points": 2,
+    "n_configs": 4,
+    "n_paths": 200,
+    "n_steps": 20,
+}
+
+
+def _problem_with(path, value):
+    problem = problem_dict()
+    *parents, leaf = path
+    node = problem
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return problem
+
+
+@pytest.mark.parametrize("command", ["solve", "rate"])
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("terminal", "g", "cos"), "x"),
+        (("terminal", "g", "cos"), [1.0, "x"]),
+        (("terminal", "g", "const"), None),
+        (("terminal", "h", "sin"), [True]),
+        (("hamiltonian", "lambda"), "x"),
+        (("terminal",), 5),
+        (("a",), "x"),
+        (("a",), False),
+        (("T",), "x"),
+        (("T",), float("nan")),
+        (("trunc",), "64"),
+    ],
+    ids=[
+        "cos-string", "cos-string-entry", "const-null", "sin-bool", "lambda-string",
+        "terminal-number", "a-string", "a-bool", "T-string", "T-nan", "trunc-string",
+    ],
+)
+def test_plan_with_non_number_problem_field_exits_with_schema_code(
+    tmp_path, capsys, command, path, value
+):
+    problem = _problem_with(path, value)
+    if command == "solve":
+        doc = {"version": 1, "solver": "mc", "problem": problem, **SOLVE_PLANS["mc"]}
+    else:
+        doc = {"version": 1, "plan": {"problem": problem, **RATE_PLAN}}
+    plan = write(tmp_path / "plan.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
+    assert path[-1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_debug_log_leaves_stdout_and_value_file_unchanged(tmp_path):
     plan = write(
         tmp_path / "plan.json",
@@ -295,3 +361,26 @@ def test_metric_dimension_mismatch_is_schema_error(tmp_path, capsys):
     f_nu.write_text(json.dumps({"kind": "empirical", "atoms": [[0.0, 0.0]]}))
     assert main(["metric", str(f_mu), str(f_nu)]) == EXIT_SCHEMA
     capsys.readouterr()
+
+
+def test_debug_log_leaves_rate_stdout_and_report_unchanged(tmp_path):
+    plan = write(
+        tmp_path / "rate.json",
+        {"version": 1, "plan": {"problem": problem_dict(), **RATE_PLAN, "seed": 5}},
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for level in ("warn", "debug"):
+        out = tmp_path / f"{level}.json"
+        env = {**os.environ, "MFRL_LOG": level, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrl.cli", "rate", "--plan", plan, "--out", str(out),
+             "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (proc.stdout, out.read_bytes(), proc.stderr)
+    assert runs["debug"][:2] == runs["warn"][:2]
+    assert runs["warn"][2] == ""
+    mc_lines = [ln for ln in runs["debug"][2].splitlines() if ln.startswith("mc paths: ")]
+    assert len(mc_lines) == 3 * 2  # one per (N, t) call

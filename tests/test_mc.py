@@ -182,3 +182,64 @@ def test_forked_child_runs_split_steps(monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("t", [-3.0, -1e-12, 0.5 + 1e-9, float("nan")])
+def test_time_outside_the_horizon_is_rejected(t):
+    prob = linear_problem()  # T = 0.5
+    with pytest.raises(InputDomainError):
+        mc_path_values(prob, np.array([[0.5, 2.5]]), t, 10, 5, seed=0)
+
+
+def test_call_on_a_pool_worker_takes_one_row_chunk(monkeypatch):
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    counts = []
+    row_chunks = mc._row_chunks
+
+    def counted(n_rows, n_particles):
+        chunks = row_chunks(n_rows, n_particles)
+        counts.append(len(chunks))
+        return chunks
+
+    monkeypatch.setattr(mc, "_row_chunks", counted)
+    prob = linear_problem()
+    starts = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, 16))
+    assert 4 * 500 * 16 >= mc._SPLIT_MIN
+    here = mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
+    there = mc.worker_pool().submit(mc_path_values, prob, starts, 0.1, 500, 5, 3).result()
+    assert counts == [2, 1]
+    assert np.array_equal(here.view(np.int64), there.view(np.int64))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_on_a_one_worker_pool_finishes():
+    # The child builds a one-worker pool and then sees two CPUs, so every
+    # step above _SPLIT_MIN would fan out: a whole call that did so on the
+    # worker would wait on chunks queued behind itself for ever.
+    from mfrl.ratelab import ExperimentPlan, run_rate_experiment
+
+    plan = ExperimentPlan(
+        problem=linear_problem(),
+        n_list=(2, 4, 16),
+        n_time_points=1,
+        n_configs=8,
+        n_paths=2100,
+        n_steps=3,
+        seed=2,
+    )
+    assert 8 * 2 * 2100 >= mc._SPLIT_MIN and mc.runs_whole((8, 2), 2100)
+    assert not mc.runs_whole((8, 16), 2100)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)
+            mc._cpu_count = lambda: 1
+            assert mc.worker_pool()._max_workers == 1
+            mc._cpu_count = lambda: 2
+            run_rate_experiment(plan)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

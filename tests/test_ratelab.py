@@ -1,20 +1,28 @@
+import logging
+import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mfrl.meanfield
-from mfrl.errors import InputDomainError
+import mfrl.ratelab
+from mfrl import mc
+from mfrl.errors import DivergenceError, InputDomainError
+from mfrl.mc import mc_path_values
+from mfrl.meanfield import deposit_empirical, mean_field_reference_batch
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
     ComplexityTable,
     ExperimentPlan,
     RateReport,
+    _derived_seed,
     fit_rate,
     run_rate_experiment,
     sample_complexity_experiment,
 )
-from mfrl.torus import TWO_PI, GridDensity, TorusContext
+from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
@@ -149,6 +157,113 @@ def test_noise_free_report_is_byte_identical_to_recorded():
     )
     report = run_rate_experiment(plan)
     assert report.to_json() == (DATA / "rate_meanfield_seed1.json").read_text()
+
+
+def interaction_problem(a):
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]), cost_kernel=TrigPoly(0.1, [0.2])
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
+    return ProblemSpec(ham, term, a=a, T=0.5, ctx=CTX)
+
+
+def serial_sweep(plan):
+    """(sup_error, mc_std) per N: one mc_path_values call after another."""
+    problem = plan.problem
+    t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
+    draws = []
+    for n in plan.n_list:
+        rng = np.random.Generator(np.random.Philox(key=_derived_seed(plan.seed, n, 0)))
+        draws.append((n, rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))))
+    densities = np.stack(
+        [
+            deposit_empirical(EmpiricalMeasure(c[:, None]), plan.ref_mesh).values
+            for _, configs in draws
+            for c in configs
+        ],
+        axis=1,
+    )
+    refs, _, _ = mean_field_reference_batch(problem, t_points, densities, plan.ref_steps)
+    out = []
+    for i, (n, configs) in enumerate(draws):
+        sup_error = mc_std = 0.0
+        for ti, t in enumerate(t_points):
+            seed = _derived_seed(plan.seed, n, ti + 1)
+            vals = mc_path_values(problem, configs, float(t), plan.n_paths, plan.n_steps, seed)
+            ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
+            gap = np.abs(vals.mean(axis=1) - ref)
+            se = vals.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+            sup_error = max(sup_error, float(np.max(gap)))
+            mc_std = max(mc_std, float(np.max(se)))
+        out.append((sup_error, mc_std))
+    return out
+
+
+@pytest.mark.parametrize("whole_max", [None, 8 * 400 * 4], ids=["all-whole", "mixed"])
+def test_concurrent_sweep_matches_serial_loop_bit_for_bit(whole_max, monkeypatch):
+    if whole_max is not None:  # N = 8 runs on this thread, split over the pool
+        monkeypatch.setattr(mc, "_WHOLE_MAX", whole_max)
+    plan = small_plan(problem=interaction_problem(0.5), n_time_points=3)
+    report = run_rate_experiment(plan)
+    want = serial_sweep(plan)
+    assert [(r.sup_error, r.mc_std) for r in report.rows] == want
+
+
+def test_failing_call_cancels_pending_jobs_and_propagates(monkeypatch):
+    plan = small_plan(n_list=(2, 4, 8, 16), n_time_points=3)
+    want = run_rate_experiment(plan).to_json()
+    started, finished = [], []
+    original = mfrl.ratelab.mc_path_values
+    release = threading.Event()  # holds every started call until the sweep gives up
+    wait = mfrl.ratelab.wait
+
+    def failing(problem, starts, t, n_paths, n_steps, seed):
+        if starts.shape[1] == 2 and t == 0.0:
+            raise DivergenceError("injected")
+        started.append(seed)
+        release.wait(timeout=10)
+        out = original(problem, starts, t, n_paths, n_steps, seed)
+        finished.append(seed)
+        return out
+
+    def release_then_wait(jobs):  # runs after the pending jobs were cancelled
+        release.set()
+        return wait(jobs)
+
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_cpu_count", lambda: 2)
+        m.setattr(mc, "_POOL", None)  # a two-worker pool of its own
+        m.setattr(mfrl.ratelab, "mc_path_values", failing)
+        m.setattr(mfrl.ratelab, "wait", release_then_wait)
+        with pytest.raises(DivergenceError, match="injected") as info:
+            run_rate_experiment(plan)
+        assert type(info.value) is DivergenceError
+        # one held call per worker had started; the other 9 of the 11 were
+        # cancelled, and the started ones had finished before the error came
+        assert len(started) <= 2 and sorted(finished) == sorted(started)
+        mc.worker_pool().shutdown(wait=True)
+        assert len(started) <= 2
+    assert run_rate_experiment(plan).to_json() == want
+
+
+def test_debug_log_reports_every_mc_call(caplog):
+    plan = small_plan(n_time_points=2)
+    with caplog.at_level(logging.DEBUG, logger="mfrl.mc"):
+        run_rate_experiment(plan)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.mc"]
+    pattern = re.compile(
+        r"mc paths: N (\d+), t (\S+), (\d+) particle-steps, (whole|split into \d+ row chunks), "
+        r"\d+\.\d{3} s"
+    )
+    seen = []
+    for line in lines:
+        match = pattern.fullmatch(line)
+        assert match, line
+        n, t, steps, how = match.groups()
+        assert int(steps) == plan.n_configs * plan.n_paths * int(n) * plan.n_steps
+        assert how == "whole"  # every call of this sweep is small
+        seen.append((int(n), float(t)))
+    assert sorted(seen) == [(n, t) for n in plan.n_list for t in (0.0, 0.25)]
 
 
 def test_errors_shrink_with_n_on_closed_form_benchmark():
