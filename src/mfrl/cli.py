@@ -17,13 +17,11 @@ import sys
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DivergenceError,
     InputDomainError,
     MfrlError,
-    ResourceBudgetError,
     SchemaError,
-    UnsupportedDimensionError,
+    check_fields,
     plan_float,
     plan_int,
 )
@@ -68,71 +66,56 @@ def _load_plan(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, keys: set, context: str) -> None:
-    unknown = set(doc) - keys
-    if unknown:
-        raise SchemaError(f"unknown {context} fields {sorted(unknown)}")
+_SOLVE_FIELDS = (
+    "version", "solver", "problem", "N", "mesh", "n_t", "t", "atoms", "n_paths", "n_steps",
+)
 
 
-def _int_field(doc: dict, name: str, default: int) -> int:
-    """An integer plan field, by the rate plan's rule; anything else is a schema error."""
-    try:
-        return plan_int(name, doc.get(name, default))
-    except InputDomainError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def _finite_float(name: str, value) -> float:
-    """A finite JSON number (not a boolean) as a float; anything else is a schema error."""
-    try:
-        return plan_float(name, value)
-    except InputDomainError as exc:
-        raise SchemaError(str(exc)) from exc
+def _read_solve_plan(doc: dict) -> tuple[str, ProblemSpec, dict]:
+    """Solver, problem and solver arguments of a solve plan, all parsed up front."""
+    check_fields(doc, _SOLVE_FIELDS, "solve plan")
+    problem = ProblemSpec.from_dict(doc.get("problem", {}))
+    solver = doc.get("solver", "fd")
+    n = plan_int("N", doc.get("N", 1))
+    if solver == "fd":
+        mesh, n_t = plan_int("mesh", doc.get("mesh", 64)), plan_int("n_t", doc.get("n_t", 0))
+        return solver, problem, {"N": n, "mesh": mesh, "n_t": n_t}
+    if solver != "mc":
+        raise InputDomainError(f"unknown solver {solver!r}")
+    t = plan_float("t", doc.get("t", 0.0))
+    atoms = doc.get("atoms", [])
+    if not isinstance(atoms, list) or len(atoms) != n:
+        raise InputDomainError(f"plan field atoms must be a list of N = {n} numbers")
+    return solver, problem, {
+        "N": n,
+        "t": t,
+        "atoms": np.array([plan_float("atoms", x) for x in atoms]),
+        "n_paths": plan_int("n_paths", doc.get("n_paths", 1000)),
+        "n_steps": plan_int("n_steps", doc.get("n_steps", 200)),
+    }
 
 
 def cmd_solve(args) -> int:
     doc = _load_plan(args.plan)
-    _require(
-        doc,
-        {"version", "solver", "problem", "N", "mesh", "n_t", "t", "atoms", "n_paths", "n_steps"},
-        "solve plan",
-    )
     try:
-        problem = ProblemSpec.from_dict(doc.get("problem", {}))
+        solver, problem, fields = _read_solve_plan(doc)
     except InputDomainError as exc:
         raise SchemaError(str(exc)) from exc
-    solver = doc.get("solver", "fd")
-    n = _int_field(doc, "N", 1)
     if solver == "fd":
-        mesh, n_t = _int_field(doc, "mesh", 64), _int_field(doc, "n_t", 0)
-        vn = fd_solve(problem, n, mesh, n_t)
+        vn = fd_solve(problem, **fields)
         vn.save(args.out)
         summary = {
             "solver": "fd",
-            "N": n,
+            "N": vn.N,
             "mesh": vn.mesh,
             "n_t": vn.n_t,
             "value_file": args.out,
         }
-    elif solver == "mc":
-        t = _finite_float("t", doc.get("t", 0.0))
-        atoms = doc.get("atoms", [])
-        if not isinstance(atoms, list) or len(atoms) != n:
-            raise SchemaError(f"plan field atoms must be a list of N = {n} numbers")
-        atoms = np.array([_finite_float("atoms", x) for x in atoms])
-        n_paths, n_steps = _int_field(doc, "n_paths", 1000), _int_field(doc, "n_steps", 200)
-        est = mc_solve_linear(
-            problem,
-            n,
-            t,
-            atoms,
-            n_paths=n_paths,
-            n_steps=n_steps,
-            seed=args.seed,
-        )
+    else:
+        est = mc_solve_linear(problem, **fields, seed=args.seed)
         summary = {
             "solver": "mc",
-            "N": n,
+            "N": fields["N"],
             "mean": est.mean,
             "std_error": est.std_error,
             "n_paths": est.n_paths,
@@ -140,21 +123,19 @@ def cmd_solve(args) -> int:
         }
         with open(args.out, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
-    else:
-        raise SchemaError(f"unknown solver {solver!r}")
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_rate(args) -> int:
     doc = _load_plan(args.plan)
-    _require(doc, {"version", "plan"}, "rate plan")
     try:
+        check_fields(doc, ("version", "plan"), "rate plan")
         plan = ExperimentPlan.from_dict(doc.get("plan", {}))
+        if args.seed is not None:
+            plan = ExperimentPlan.from_dict({**plan.to_dict(), "seed": args.seed})
     except InputDomainError as exc:
         raise SchemaError(str(exc)) from exc
-    if args.seed is not None:
-        plan = ExperimentPlan.from_dict({**plan.to_dict(), "seed": args.seed})
     report = run_rate_experiment(plan)
     if args.format == "json":
         payload = report.to_json()
@@ -223,14 +204,6 @@ def main(argv=None) -> int:
         log.error("schema error: %s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
-    except (
-        ConfigurationError,
-        ResourceBudgetError,
-        InputDomainError,
-        UnsupportedDimensionError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
     except DivergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIVERGENCE

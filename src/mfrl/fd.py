@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
-from .torus import TWO_PI, EmpiricalMeasure, canonicalize, w1_circle
+from .torus import TWO_PI, EmpiricalMeasure, canonicalize, seeded_generator, w1_circle
 from .trig import mean_field_eval
 
 _MAGIC = b"MFRL1"
@@ -352,7 +352,7 @@ def lipschitz_probe(vn: GridValueFunction, n_pairs: int = 200, seed: int = 0) ->
                 diff = float(np.max(np.abs(vn.values[kb] - vn.values[ka])))
                 hoelder = max(hoelder, diff / np.sqrt(gap))
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = seeded_generator(seed)
     w1_lip = 0.0
     nodes = np.arange(vn.mesh) * dx
     for _ in range(n_pairs):
@@ -363,6 +363,6 @@ def lipschitz_probe(vn: GridValueFunction, n_pairs: int = 200, seed: int = 0) ->
         if w1 < 1e-12:
             continue
         for k in (0, vn.n_t // 2):
-            diff = abs(vn.value(k * vn.dt, xa) - vn.value(k * vn.dt, xb))
+            diff = abs(float(vn.values[k][tuple(ia)] - vn.values[k][tuple(ib)]))
             w1_lip = max(w1_lip, diff / w1)
     return LipschitzReport(grad_max, hoelder, w1_lip)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputDomainError
 from .problems import ProblemSpec
-from .torus import EmpiricalMeasure, GridDensity, Measure, sample_iid
+from .torus import EmpiricalMeasure, GridDensity, Measure, sample_iid, seeded_generator
 from .trig import mean_field_eval
 
 log = logging.getLogger(__name__)
@@ -163,7 +163,7 @@ def mc_path_values(
         )
         return values
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = seeded_generator(seed)
     x = np.broadcast_to(starts[:, None, :], (m_batch, n_paths, n_particles)).copy()
 
     drift = problem.hamiltonian.drift_kernel
@@ -249,7 +249,7 @@ def mc_solve_linear(
 
 def resample_tuples(mu: Measure, N: int, n_resample: int, seed: int) -> np.ndarray:
     """n_resample i.i.d. N-tuples drawn from mu, shape (n_resample, N)."""
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = seeded_generator(seed)
     if isinstance(mu, EmpiricalMeasure):
         idx = rng.integers(0, mu.N, size=(n_resample, N))
         return mu.atoms[idx, 0]

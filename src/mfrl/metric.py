@@ -25,6 +25,7 @@ from .torus import (
     Measure,
     TorusContext,
     fourier_coefficients,
+    phase_table,
 )
 
 #: imaginary residue above this level signals a convention bug
@@ -147,11 +148,10 @@ def rho_sq_grad(
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != ctx.d:
         raise InputDomainError("evaluation points do not match context dimension")
-    modes = ctx.modes
     norm = TWO_PI ** (-ctx.d / 2.0)
-    phases = np.exp(-1j * (pts @ modes.T))  # (n_pts, n_modes)
+    phases = phase_table(pts, ctx)  # (n_modes, n_pts)
     # d/dx of the linear derivative: sum_l w_l conj(F_l) (-2 i l) e_l^*(x)
-    total = norm * np.einsum("pm,mD,m->pD", phases, -2j * modes, mw.weights * np.conj(diff))
+    total = norm * np.einsum("mp,mD,m->pD", phases, -2j * ctx.modes, mw.weights * np.conj(diff))
     scale = float(np.max(np.abs(total))) if total.size else 1.0
     return _real_with_residue_check(total, scale)
 
@@ -200,20 +200,13 @@ def rho_sq_hess(
     norm = TWO_PI ** (-ctx.d)
     # e_l^*(x) e_l(y) = (2 pi)^{-d} exp(i l.(y-x)); F_l under the conjugated
     # convention enters through its conjugate, mirroring rho_sq_grad.
-    phase = np.exp(1j * ((ys - xs) @ modes.T))  # (n_pairs, n_modes)
+    phase = phase_table(xs - ys, ctx)  # exp(i l.(y-x)), (n_modes, n_pairs)
     outer = modes[:, :, None] * modes[:, None, :]  # (n_modes, d, d)
     total = -2.0 * norm * np.einsum(
-        "pm,mij,m->pij", phase, outer, mw.weights * np.conj(diff)
+        "mp,mij,m->pij", phase, outer, mw.weights * np.conj(diff)
     )
     scale = float(np.max(np.abs(total))) if total.size else 1.0
     return _real_with_residue_check(total, scale)
-
-
-def sobolev_norm(f: FourierVector, k: int) -> float:
-    """Sobolev norm ||f||_k of a trigonometric polynomial."""
-    modes = f.ctx.modes
-    lsq = np.sum(modes * modes, axis=1)
-    return math.sqrt(float(np.sum((1.0 + lsq) ** float(k) * np.abs(f.coeffs) ** 2)))
 
 
 def alpha_rate(N: int, d: int) -> float:

@@ -36,6 +36,7 @@ from .torus import (
     TorusContext,
     fourier_coefficients,
     sample_iid,
+    seeded_generator,
     w1_circle_density,
 )
 
@@ -211,7 +212,7 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
     draws = []
     for n in plan.n_list:
-        rng = np.random.Generator(np.random.Philox(key=_derived_seed(plan.seed, n, 0)))
+        rng = seeded_generator(_derived_seed(plan.seed, n, 0))
         draws.append((n, rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))))
     densities = np.stack(
         [

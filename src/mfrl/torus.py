@@ -9,9 +9,11 @@ Two concrete representations are provided:
 
 On top of the representations the module implements Fourier coefficients with
 respect to the orthonormal basis ``e_l(x) = (2 pi)^{-d/2} exp(i l.x)``, i.i.d.
-sampling from grid densities, and exact 1-Wasserstein distances: a sorted
-rotation scan on the circle plus a small exact linear-program oracle for
-general dimension.
+sampling from grid densities, a seeded counter-based generator, and
+1-Wasserstein distances on the circle (d = 1).  Both W1 entry points share
+one formula, ``W1 = min_t integral |F_mu - F_nu - t| dx`` over [0, 2 pi)
+(Rabin, Delon & Gousseau 2011): the CDF gap is read at the midpoints of the
+intervals between its breakpoints and t is its length-weighted median.
 
 Convention: for a measure ``eta`` we use the conjugated pairing
 ``F_l(eta) = (2 pi)^{-d/2} integral exp(-i l.x) eta(dx)``, so that
@@ -27,15 +29,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
-from .errors import InputDomainError, ResourceBudgetError, UnsupportedDimensionError
+from .errors import InputDomainError, UnsupportedDimensionError
 
 TWO_PI = 2.0 * np.pi
 
-#: Hard budget for the exact LP transport oracle (pairs of support points).
-LP_SUPPORT_BUDGET = 10_000
+#: mesh refinement of ``w1_circle_density``: breakpoints every 1/8 grid cell
+_DENSITY_REFINE = 8
 
 
 def canonicalize(point):
@@ -55,10 +55,10 @@ def circle_arc(diff):
     return np.minimum(diff, TWO_PI - diff)
 
 
-def torus_geodesic(x, y):
-    """Geodesic distance between points (arrays broadcast over leading axes)."""
-    arc = circle_arc(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    return np.sqrt(np.sum(arc * arc, axis=-1))
+def seeded_generator(seed) -> np.random.Generator:
+    """The package's random generator: counter-based Philox keyed by ``seed``,
+    so every run is bit-reproducible."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def sample_iid(mu: GridDensity, n: int, seed: int) -> EmpiricalMeasure:
     """
     if n < 1:
         raise InputDomainError("sample size must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = seeded_generator(seed)
     dx = TWO_PI / mu.m
     cell_mass = mu.values * dx
     cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
@@ -255,95 +255,63 @@ def sample_iid(mu: GridDensity, n: int, seed: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(atoms[:, None])
 
 
-def _check_circle_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    if mu.d != 1 or nu.d != 1:
-        raise UnsupportedDimensionError(
-            "w1_circle supports d=1 only; use w1_lp for the general-d oracle"
-        )
+def _circle_w1(breaks, cdf_gap) -> float:
+    """min_t integral_0^{2 pi} |g(x) - t| dx for a CDF gap g = F_mu - F_nu.
+
+    ``breaks`` holds 0 and every point of [0, 2 pi) where g is not linear;
+    ``cdf_gap`` evaluates g at the interval midpoints, which is exact where g
+    is constant on each interval.  The minimizing t is the length-weighted
+    median of the midpoint values.
+    """
+    grid = np.append(np.unique(breaks), TWO_PI)
+    lens = np.diff(grid)
+    g = cdf_gap(0.5 * (grid[:-1] + grid[1:]))
+    order = np.argsort(g)
+    w = np.cumsum(lens[order])
+    t = g[order][np.searchsorted(w, 0.5 * w[-1])]
+    return float(np.sum(np.abs(g - t) * lens))
+
+
+def _sorted_circle_atoms(mu: EmpiricalMeasure, name: str) -> np.ndarray:
+    if mu.d != 1:
+        raise UnsupportedDimensionError(f"{name} supports d=1 only")
+    return np.sort(mu.atoms[:, 0])
 
 
 def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact 1-Wasserstein distance on the circle of circumference 2 pi.
 
-    Equal atom counts take the fast path: sort both supports and scan the N
-    cyclic rotations of the order-preserving matching, which is exact for
-    uniform weights.  Unequal counts fall back to the LP oracle.
+    Any atom counts.  Both CDFs are step functions that jump only at atoms,
+    so the gap is constant between consecutive atoms and the formula is
+    exact; equal multisets give exactly 0.
     """
-    _check_circle_pair(mu, nu)
-    if mu.N != nu.N:
-        return w1_lp(mu, nu)
-    xs = np.sort(mu.atoms[:, 0])
-    ys = np.sort(nu.atoms[:, 0])
-    n = xs.size
-    i = np.arange(n)
-    # ys[(i + k) % n] for all rotations k, shape (n, n): rows i, cols k
-    rot = ys[(i[:, None] + i[None, :]) % n]
-    # canonical atoms give |xs - rot| < 2 pi, which the mod keeps exact (a
-    # negative difference would be rounded by it)
-    arc = circle_arc(np.abs(xs[:, None] - rot))
-    return float(arc.mean(axis=0).min())
+    xs = _sorted_circle_atoms(mu, "w1_circle")
+    ys = _sorted_circle_atoms(nu, "w1_circle")
+    return _circle_w1(
+        np.concatenate(([0.0], xs, ys)),
+        lambda mids: np.searchsorted(xs, mids, side="right") / xs.size
+        - np.searchsorted(ys, mids, side="right") / ys.size,
+    )
 
 
-def w1_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact optimal transport cost between small empirical measures.
-
-    Ground metric is the torus geodesic; the transport problem is solved as
-    an exact linear program (HiGHS).  Intended as a brute-force oracle, hence
-    the hard support budget.
-    """
-    if mu.d != nu.d:
-        raise InputDomainError("measures live on tori of different dimension")
-    n, m = mu.N, nu.N
-    if n * m > LP_SUPPORT_BUDGET:
-        raise ResourceBudgetError(
-            f"support product {n * m} exceeds LP budget {LP_SUPPORT_BUDGET}"
-        )
-    cost = torus_geodesic(mu.atoms[:, None, :], nu.atoms[None, :, :]).reshape(n * m)
-    # Marginal constraints; one row is redundant and dropped.
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-        vals.extend([1.0] * m)
-    for j in range(m - 1):
-        rows.extend([n + j] * n)
-        cols.extend(range(j, n * m, m))
-        vals.extend([1.0] * n)
-    a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(n + m - 1, n * m))
-    b_eq = np.concatenate((np.full(n, 1.0 / n), np.full(m - 1, 1.0 / m)))
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # pragma: no cover - HiGHS is reliable on feasible LPs
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
-def w1_circle_density(mu: EmpiricalMeasure, rho: GridDensity, refine: int = 8) -> float:
+def w1_circle_density(mu: EmpiricalMeasure, rho: GridDensity) -> float:
     """Exact-up-to-quadrature W1 between an empirical measure and a density.
 
-    Uses the circle formula ``W1 = min_t integral |F_mu - F_rho - t| dx``
-    evaluated on the mesh refined around the atoms; the minimizing shift t is
-    the Lebesgue-weighted median of the CDF difference.
+    The breakpoints are the atoms and the density mesh refined
+    ``_DENSITY_REFINE`` times; the density's CDF is linear between them and
+    the gap is read at the midpoints.
     """
-    if mu.d != 1:
-        raise UnsupportedDimensionError("w1_circle_density supports d=1 only")
-    grid = np.union1d(
-        np.arange(rho.m * refine) * (TWO_PI / (rho.m * refine)),
-        np.sort(mu.atoms[:, 0]),
-    )
-    grid = np.concatenate((grid, [TWO_PI]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    lens = np.diff(grid)
-    atoms = np.sort(mu.atoms[:, 0])
-    f_emp = np.searchsorted(atoms, mids, side="right") / mu.N
+    atoms = _sorted_circle_atoms(mu, "w1_circle_density")
     dx = TWO_PI / rho.m
     cum = np.concatenate(([0.0], np.cumsum(rho.values * dx)))
-    j = np.minimum((mids / dx).astype(int), rho.m - 1)
-    f_rho = cum[j] + rho.values[j] * (mids - j * dx)
-    g = f_emp - f_rho
-    order = np.argsort(g)
-    w = np.cumsum(lens[order])
-    t = g[order][np.searchsorted(w, 0.5 * w[-1])]
-    return float(np.sum(np.abs(g - t) * lens))
+
+    def cdf_gap(mids):
+        j = np.minimum((mids / dx).astype(int), rho.m - 1)
+        f_rho = cum[j] + rho.values[j] * (mids - j * dx)
+        return np.searchsorted(atoms, mids, side="right") / mu.N - f_rho
+
+    fine = rho.m * _DENSITY_REFINE
+    return _circle_w1(np.concatenate((np.arange(fine) * (TWO_PI / fine), atoms)), cdf_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -75,14 +75,6 @@ class TrigPoly:
         x = np.arange(samples) * (TWO_PI / samples)
         return float(np.max(np.abs(self(x))))
 
-    def ck_norm(self, k: int, samples: int = 4096) -> float:
-        """Hoelder-space norm sum_{j<=k} sup |d^j f / dx^j|."""
-        total, f = 0.0, self
-        for _ in range(k + 1):
-            total += f.sup_norm(samples)
-            f = f.derivative()
-        return total
-
     def to_dict(self) -> dict:
         return {
             "const": float(self.const),

@@ -11,10 +11,9 @@ from mfrl.metric import (
     rho_sq_grad,
     rho_sq_hess,
     rho_star,
-    sobolev_norm,
     truncation_tail_bound,
 )
-from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, fourier_coefficients
+from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext
 
 CTX = TorusContext(1, 64)
 
@@ -108,16 +107,6 @@ def test_weights_constants_monotone_in_truncation():
     c1_big = metric_weights(TorusContext(1, 64), 3).c1
     assert c1_big >= c1_small
     assert c1_big == pytest.approx(c1_small, rel=1e-3)  # tail is tiny at k=3
-
-
-def test_sobolev_norm_of_single_mode():
-    ctx = TorusContext(1, 8)
-    mu = EmpiricalMeasure(np.zeros((1, 1)))
-    fv = fourier_coefficients(mu, ctx)
-    # ||delta_0||_{-k}^2 = sum_l (1+l^2)^{-k} / (2 pi)
-    val = sobolev_norm(fv, -3)
-    series = np.sum((1.0 + ctx.modes[:, 0] ** 2.0) ** -3.0) / TWO_PI
-    assert val == pytest.approx(np.sqrt(series), rel=1e-12)
 
 
 def test_alpha_rate_by_dimension():

@@ -1,25 +1,69 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from mfrl.errors import InputDomainError, ResourceBudgetError, UnsupportedDimensionError
 from mfrl.torus import (
     TWO_PI,
     EmpiricalMeasure,
-    FourierVector,
     GridDensity,
     TorusContext,
     canonicalize,
+    circle_arc,
     fourier_coefficients,
     measure_from_json,
     measure_to_json,
     sample_iid,
-    torus_geodesic,
     w1_circle,
     w1_circle_density,
-    w1_lp,
 )
+
+#: Hard budget for the exact LP transport oracle (pairs of support points).
+LP_SUPPORT_BUDGET = 10_000
+
+
+def torus_geodesic(x, y):
+    """Geodesic distance between points (arrays broadcast over leading axes)."""
+    arc = circle_arc(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    return np.sqrt(np.sum(arc * arc, axis=-1))
+
+
+def w1_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Exact optimal transport cost between small empirical measures.
+
+    The independent oracle for the circle formula: ground metric the torus
+    geodesic, the transport problem solved as an exact linear program
+    (HiGHS), any dimension, under a hard support budget.
+    """
+    if mu.d != nu.d:
+        raise InputDomainError("measures live on tori of different dimension")
+    n, m = mu.N, nu.N
+    if n * m > LP_SUPPORT_BUDGET:
+        raise ResourceBudgetError(
+            f"support product {n * m} exceeds LP budget {LP_SUPPORT_BUDGET}"
+        )
+    cost = torus_geodesic(mu.atoms[:, None, :], nu.atoms[None, :, :]).reshape(n * m)
+    # Marginal constraints; one row is redundant and dropped.
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        rows.extend([i] * m)
+        cols.extend(range(i * m, (i + 1) * m))
+        vals.extend([1.0] * m)
+    for j in range(m - 1):
+        rows.extend([n + j] * n)
+        cols.extend(range(j, n * m, m))
+        vals.extend([1.0] * n)
+    a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(n + m - 1, n * m))
+    b_eq = np.concatenate((np.full(n, 1.0 / n), np.full(m - 1, 1.0 / m)))
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def test_canonicalize_wraps_into_fundamental_domain():
@@ -108,7 +152,13 @@ def test_sample_iid_concentrated_density():
 
 def test_w1_circle_identity_and_antipodal():
     mu = EmpiricalMeasure(np.array([[0.1], [2.0], [4.5]]))
-    assert w1_circle(mu, mu) == pytest.approx(0.0, abs=1e-14)
+    assert w1_circle(mu, mu) == 0.0
+    # equal multisets give exactly 0, also in another order or with every
+    # atom doubled (the same measure)
+    lattice = np.random.default_rng(13).integers(0, 32, (12, 1)) * (TWO_PI / 32)
+    lat = EmpiricalMeasure(lattice)
+    assert w1_circle(lat, EmpiricalMeasure(lattice[::-1])) == 0.0
+    assert w1_circle(lat, EmpiricalMeasure(np.repeat(lattice, 2, axis=0))) == 0.0
     d0 = EmpiricalMeasure(np.array([[0.0]]))
     dpi = EmpiricalMeasure(np.array([[np.pi]]))
     assert w1_circle(d0, dpi) == pytest.approx(np.pi)
@@ -128,11 +178,21 @@ def test_w1_circle_translation_invariance():
 
 def test_w1_circle_agrees_with_lp():
     rng = np.random.default_rng(11)
-    for _ in range(15):
+    for trial in range(45):
         n = int(rng.integers(2, 8))
-        mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (n, 1)))
-        nu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (n, 1)))
-        assert w1_circle(mu, nu) == pytest.approx(w1_lp(mu, nu), abs=1e-7)
+        m = n if trial < 15 else int(rng.integers(1, 10))  # then unequal counts
+        if trial % 3 == 0:  # atoms on a lattice, shared positions included
+            mu = EmpiricalMeasure(rng.integers(0, 12, (n, 1)) * (TWO_PI / 12))
+            nu = EmpiricalMeasure(rng.integers(0, 12, (m, 1)) * (TWO_PI / 12))
+        else:
+            mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (n, 1)))
+            nu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (m, 1)))
+        assert w1_circle(mu, nu) == pytest.approx(w1_lp(mu, nu), abs=1e-12)
+
+
+def test_w1_circle_dimension_guard():
+    with pytest.raises(UnsupportedDimensionError):
+        w1_circle(EmpiricalMeasure(np.zeros((2, 2))), EmpiricalMeasure(np.zeros((2, 2))))
 
 
 def test_w1_lp_budget_guard():
@@ -161,6 +221,20 @@ def test_w1_density_dimension_guard():
     dens = GridDensity(np.ones(32))
     with pytest.raises(UnsupportedDimensionError):
         w1_circle_density(EmpiricalMeasure(np.zeros((2, 2))), dens)
+
+
+def test_package_imports_load_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import mfrl.cli, mfrl.convolution, mfrl.ratelab; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_measure_json_roundtrip():

@@ -29,10 +29,9 @@ def test_derivative_spot_check():
     assert np.allclose(dp(x), (p(x + h) - p(x - h)) / (2 * h), atol=1e-8)
 
 
-def test_sup_norm_and_ck_norm():
+def test_sup_norm():
     p = TrigPoly(0.0, [1.0])
     assert p.sup_norm() == pytest.approx(1.0, abs=1e-6)
-    assert p.ck_norm(2) == pytest.approx(3.0, abs=1e-5)
 
 
 def test_zero_poly_flag():
