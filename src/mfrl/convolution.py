@@ -97,14 +97,6 @@ def _config_rho_sq(vn: GridValueFunction, mu: Measure, ctx: TorusContext) -> np.
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
 
 
-def _time_slice(vn: GridValueFunction, s: float) -> np.ndarray:
-    """Value array at time s, linearly interpolated between stored slices."""
-    pos = np.clip(s, 0.0, vn.T) / vn.dt
-    k = min(int(pos), vn.n_t - 1)
-    theta = pos - k
-    return (1.0 - theta) * vn.values[k] + theta * vn.values[k + 1]
-
-
 def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np.ndarray:
     """The time nodes that can hold a minimum, in ascending order.
 
@@ -154,24 +146,41 @@ def inf_convolve(
         ones = sum(e)
         corner_w[:, ci : ci + 1] = fracs**ones * (1.0 - fracs) ** (vn.N - ones)
 
-    # time envelope per refined diagonal point: M[f, c] = min_s v(s, y) + t-pen
+    # time envelope per refined diagonal point: M[f, c] = min_s v(s, y) + t-pen.
+    # v(s) blends stored slices k and k + 1 with weight theta, and is written
+    # into a periodic halo one plane wider per axis, so corner e of the
+    # multilinear blend is the view starting at e
+    pos = np.clip(s_vals, 0.0, vn.T) / vn.dt
+    ks = np.minimum(pos.astype(int), vn.n_t - 1)
+    thetas = pos - ks
+    t_pens = inv * (t - s_vals) ** 2
+    shape = (mesh,) * vn.N
+    halo = np.empty((mesh + 1,) * vn.N)
+    inner = halo[(slice(0, mesh),) * vn.N]
+    faces = [
+        ((slice(None),) * axis + (mesh,), (slice(None),) * axis + (0,)) for axis in range(vn.N)
+    ]
+    views = [halo[tuple(slice(b, b + mesh) for b in e)] for e in corners]
+    stack = np.empty((len(corners), n_cfg))
+    rows = stack.reshape((len(corners),) + shape)
+    tmp = np.empty(shape)
+    cand = np.empty((refine, n_cfg))
+    better = np.empty((refine, n_cfg), dtype=bool)
     envelope = np.full((refine, n_cfg), np.inf)
     env_s = np.zeros((refine, n_cfg))
-    for s in s_vals:
-        grid = _time_slice(vn, s)
-        stack = np.empty((len(corners), n_cfg))
-        for ci, e in enumerate(corners):
-            arr = grid
-            for axis in range(vn.N):
-                if e[axis]:
-                    arr = np.roll(arr, -1, axis=axis)
-            stack[ci] = arr.reshape(-1)
-        cand = corner_w @ stack + inv * (t - s) ** 2
-        better = cand < envelope
-        envelope[better] = cand[better]
-        env_s[better] = s
+    for s, k, theta, pen in zip(s_vals, ks, thetas, t_pens):
+        np.multiply(vn.values[k], 1.0 - theta, out=inner)
+        inner += np.multiply(vn.values[k + 1], theta, out=tmp)
+        for end, src in faces:
+            halo[end] = halo[src]
+        for row, view in zip(rows, views):
+            row[...] = view
+        np.matmul(corner_w, stack, out=cand)
+        cand += pen
+        np.less(cand, envelope, out=better)
+        np.copyto(envelope, cand, where=better)
+        np.copyto(env_s, s, where=better)
 
-    shape = (mesh,) * vn.N
     best = np.inf
     best_key = (0, 0, 0)
     for q in range(mesh):

@@ -15,14 +15,23 @@ the shift identity sum_{i,j} d^2_{ij} v = d^2/dw^2 [v(w + x)] at w = 0, i.e. a
 3-point stencil along the global diagonal, which avoids N^2 mixed stencils.
 Time stepping is explicit Euler under a diffusion-dominated stability bound.
 
+v^N is a function of the empirical measure mu^x, so the scheme, which
+treats every axis alike, is solved once per multiset of lattice indices:
+C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
+110,592 at N = 3, mesh 48).  Each step reads the neighbours of a sorted node
+(+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
+the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through integer tables
+built once per solve, re-sorted through the map from lattice node to
+multiset.  The same map expands every time slice into the full-lattice
+value array with one gather, so every reader of ``values`` is unchanged.
+
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
 (arrays when there is drift, since the drift and the upwind choice vary by
 node; scalars otherwise) and of its two diagonal neighbours (a scalar), plus
-dt f.  The neighbours are views of one periodic halo array, refreshed once a
-step, and the step writes straight into its slice of the value array through
-one scratch buffer, so the step loop allocates no array.  The quadratic
-(lambda > 0) term adds one pass per axis.
+dt f.  Neighbours are gathered into buffers allocated once per solve, so the
+step loop allocates no array.  The quadratic (lambda > 0) term adds one pass
+per axis.
 """
 
 from __future__ import annotations
@@ -149,19 +158,19 @@ class GridValueFunction:
         return cls(n, mesh, n_t, t_horizon, data.reshape((n_t + 1,) + (mesh,) * n))
 
 
-def _kernel_fields(problem: ProblemSpec, lattice: np.ndarray):
-    """Per-axis drift grids b_i(x) and the aggregated running-cost grid.
+def _kernel_fields(problem: ProblemSpec, configs: np.ndarray):
+    """Per-axis drift fields b_i(x) and the aggregated running cost.
 
-    ``lattice`` stacks the node configurations, shape (mesh,) * N + (N,).
+    ``configs`` stacks configurations on the last axis, shape (..., N).
     """
     drift = problem.hamiltonian.drift_kernel
     cost = problem.hamiltonian.cost_kernel
     drift_fields = None
     if not drift.is_zero:
-        b = mean_field_eval(drift, lattice)
+        b = mean_field_eval(drift, configs)
         # contiguous per axis: the sweep reads each of them every step
-        drift_fields = [np.ascontiguousarray(b[..., i]) for i in range(lattice.shape[-1])]
-    cost_sum = None if cost.is_zero else mean_field_eval(cost, lattice).mean(axis=-1)
+        drift_fields = [np.ascontiguousarray(b[..., i]) for i in range(configs.shape[-1])]
+    cost_sum = None if cost.is_zero else mean_field_eval(cost, configs).mean(axis=-1)
     return drift_fields, cost_sum
 
 
@@ -227,45 +236,51 @@ def fd_solve(
     start = time.perf_counter()
     dx = TWO_PI / mesh
     dt = problem.T / n_t
-    nodes = np.arange(mesh) * dx
-    lattice = np.stack(np.meshgrid(*([nodes] * N), indexing="ij"), axis=-1)
-    drift_fields, cost_sum = _kernel_fields(problem, lattice)
-    if upwind is None:
-        b_max = max((np.max(np.abs(b)) for b in drift_fields), default=0.0) if drift_fields else 0.0
-        upwind = bool(b_max * dx / 2.0 > 1.0)
-    values = np.empty((n_t + 1,) + (mesh,) * N)
-    values[n_t] = problem.terminal.value_atoms(lattice)
-    del lattice
-    center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
-    del drift_fields
-    source = None if cost_sum is None else dt * cost_sum
     diag = problem.a * dt / dx**2
     # dt (lam N / 2) ((v(+e_i) - v(-e_i)) / (2 dx))^2
     quad = dt * problem.hamiltonian.lam * N / (8.0 * dx**2)
-
-    # periodic halo: neighbours of every node are views of one padded array
-    halo = np.empty((mesh + 2,) * N)
-    inner = (slice(1, -1),) * N
-
-    def shifted(step):
-        return halo[tuple(slice(1 + e, mesh + 1 + e) for e in step)]
-
+    shape = (mesh,) * N
+    # one node per multiset of lattice indices: sorting an index tuple names
+    # its multiset, and full_to_sorted, the map from lattice node to multiset,
+    # is also the gather that expands a slice to the full lattice.  int32
+    # indices (mesh < 2^27 under the value budget) halve the set-up arrays.
+    index = np.sort(np.indices(shape, dtype=np.int32).reshape(N, -1), axis=0)
+    keys = np.ravel_multi_index(tuple(index), shape)
+    del index
+    keys, full_to_sorted = np.unique(keys, return_inverse=True)
+    cells = np.stack(np.unravel_index(keys, shape), axis=-1)  # (n_sorted, N), rows ascending
+    n_sorted = cells.shape[0]
+    # rows of the neighbour table: +e_i, then -e_i, then the diagonal +-(1, ..., 1)
     unit = np.eye(N, dtype=int)
-    ups = [shifted(unit[i]) for i in range(N)]
-    dns = [shifted(-unit[i]) for i in range(N)]
-    diag_up, diag_dn = shifted([1] * N), shifted([-1] * N)
-    faces = [
-        ((slice(None),) * i + (end,), (slice(None),) * i + (src,))
-        for i in range(N)
-        for end, src in ((0, mesh), (mesh + 1, 1))
-    ]
-    tmp = np.empty((mesh,) * N)
-    finite = np.empty((mesh,) * N, dtype=bool)
+    steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
+    table = np.stack([
+        full_to_sorted[np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)]
+        for step in steps
+    ])
+    configs = cells * dx
+    del keys, cells
+
+    drift_fields, cost_sum = _kernel_fields(problem, configs)
+    if upwind is None:
+        b_max = max((np.max(np.abs(b)) for b in drift_fields), default=0.0) if drift_fields else 0.0
+        upwind = bool(b_max * dx / 2.0 > 1.0)
+    values = np.empty((n_t + 1,) + shape)
+    flat = values.reshape(n_t + 1, -1)  # a view: the expansion writes into values
+    v, out = np.empty(n_sorted), np.empty(n_sorted)
+    v[:] = problem.terminal.value_atoms(configs)
+    # every index is in range; any mode but "raise" lets take write to out unbuffered
+    np.take(v, full_to_sorted, out=flat[n_t], mode="wrap")
+    del configs
+    center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
+    del drift_fields
+    source = None if cost_sum is None else dt * cost_sum
+
+    nb = np.empty(table.shape)
+    ups, dns = nb[:N], nb[N : 2 * N]
+    tmp = np.empty(n_sorted)
+    finite = np.empty(n_sorted, dtype=bool)
     for k in range(n_t - 1, -1, -1):
-        v, out = values[k + 1], values[k]
-        halo[inner] = v
-        for end, src in faces:
-            halo[end] = halo[src]
+        np.take(v, table, out=nb, mode="wrap")
         np.multiply(center, v, out=out)
         for i in range(N):
             out += np.multiply(plus[i], ups[i], out=tmp)
@@ -275,14 +290,16 @@ def fd_solve(
                 np.square(tmp, out=tmp)
                 out += np.multiply(tmp, quad, out=tmp)
         if diag > 0:
-            out += np.multiply(np.add(diag_up, diag_dn, out=tmp), diag, out=tmp)
+            out += np.multiply(np.add(nb[2 * N], nb[2 * N + 1], out=tmp), diag, out=tmp)
         if source is not None:
             out += source
         if not np.isfinite(out, out=finite).all():
             raise DivergenceError(f"non-finite values at time step {k}")
+        np.take(out, full_to_sorted, out=flat[k], mode="wrap")
+        v, out = out, v
     log.debug(
-        "fd solve: N %d, mesh %d, n_t %d (stability needs %d), upwind %s, %.3f s",
-        N, mesh, n_t, n_req, upwind, time.perf_counter() - start,
+        "fd solve: N %d, mesh %d, n_t %d (stability needs %d), %d of %d nodes, upwind %s, %.3f s",
+        N, mesh, n_t, n_req, n_sorted, mesh**N, upwind, time.perf_counter() - start,
     )
     return GridValueFunction(N, mesh, n_t, problem.T, values)
 
@@ -336,21 +353,31 @@ class LipschitzReport:
 
 def lipschitz_probe(vn: GridValueFunction, n_pairs: int = 200, seed: int = 0) -> LipschitzReport:
     dx = vn.dx
+    m = vn.mesh
     slice_ids = sorted(set(np.linspace(0, vn.n_t, 17).astype(int)))
+    diff = np.empty((m,) * vn.N)
+
+    def at(j):
+        return slice(j % m, j % m + 1)
+
     grad_max = 0.0
     for k in slice_ids:
-        v = vn.values[k]
         for i in range(vn.N):
-            g = np.abs(np.roll(v, -1, axis=i) - np.roll(v, 1, axis=i)) / (2.0 * dx)
-            grad_max = max(grad_max, vn.N * float(np.max(g)))
+            # v(+e_i) - v(-e_i) on the periodic lattice, from slices along axis i
+            u, d = np.moveaxis(vn.values[k], i, 0), np.moveaxis(diff, i, 0)
+            np.subtract(u[2:], u[:-2], out=d[1:-1])
+            np.subtract(u[at(1)], u[at(-1)], out=d[at(0)])
+            np.subtract(u[at(0)], u[at(-2)], out=d[at(-1)])
+            g = np.max(np.abs(diff, out=diff)) / (2.0 * dx)
+            grad_max = max(grad_max, vn.N * float(g))
 
     hoelder = 0.0
     for ka in slice_ids:
         for kb in slice_ids:
             if kb > ka:
                 gap = (kb - ka) * vn.dt
-                diff = float(np.max(np.abs(vn.values[kb] - vn.values[ka])))
-                hoelder = max(hoelder, diff / np.sqrt(gap))
+                np.subtract(vn.values[kb], vn.values[ka], out=diff)
+                hoelder = max(hoelder, float(np.max(np.abs(diff, out=diff))) / np.sqrt(gap))
 
     rng = seeded_generator(seed)
     w1_lip = 0.0

@@ -187,44 +187,67 @@ class GridDensity:
 Measure = EmpiricalMeasure | GridDensity
 
 
+def _upper_phase_table(points: np.ndarray, ctx: TorusContext) -> np.ndarray:
+    """exp(-i l.x) for the upper half ``ctx.modes[n_modes // 2:]`` of the
+    modes (mode 0 first) and every point x of an (n, d) array.
+
+    One complex exponential per point and coordinate: the powers z^l of
+    z = exp(-i x_c), l = 1..L, come by repeated multiplication, and a mode of
+    d > 1 is the product of its coordinates' powers, a negative power being
+    the conjugate of the positive one.  For d = 1 the upper half is the
+    powers themselves.
+    """
+    L = ctx.trunc
+    # powers[c, l, j] = z_jc^l, l = 0..L, each row contiguous
+    powers = np.empty((ctx.d, L + 1, points.shape[0]), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1] = np.exp(-1j * points.T)
+    for row in range(2, L + 1):
+        np.multiply(powers[:, row - 1], powers[:, 1], out=powers[:, row])
+    if ctx.d == 1:
+        return powers[0]
+    # signed[c, L + l] = z^l for l = -L..L
+    signed = np.concatenate((powers[:, :0:-1].conj(), powers), axis=1)
+    index = ctx.modes[ctx.modes.shape[0] // 2 :].astype(np.intp) + L
+    table = signed[0, index[:, 0]]
+    for c in range(1, ctx.d):
+        table *= signed[c, index[:, c]]
+    return table
+
+
+def _mirror(upper: np.ndarray) -> np.ndarray:
+    """Rows for every mode, in ``ctx.modes`` order, from the rows of the
+    upper half.
+
+    ``modes[::-1] == -modes``, and the row of -l is the conjugate of the row
+    of l, exactly: conjugation commutes with every product and mean taken.
+    """
+    return np.concatenate((upper[:0:-1].conj(), upper))
+
+
 def phase_table(points, ctx: TorusContext) -> np.ndarray:
     """exp(-i l.x) for every retained mode l (rows, in ``ctx.modes`` order)
     and every point x of an (n, d) array (columns).
 
-    One complex exponential per point and coordinate: the powers z^l of
-    z = exp(-i x_c), l = 1..L, come by repeated multiplication, the negative
-    modes as their conjugates, and a mode of d > 1 is the product of its
-    coordinates' powers.  Each power carries at most about l roundings, so
-    the table agrees with ``np.exp(-1j * modes @ x.T)`` to a few times L ulp.
+    Each power carries at most about l roundings, so the table agrees with
+    ``np.exp(-1j * modes @ x.T)`` to a few times L ulp.
     """
-    pts = np.asarray(points, dtype=float)
-    L = ctx.trunc
-    # powers[c, L + l, j] = z_jc^l, each row contiguous
-    powers = np.empty((ctx.d, 2 * L + 1, pts.shape[0]), dtype=complex)
-    powers[:, L] = 1.0
-    powers[:, L + 1] = np.exp(-1j * pts.T)
-    for row in range(L + 2, 2 * L + 1):
-        np.multiply(powers[:, row - 1], powers[:, L + 1], out=powers[:, row])
-    np.conjugate(powers[:, : L : -1], out=powers[:, :L])
-    index = ctx.modes.astype(np.intp) + L
-    table = powers[0, index[:, 0]]
-    for c in range(1, ctx.d):
-        table *= powers[c, index[:, c]]
-    return table
+    return _mirror(_upper_phase_table(np.asarray(points, dtype=float), ctx))
 
 
 def fourier_coefficients(mu: Measure, ctx: TorusContext) -> FourierVector:
     """Truncated Fourier coefficients F_l(mu), |l|_inf <= ctx.trunc.
 
-    Empirical measures are summed exactly; grid densities use the rectangle
-    rule, which is spectrally accurate for smooth periodic densities.  Both
-    read their phases off ``phase_table``.
+    Empirical measures are summed exactly: the mean over atoms of the upper
+    half of the phase table, mirrored, which is bit for bit the mean of the
+    whole table.  Grid densities use the rectangle rule, which is spectrally
+    accurate for smooth periodic densities.
     """
     norm = (TWO_PI) ** (-ctx.d / 2.0)
     if isinstance(mu, EmpiricalMeasure):
         if mu.d != ctx.d:
             raise InputDomainError("measure dimension does not match context")
-        coeffs = norm * phase_table(mu.atoms, ctx).mean(axis=1)
+        coeffs = norm * _mirror(_upper_phase_table(mu.atoms, ctx).mean(axis=1))
     elif isinstance(mu, GridDensity):
         if ctx.d != 1:
             raise InputDomainError("grid densities are d=1 only")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mfrl.errors import ConfigurationError, InputDomainError
 from mfrl.fd import extend_value, fd_solve, required_time_steps
 from mfrl.metric import MetricOrder, rho_sq
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext
+from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, circle_arc
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
@@ -258,3 +260,81 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
     mu = EmpiricalMeasure((idx * vn.dx)[:, None])
     flat = _config_rho_sq(vn, mu, CTX)
     assert flat[np.ravel_multi_index(tuple(idx), (16,) * n)] == 0.0
+
+
+def roll_inf_convolve(vn, target, cfg):
+    """inf_convolve with its time envelope written out per time node: the
+    slice blended into a fresh array, corners by np.roll, masked updates."""
+    t, z, mu = target
+    inv = 1.0 / (2.0 * cfg.epsilon)
+    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)
+    n_cfg, mesh, refine = rho_pen.size, vn.mesh, cfg.shift_refine
+    w_vals = np.arange(mesh * refine) * (vn.dx / refine)
+    z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)
+    corners = list(itertools.product((0, 1), repeat=vn.N))
+    fracs = (np.arange(refine) * (1.0 / refine))[:, None]
+    corner_w = np.empty((refine, len(corners)))
+    for ci, e in enumerate(corners):
+        corner_w[:, ci : ci + 1] = fracs ** sum(e) * (1.0 - fracs) ** (vn.N - sum(e))
+    envelope = np.full((refine, n_cfg), np.inf)
+    env_s = np.zeros((refine, n_cfg))
+    for s in convolution._time_window(vn, t, inv, cfg.n_time):
+        pos = np.clip(s, 0.0, vn.T) / vn.dt
+        k = min(int(pos), vn.n_t - 1)
+        grid = (1.0 - (pos - k)) * vn.values[k] + (pos - k) * vn.values[k + 1]
+        stack = np.empty((len(corners), n_cfg))
+        for ci, e in enumerate(corners):
+            arr = grid
+            for axis in range(vn.N):
+                if e[axis]:
+                    arr = np.roll(arr, -1, axis=axis)
+            stack[ci] = arr.reshape(-1)
+        cand = corner_w @ stack + inv * (t - s) ** 2
+        better = cand < envelope
+        envelope[better] = cand[better]
+        env_s[better] = s
+    shape = (mesh,) * vn.N
+    best, best_key = np.inf, (0, 0, 0)
+    for q in range(mesh):
+        rolled = envelope.reshape((refine,) + shape)
+        for axis in range(vn.N):
+            rolled = np.roll(rolled, -q, axis=1 + axis)
+        flat = (rolled.reshape(refine, n_cfg) + z_pen[q][:, None] + inv * rho_pen).reshape(-1)
+        k = int(np.argmin(flat))
+        if flat[k] < best:
+            best, best_key = float(flat[k]), (q, *divmod(k, n_cfg))
+    q0, f_idx, c_idx = best_key
+    w0 = float(w_vals[q0 * refine + f_idx])
+    idx = np.unravel_index(c_idx, shape)
+    y_flat = int(np.ravel_multi_index(tuple((i + q0) % mesh for i in idx), shape))
+    s0 = float(env_s[f_idx, y_flat])
+    rec = ArgminRecord(
+        s0, w0, np.array(idx, dtype=float) * vn.dx, abs(t - s0),
+        float(circle_arc(z - w0)), float(np.sqrt(max(rho_pen[c_idx], 0.0))),
+    )
+    return best, rec
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_in_place_envelope_matches_the_roll_scan_on_criterion_7_targets(eps):
+    vn = pinned()
+    cfg = ConvolutionConfig(epsilon=eps, n_time=201, shift_refine=16)
+    for ti, xi in ((10, 5), (22, 20), (34, 41), (46, 58)):
+        t, x = ti / 64.0 * vn.T, xi * vn.dx
+        target = (t, x, EmpiricalMeasure(np.array([[x]])))
+        assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))
+
+
+def test_in_place_envelope_matches_the_roll_scan_for_two_particles():
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.4], [0.2]), cost_kernel=TrigPoly(0.1, [0.0, 0.3])
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
+    prob = ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
+    vn = fd_solve(prob, 2, 12, required_time_steps(prob, 2, 12))
+    for eps, n_time in ((0.1, vn.n_t + 1), (0.01, 33)):
+        cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=4)
+        for k, idx, z in ((0, (3, 7), 0.0), (vn.n_t // 2, (11, 0), 0.3), (vn.n_t, (5, 5), 2.0)):
+            atoms = EmpiricalMeasure((np.array(idx) * vn.dx)[:, None])
+            target = (float(vn.times[k]), z, atoms)
+            assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))

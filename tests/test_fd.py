@@ -1,3 +1,4 @@
+import itertools
 import logging
 import struct
 
@@ -289,6 +290,36 @@ def test_fused_step_matches_roll_stencil_quadratic():
     assert np.max(np.abs(got - ref)) < 1e-12
     # the quadratic term is not negligible in the comparison
     assert np.max(np.abs(ref - roll_solve(problem(0.0), 2, 12, n_t, upwind=False))) > 1e-3
+
+
+def test_sorted_solve_matches_roll_stencil_across_the_diagonal_seam():
+    # at N = 4, mesh 6 most diagonal neighbours wrap: (1, 2, 4, 5) + 1 is (2, 3, 5, 0)
+    prob = linear_problem(a=0.5)
+    n_t = required_time_steps(prob, 4, 6)
+    got = fd_solve(prob, 4, 6, n_t).values
+    assert np.max(np.abs(got - roll_solve(prob, 4, 6, n_t, upwind=False))) < 1e-12
+
+
+def test_sorted_solve_is_exactly_symmetric():
+    values = solve(linear_problem(a=0.5), 3, 10).values
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(values, values.transpose((0,) + tuple(1 + p for p in perm)))
+
+
+def test_lipschitz_probe_matches_roll_differences():
+    vn = solve(linear_problem(a=0.5), 2, 12)
+    ids = sorted(set(np.linspace(0, vn.n_t, 17).astype(int)))
+    grad = hoelder = 0.0
+    for k in ids:
+        for i in range(2):
+            g = np.abs(np.roll(vn.values[k], -1, axis=i) - np.roll(vn.values[k], 1, axis=i))
+            grad = max(grad, 2 * float(np.max(g / (2.0 * vn.dx))))
+        for kb in ids:
+            if kb > k:
+                diff = float(np.max(np.abs(vn.values[kb] - vn.values[k])))
+                hoelder = max(hoelder, diff / np.sqrt((kb - k) * vn.dt))
+    rep = lipschitz_probe(vn)
+    assert (rep.max_scaled_gradient, rep.time_hoelder) == (grad, hoelder)
 
 
 

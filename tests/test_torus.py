@@ -19,6 +19,7 @@ from mfrl.torus import (
     fourier_coefficients,
     measure_from_json,
     measure_to_json,
+    phase_table,
     sample_iid,
     w1_circle,
     w1_circle_density,
@@ -122,6 +123,24 @@ def test_fourier_coefficients_match_direct_exponential_sum(d, n, trunc):
     direct = TWO_PI ** (-d / 2) * np.exp(-1j * (ctx.modes @ atoms.T)).mean(axis=1)
     got = fourier_coefficients(EmpiricalMeasure(atoms), ctx).coeffs
     assert np.max(np.abs(got - direct)) < 1e-13
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (1, 3), (1, 1024), (2, 1), (2, 7), (2, 200)])
+def test_fourier_coefficients_equal_the_mean_of_the_phase_table(d, n):
+    ctx = TorusContext(d, 64 if d == 1 else 12)
+    atoms = np.random.default_rng(n).uniform(0.0, TWO_PI, (n, d))
+    full = TWO_PI ** (-d / 2) * phase_table(atoms, ctx).mean(axis=1)
+    got = fourier_coefficients(EmpiricalMeasure(atoms), ctx).coeffs
+    assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+
+def test_phase_table_rows_of_opposite_modes_are_conjugate():
+    ctx = TorusContext(2, 6)
+    assert np.array_equal(ctx.modes[::-1], -ctx.modes)
+    pts = np.random.default_rng(5).uniform(0.0, TWO_PI, (9, 2))
+    table = phase_table(pts, ctx)
+    assert np.array_equal(table[::-1], table.conj())
+    assert np.max(np.abs(table - np.exp(-1j * (ctx.modes @ pts.T)))) < 1e-13
 
 
 def test_grid_fourier_coefficients_match_direct_exponential_sum():
