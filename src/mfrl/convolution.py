@@ -12,11 +12,16 @@ grid solution.  The scan exploits that shifting every particle by a mesh
 multiple is an index roll of the value array, so only the fractional part of
 the shift needs multilinear corner weights.
 
-Only time nodes inside an exact window are scanned.  Every blended value
-v(s, y) is a convex combination of stored values, so it lies in
-[min v, max v]; a node s with
+Only time nodes inside an exact window are scanned.  A blended value v(s, y)
+weighs the same lattice nodes c with the same corner weights at every s, and
+at each node blends two stored slices in time, so v(s, y) and v(s', y) differ
+by at most the largest temporal oscillation at one node,
 
-    |t - s|^2 / (2 eps) > min_s' |t - s'|^2 / (2 eps) + (max v - min v) + margin
+    osc = max_c (max_k v_k[c] - min_k v_k[c]).
+
+A node s with
+
+    |t - s|^2 / (2 eps) > min_s' |t - s'|^2 / (2 eps) + osc + margin
 
 is beaten at every y by the node nearest t and can never hold a minimum.  The
 margin, 1e-12 (1 + max|v| + largest time penalty), covers the rounding of the
@@ -105,9 +110,11 @@ def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np
     """
     s_vals = np.linspace(0.0, vn.T, n_time)
     t_pen = inv * (t - s_vals) ** 2
-    v_lo, v_hi = float(vn.values.min()), float(vn.values.max())
-    margin = 1e-12 * (1.0 + max(abs(v_lo), abs(v_hi)) + float(t_pen.max()))
-    return s_vals[~(t_pen > t_pen.min() + (v_hi - v_lo) + margin)]
+    v_lo, v_hi = vn.values.min(axis=0), vn.values.max(axis=0)
+    osc = float((v_hi - v_lo).max())
+    v_abs = max(abs(float(v_lo.min())), abs(float(v_hi.max())))
+    margin = 1e-12 * (1.0 + v_abs + float(t_pen.max()))
+    return s_vals[~(t_pen > t_pen.min() + osc + margin)]
 
 
 def inf_convolve(
@@ -181,15 +188,20 @@ def inf_convolve(
         np.copyto(envelope, cand, where=better)
         np.copyto(env_s, s, where=better)
 
+    # w = (q + f/refine) dx shifts the lattice part by q on every axis: the
+    # envelope rolled by -q is the view at offset q of the envelope doubled
+    # along each lattice axis
+    doubled = np.tile(envelope.reshape((refine,) + shape), (1,) + (2,) * vn.N)
+    col = (refine,) + (1,) * vn.N
+    rho_term = (inv * rho_pen).reshape(shape)
+    obj = np.empty((refine,) + shape)
+    flat = obj.reshape(-1)
     best = np.inf
     best_key = (0, 0, 0)
     for q in range(mesh):
-        # w = (q + f/refine) dx shifts the lattice part by q on every axis
-        rolled = envelope.reshape((refine,) + shape)
-        for axis in range(vn.N):
-            rolled = np.roll(rolled, -q, axis=1 + axis)
-        obj = rolled.reshape(refine, n_cfg) + z_pen[q][:, None] + inv * rho_pen
-        flat = obj.reshape(-1)
+        rolled = doubled[(slice(None),) + (slice(q, q + mesh),) * vn.N]
+        np.add(rolled, z_pen[q].reshape(col), out=obj)
+        obj += rho_term
         k = int(np.argmin(flat))
         if flat[k] < best:
             best = float(flat[k])

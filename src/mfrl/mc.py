@@ -13,6 +13,17 @@ with independent per-particle noises W^i and one common noise B shared by all
 particles of a path.  This generator reproduces the Laplacian sum plus the
 common-noise cross term of the grid equation exactly; the only biases are the
 Euler-Maruyama step and the sampling error reported as a standard error.
+
+The drift and running-cost fields are evaluated on a float32 copy of the
+positions, where numpy's sin and cos are vectorized and 10-40x cheaper than in
+float64, and so is the mean of the running-cost field over a path's particles.
+Positions, noise, increments, the running-cost sum and G stay float64.
+The cast moves a position x by at most |x| 2^-24, and positions stay O(10)
+over a horizon, so harmonic k moves by about k |x| 2^-23 and the field of a
+kernel with coefficients (a_k, b_k) by about 1.2e-6 sum_k k (|a_k| + |b_k|)
+at |x| = 10.  On the test problems the path values stay within 1e-8 of the
+float64 step on the same noise, far below their standard errors (5e-3 and up
+at 400 paths).
 """
 
 from __future__ import annotations
@@ -189,13 +200,17 @@ def mc_path_values(
     noise = np.empty_like(rows)
     common = np.empty((rows.shape[0], 1)) if sig_b else None
     cost_mean = np.empty(rows.shape[0])
+    rows32 = np.empty(rows.shape, dtype=np.float32)
     chunks = _row_chunks(rows.shape[0], n_particles)
 
     def fields(part, with_drift):
+        # the fields are evaluated on a float32 copy of the positions (see
+        # the module docstring); the products with dt are float64
+        rows32[part] = rows[part]
         if with_drift and drift is not None:
-            np.multiply(mean_field_eval(drift, rows[part]), dt, out=incr[part])
+            np.multiply(mean_field_eval(drift, rows32[part]), dt, out=incr[part], dtype=float)
         if cost is not None:
-            cost_mean[part] = mean_field_eval(cost, rows[part]).mean(axis=-1)
+            cost_mean[part] = mean_field_eval(cost, rows32[part]).mean(axis=-1)
 
     def start_fields(with_drift):
         if len(chunks) == 1:

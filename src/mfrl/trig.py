@@ -101,10 +101,14 @@ ZERO_POLY = TrigPoly()
 def harmonics(x, deg: int) -> tuple[np.ndarray, np.ndarray]:
     """The harmonic table (cos(k x), sin(k x)), k = 1..deg, of the points x.
 
-    Each array has shape (deg,) + x.shape; row k - 1 holds harmonic k.
+    Each array has shape (deg,) + x.shape; row k - 1 holds harmonic k.  The
+    table is float32 for float32 points, where numpy's sin and cos are
+    vectorized and 10-40x cheaper, and float64 for any other input.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.empty((deg,) + x.shape)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(float, copy=False)
+    c = np.empty((deg,) + x.shape, dtype=x.dtype)
     s = np.empty_like(c)
     for k in range(1, deg + 1):
         ck, sk = c[k - 1, ...], s[k - 1, ...]
@@ -122,16 +126,19 @@ def convolve(poly: TrigPoly, cm, sm, c: np.ndarray, s: np.ndarray) -> np.ndarray
     or scalars meaning the same moments for every k.  The moments broadcast
     against the table rows, which already have the shape of the result;
     rows past the degree of ``poly`` are ignored.  The table is overwritten
-    and the result is stored in its first row.
+    and the result is stored in its first row, in the table's dtype: the
+    coefficients are cast to it, so a float32 table is never up-cast.
     """
     deg = poly.degree
     c, s = c[:deg], s[:deg]
+    const = c.dtype.type(poly.const)
     if deg == 0:
-        return np.full(c.shape[1:], poly.const)
+        return np.full(c.shape[1:], const)
     if np.ndim(cm):
         cm, sm = cm[:deg], sm[:deg]
     col = (deg,) + (1,) * (c.ndim - 1)
-    a, b = poly.cos_coeffs.reshape(col), poly.sin_coeffs.reshape(col)
+    a = poly.cos_coeffs.astype(c.dtype, copy=False).reshape(col)
+    b = poly.sin_coeffs.astype(c.dtype, copy=False).reshape(col)
     c_weight = a * cm - b * sm
     s_weight = a * sm + b * cm
     # in place, and each harmonic's two terms are added before it joins the
@@ -140,7 +147,7 @@ def convolve(poly: TrigPoly, cm, sm, c: np.ndarray, s: np.ndarray) -> np.ndarray
     s *= s_weight
     c += s
     out = c[0, ...]
-    out += poly.const
+    out += const
     for k in range(1, deg):
         out += c[k]
     return out
@@ -168,8 +175,10 @@ def trig_moments(mu: Measure, deg: int) -> tuple[np.ndarray, np.ndarray]:
 def mean_field_eval(poly: TrigPoly, x: np.ndarray) -> np.ndarray:
     """(1/N) sum_j K(x_i - x_j) for configurations stacked on the last axis.
 
-    ``x`` has shape (..., N); the result has the same shape.  The self term
-    j = i is included, matching b(x^i, mu^x) with mu^x containing atom i.
+    ``x`` has shape (..., N); the result has the same shape and, like the
+    harmonic table, is float32 for float32 ``x`` and float64 otherwise.  The
+    self term j = i is included, matching b(x^i, mu^x) with mu^x containing
+    atom i.
     """
     c, s = harmonics(x, poly.degree)
     cm = c.mean(axis=-1, keepdims=True)

@@ -212,6 +212,24 @@ def test_time_window_keeps_the_scan_bit_identical_on_criterion_7_targets(monkeyp
         assert convolution._time_window(vn, t, inv, cfg.n_time).size < cfg.n_time
 
 
+def test_time_window_is_narrower_than_the_global_value_range_on_criterion_7_targets():
+    # the window bounds v(s, y) - v(s', y) by the largest oscillation in time
+    # at one lattice node, not by the range of v over all nodes and times
+    vn = pinned()
+    osc = np.max(np.ptp(vn.values, axis=0))
+    assert osc < 0.25 * np.ptp(vn.values)
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        inv = 1.0 / (2.0 * eps)
+        for ti in (10, 22, 34, 46):
+            t = ti / 64.0 * vn.T
+            s_vals = np.linspace(0.0, vn.T, 2001)
+            t_pen = inv * (t - s_vals) ** 2
+            margin = 1e-12 * (1.0 + np.max(np.abs(vn.values)) + t_pen.max())
+            wide = s_vals[~(t_pen > t_pen.min() + np.ptp(vn.values) + margin)]
+            window = convolution._time_window(vn, t, inv, 2001)
+            assert np.all(np.isin(window, wide)) and window.size < wide.size
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_time_window_keeps_the_scan_bit_identical_for_two_particles(monkeypatch, eps):
     ham = HamiltonianSpec(

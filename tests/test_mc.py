@@ -11,7 +11,7 @@ from mfrl.fd import fd_solve, required_time_steps
 from mfrl.mc import McEstimate, hat_v, mc_path_values, mc_solve_linear, resample_tuples
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly
+from mfrl.trig import TrigPoly, mean_field_eval
 
 CTX = TorusContext(1, 64)
 
@@ -22,14 +22,21 @@ def null_problem(a=0.0, T=1.0):
     )
 
 
-def linear_problem():
+def linear_problem(a=0.25):
     ham = HamiltonianSpec(
         "linear",
         drift_kernel=TrigPoly(0.0, [0.4], [0.2]),
         cost_kernel=TrigPoly(0.1, [0.0, 0.3]),
     )
     term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
-    return ProblemSpec(ham, term, a=0.25, T=0.5, ctx=CTX)
+    return ProblemSpec(ham, term, a=a, T=0.5, ctx=CTX)
+
+
+def interaction_problem(a):
+    """Criterion 8's problem: a sin interaction drift and no running cost."""
+    ham = HamiltonianSpec("linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]))
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
+    return ProblemSpec(ham, term, a=a, T=0.5, ctx=CTX)
 
 
 def test_constant_terminal_zero_variance():
@@ -107,19 +114,28 @@ def test_hat_v_constant_accessor():
 
 
 def _field(poly, x):
-    """(1/N) sum_j K(x_i - x_j), one temporary per operation."""
+    """(1/N) sum_j K(x_i - x_j) in the dtype of x, one temporary per operation."""
     out = np.full_like(x, poly.const)
-    for k in range(1, poly.degree + 1):
+    coeffs = zip(poly.cos_coeffs.astype(x.dtype), poly.sin_coeffs.astype(x.dtype))
+    for k, (a, b) in enumerate(coeffs, start=1):
         ck, sk = np.cos(k * x), np.sin(k * x)
         cm = ck.mean(axis=-1, keepdims=True)
         sm = sk.mean(axis=-1, keepdims=True)
-        a, b = poly.cos_coeffs[k - 1], poly.sin_coeffs[k - 1]
         out += ck * (a * cm - b * sm) + sk * (a * sm + b * cm)
     return out
 
 
-def _serial_paths(problem, starts, t, n_paths, n_steps, seed):
-    """The Euler-Maruyama step loop on one thread, all paths at once."""
+def _serial_paths(problem, starts, t, n_paths, n_steps, seed, field_dtype=np.float32):
+    """The Euler-Maruyama step loop on one thread, all paths at once.
+
+    The fields are evaluated on the positions cast to ``field_dtype``: float32
+    is the estimator of ``mc_path_values``, float64 the step it approximates.
+    Everything else is float64.
+    """
+
+    def field(poly, x):
+        return _field(poly, x.astype(field_dtype))
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     m_batch, n_particles = starts.shape
     x = np.broadcast_to(starts[:, None, :], (m_batch, n_paths, n_particles)).copy()
@@ -131,13 +147,14 @@ def _serial_paths(problem, starts, t, n_paths, n_steps, seed):
     sig_b = sqrt(2.0 * problem.a * dt)
     for step in range(n_steps):
         weight = 0.5 if step == 0 else 1.0
-        running += weight * dt * _field(cost, x).mean(axis=-1)
+        running += weight * dt * field(cost, x).mean(axis=-1).astype(float)
         incr = np.zeros_like(x)
-        incr += dt * _field(drift, x)
+        incr += dt * field(drift, x).astype(float)
         incr += sig_w * rng.standard_normal(x.shape)
-        incr += sig_b * rng.standard_normal((m_batch, n_paths, 1))
+        if sig_b:
+            incr += sig_b * rng.standard_normal((m_batch, n_paths, 1))
         x += incr
-    running += 0.5 * dt * _field(cost, x).mean(axis=-1)
+    running += 0.5 * dt * field(cost, x).mean(axis=-1).astype(float)
     return running + problem.terminal.value_atoms(x)
 
 
@@ -162,6 +179,32 @@ def test_paths_bit_identical_to_serial_loop(shape, cpus, monkeypatch):
     got = mc_path_values(prob, starts, 0.1, n_paths, 12, seed=21)
     want = _serial_paths(prob, starts, 0.1, n_paths, 12, seed=21)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_particles", [4, 32])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("make_problem", [interaction_problem, linear_problem])
+def test_paths_track_the_float64_step(make_problem, a, n_particles):
+    prob = make_problem(a)
+    starts = np.random.default_rng(17).uniform(0.0, TWO_PI, (2, n_particles))
+    got = mc_path_values(prob, starts, 0.0, 400, 60, seed=13)
+    want = _serial_paths(prob, starts, 0.0, 400, 60, 13, field_dtype=np.float64)
+    assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_mean_field_eval_keeps_float32_and_float64_apart():
+    kernel = TrigPoly(0.1, [0.2, 0.5], [0.3, -0.4])
+    x = np.random.default_rng(8).uniform(0.0, TWO_PI, (4, 7))
+    out = mean_field_eval(kernel, x)
+    out32 = mean_field_eval(kernel, x.astype(np.float32))
+    assert out.dtype == np.float64 and out32.dtype == np.float32
+    assert np.array_equal(out, _field(kernel, x))
+    assert np.array_equal(out32, _field(kernel, x.astype(np.float32)))
+    # the pairwise sum (1/N) sum_j K(x_i - x_j) of test_trig.py
+    direct = np.array([[np.mean(kernel(xi - row)) for xi in row] for row in x])
+    assert np.max(np.abs(out - direct)) <= 1e-12
+    assert np.max(np.abs(out32 - direct)) <= 1e-6
+    assert mean_field_eval(TrigPoly(0.5), x.astype(np.float32)).dtype == np.float32
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -140,8 +140,9 @@ def test_common_noise_sweep_runs_one_flow_without_noise(monkeypatch):
 
 def test_noise_free_report_is_byte_identical_to_recorded():
     # the benchmark's rate_meanfield plan at seed 1; the recorded report was
-    # made before the flow's drift step lost its np.roll calls and before the
-    # reference took a common-noise variance (numpy 2.4.6, x86-64 AVX-512)
+    # made with the Monte Carlo fields evaluated in float32, so it pins
+    # numpy's vectorized float32 sin and cos as well as the float64 code
+    # (numpy 2.4.6, x86-64 AVX-512)
     ham = HamiltonianSpec(
         "linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]), cost_kernel=TrigPoly()
     )
