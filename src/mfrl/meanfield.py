@@ -5,10 +5,18 @@ For linear-in-p problems without common noise the mean-field value function is
     v(t, mu) = int_t^T <f(., mu_s), mu_s> ds + G(mu_T),
 
 where mu_s solves the Fokker-Planck equation d_s mu = d_xx mu - d_x(b(., mu) mu)
-started from mu at time t.  The flow is discretized with a conservative upwind
-drift flux and backward-Euler diffusion, so mass is preserved to rounding.  The
-backward-Euler matrix is circulant: its rfft symbol is computed once per flow,
-and each step's solve is ``irfft(rfft(rho) / symbol)``.
+started from mu at time t.  Space is discretized on a uniform periodic grid:
+the periodic second difference for d_xx and a conservative upwind flux for the
+drift.  Time is Strang split, second order: each step is an exact half-step
+of the second difference, one Heun (SSP-RK2) step of the upwind drift, and
+another exact half-step.  The second difference is circulant, so its
+semigroup is diagonal in the rfft: mode l decays by
+exp(-s (2 sin(pi l / m) / dx)^2), and a half-step is one ``solve_circulant``
+with the reciprocal symbol, computed once per flow.  Both parts keep mass
+(mode 0 is untouched) and positivity: e^{s Delta_h} is a positive operator,
+and under the CFL bound the Heun step is a convex combination of upwind Euler
+steps.  The step count is therefore set by the drift's CFL bound alone, with
+a small floor (``MIN_FLOW_STEPS``) for the running-cost quadrature.
 
 Drift, running cost and G do not depend on time, so v(t_i, mu) for every time
 of a sweep is read off one flow started at mu: at the step where the elapsed
@@ -34,11 +42,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, InputDomainError
+from .errors import ConsistencyError, InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
 from .torus import TWO_PI, EmpiricalMeasure, GridDensity
 from .trig import convolve, density_moments, harmonics
@@ -46,7 +55,34 @@ from .trig import convolve, density_moments, harmonics
 #: mass drift tolerated per unit time by the conservative flow
 MASS_TOLERANCE = 1e-10
 
+#: least step count of a default flow, whatever the drift: with the diffusion
+#: exact, it bounds the trapezoid error of the running-cost integral
+MIN_FLOW_STEPS = 64
+
+#: hard cap on the bytes of the (mesh, n_cols) float64 arrays one flow holds
+FLOW_BYTES_BUDGET = 1 << 30
+
+#: (mesh, n_cols) float64 arrays alive at once in a flow, besides the two per
+#: drift harmonic: the caller's batch and its copy, five drift-step buffers,
+#: the spectral half-step's transform and result, the previous state, the
+#: clipped copy an observer takes, and one spare for the FFT's own temporaries
+_FLOW_BUFFERS = 12
+
+#: cap on the exponent of a half-step's symbol: exp(700) is finite, and a mode
+#: divided by it is gone to rounding as surely as by any larger factor
+_MAX_EXPONENT = 700.0
+
 log = logging.getLogger(__name__)
+
+
+def check_flow_budget(problem: ProblemSpec, mesh: int, n_cols: int) -> None:
+    """Refuse a flow of ``n_cols`` densities on ``mesh`` nodes beyond the budget."""
+    need = mesh * n_cols * 8 * (_FLOW_BUFFERS + 2 * problem.hamiltonian.drift_kernel.degree)
+    if need > FLOW_BYTES_BUDGET:
+        raise ResourceBudgetError(
+            f"Fokker-Planck flow of {n_cols} densities on {mesh} nodes needs "
+            f"{need} bytes, over the budget of {FLOW_BYTES_BUDGET}"
+        )
 
 
 def deposit_empirical(mu: EmpiricalMeasure, m: int) -> GridDensity:
@@ -70,9 +106,22 @@ def solve_circulant(symbol: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     ``symbol`` is the rfft of C's first column and ``rho`` has shape (m, n_cols).
     """
-    return np.fft.irfft(
-        np.fft.rfft(rho, axis=0) / symbol[:, None], n=rho.shape[0], axis=0
-    )
+    spectrum = np.fft.rfft(rho, axis=0)
+    spectrum /= symbol[:, None]
+    return np.fft.irfft(spectrum, n=rho.shape[0], axis=0)
+
+
+def heat_symbol(m: int, s: float) -> np.ndarray:
+    """rfft symbol whose ``solve_circulant`` is e^{s Delta_h} on m periodic nodes.
+
+    Mode l of the periodic second difference has eigenvalue
+    -(2 sin(pi l / m) / dx)^2, so the symbol is the reciprocal decay
+    exp(s (2 sin(pi l / m) / dx)^2), its exponent capped so that it cannot
+    overflow.  Mode 0 has symbol exactly 1.
+    """
+    dx = TWO_PI / m
+    rate = (2.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) / dx) ** 2
+    return np.exp(np.minimum(s * rate, _MAX_EXPONENT))
 
 
 def fokker_planck_flow_batch(
@@ -85,10 +134,11 @@ def fokker_planck_flow_batch(
     """Evolve a batch of densities from time t to the horizon.
 
     ``rho0`` has shape (m, n_cols), one initial density per column; returns
-    ``(rho_end, running_cost_integrals, max_mass_drift)``.  Each step applies
-    the explicit conservative upwind drift flux followed by a backward-Euler
-    diffusion solve with the circulant second-difference matrix (L-stable, so
-    delta-like initial data is damped rather than left oscillating).
+    ``(rho_end, running_cost_integrals, max_mass_drift)``.  Each of the n_t
+    steps is Strang split: an exact half-step of the periodic second
+    difference (``solve_circulant`` with ``heat_symbol``), one Heun step of
+    the conservative upwind drift flux, and a second exact half-step.  The
+    drift's CFL bound (``default_flow_steps``) keeps the Heun step positive.
 
     ``observe(step, rho, running)``, if given, sees the state after every step
     0..n_t: the densities (not yet clipped at 0) and the running cost integral
@@ -104,10 +154,11 @@ def fokker_planck_flow_batch(
         raise InputDomainError("start time is past the horizon")
     if n_t < 1:
         raise InputDomainError("n_t must be >= 1")
-    rho = np.array(rho0, dtype=float)
-    if rho.ndim != 2:
+    if np.ndim(rho0) != 2:
         raise InputDomainError("rho0 must have shape (m, n_cols)")
-    m, n_cols = rho.shape
+    m, n_cols = np.shape(rho0)
+    check_flow_budget(problem, m, n_cols)
+    rho = np.array(rho0, dtype=float)
     dx = TWO_PI / m
     running = np.zeros(n_cols)
     if horizon == 0.0:
@@ -120,59 +171,68 @@ def fokker_planck_flow_batch(
     cost = problem.hamiltonian.cost_kernel
     have_cost = not cost.is_zero
     have_drift = not drift.is_zero
-    r = ds / (dx * dx)
-    first_col = np.zeros(m)
-    first_col[0] = 1.0 + 2.0 * r
-    first_col[1] = -r
-    first_col[-1] = -r
-    symbol = np.fft.rfft(first_col)
+    half = heat_symbol(m, 0.5 * ds)
 
-    # node harmonics once per flow; each step takes the moments of its
+    # node harmonics once per flow; each drift stage takes the moments of its
     # columns from them and refills a per-column copy for the drift field
     cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
     cos_b = np.empty((drift.degree, m, n_cols))
     sin_b = np.empty_like(cos_b)
     # the drift step's buffers: the field at the faces j + 1/2, the upwind flux
-    # through them, its other half and then its divergence, and the moved density
-    face, flux, part, moved = (np.empty((m, n_cols)) for _ in range(4))
+    # through them, its other half and then its divergence, and the two Heun
+    # stages
+    face, flux, part, stage, moved = (np.empty((m, n_cols)) for _ in range(5))
 
-    def cost_rate(cm: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    def moments(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (cos_n @ rho) * dx, (sin_n @ rho) * dx
+
+    def cost_rate(rho: np.ndarray) -> np.ndarray:
         """<f(., mu), mu>: the field's table integrated against mu is mu's moments."""
         if not have_cost:
             return np.zeros(n_cols)
+        cm, sm = moments(rho)
         return convolve(cost, cm, sm, cm.copy(), sm.copy())
+
+    def upwind_euler(rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One explicit upwind step of the drift from rho, stored in out."""
+        cm, sm = moments(rho)
+        np.copyto(cos_b, cos_n[: drift.degree, :, None])
+        np.copyto(sin_b, sin_n[: drift.degree, :, None])
+        b = convolve(drift, cm[:, None, :], sm[:, None, :], cos_b, sin_b)
+        # periodic neighbours by shifted slices, in the operation order of
+        # 0.5 (b + b_next), max(face, 0) rho + min(face, 0) rho_next and
+        # rho - (ds/dx) (flux - flux_prev)
+        np.add(b[:-1], b[1:], out=face[:-1])
+        np.add(b[-1], b[0], out=face[-1])
+        np.multiply(face, 0.5, out=face)
+        np.maximum(face, 0.0, out=flux)
+        np.multiply(flux, rho, out=flux)
+        np.minimum(face, 0.0, out=part)
+        part[:-1] *= rho[1:]
+        part[-1] *= rho[0]
+        np.add(flux, part, out=flux)
+        np.subtract(flux[1:], flux[:-1], out=part[1:])
+        np.subtract(flux[0], flux[-1], out=part[0])
+        np.multiply(part, ds / dx, out=part)
+        return np.subtract(rho, part, out=out)
 
     max_drift = 0.0
     for step in range(n_t + 1):
-        cm, sm = (cos_n @ rho) * dx, (sin_n @ rho) * dx
-        rate = cost_rate(cm, sm)
+        rate = cost_rate(rho)
         if observe is not None:
             closed = running + 0.5 * ds * rate if step else np.zeros(n_cols)
             observe(step, rho, closed)
         if step == n_t:
             break
         running += (0.5 if step == 0 else 1.0) * ds * rate
+        rho = solve_circulant(half, rho)
         if have_drift:
-            np.copyto(cos_b, cos_n[: drift.degree, :, None])
-            np.copyto(sin_b, sin_n[: drift.degree, :, None])
-            b = convolve(drift, cm[:, None, :], sm[:, None, :], cos_b, sin_b)
-            # periodic neighbours by shifted slices, in the operation order of
-            # 0.5 (b + b_next), max(face, 0) rho + min(face, 0) rho_next and
-            # rho - (ds/dx) (flux - flux_prev)
-            np.add(b[:-1], b[1:], out=face[:-1])
-            np.add(b[-1], b[0], out=face[-1])
-            face *= 0.5
-            np.maximum(face, 0.0, out=flux)
-            flux *= rho
-            np.minimum(face, 0.0, out=part)
-            part[:-1] *= rho[1:]
-            part[-1] *= rho[0]
-            flux += part
-            np.subtract(flux[1:], flux[:-1], out=part[1:])
-            np.subtract(flux[0], flux[-1], out=part[0])
-            part *= ds / dx
-            rho = np.subtract(rho, part, out=moved)
-        rho = solve_circulant(symbol, rho)
+            # Heun: the mean of rho and two Euler steps from it, in place on
+            # the half-step's fresh result
+            upwind_euler(upwind_euler(rho, stage), moved)
+            rho += moved
+            rho *= 0.5
+        rho = solve_circulant(half, rho)
         drift_err = float(np.max(np.abs(np.sum(rho, axis=0) * dx - 1.0)))
         max_drift = max(max_drift, drift_err)
     running += 0.5 * ds * rate
@@ -183,31 +243,38 @@ def fokker_planck_flow_batch(
     return np.maximum(rho, 0.0), running, max_drift
 
 
-def default_flow_steps(problem: ProblemSpec, mesh: int) -> int:
-    """Step count keeping the explicit drift flux CFL-stable with margin."""
+def _cfl_steps(problem: ProblemSpec, mesh: int) -> int:
+    """Step count over [0, T] at CFL number 0.4 of the explicit drift flux."""
     dx = TWO_PI / mesh
     b_max = (
         problem.hamiltonian.drift_kernel.sup_norm()
         + problem.hamiltonian.drift_kernel.derivative().sup_norm()
     )
-    # floor of 500 steps per unit time keeps the O(ds) diffusion bias of the
-    # backward-Euler step below ~0.1% relative on the slowest modes
-    rate = max(b_max / dx, 500.0 / problem.T)
-    return int(np.ceil(problem.T * rate / 0.4)) + 1
+    return int(np.ceil(problem.T * b_max / dx / 0.4)) + 1
+
+
+def default_flow_steps(problem: ProblemSpec, mesh: int) -> int:
+    """Step count keeping the drift CFL-stable with margin, at least ``MIN_FLOW_STEPS``.
+
+    The diffusion half-steps are exact, so the drift alone bounds the step.
+    """
+    return max(_cfl_steps(problem, mesh), MIN_FLOW_STEPS)
 
 
 def _steps_on_every_time(fractions: np.ndarray, n_t: int) -> int:
     """Least step count >= n_t whose grid holds every fraction of the horizon.
 
-    Rounding up may at most double the step count; times that share no grid
-    that fine are refused.
+    The search ends at twice the larger of n_t and the number of times, which
+    holds a multiple of every equally spaced sweep's time count; times that
+    share no grid that fine are refused.
     """
-    for steps in range(n_t, 2 * n_t + 1):
+    last = 2 * max(n_t, fractions.size)
+    for steps in range(n_t, last + 1):
         k = fractions * steps
         if np.all(np.abs(k - np.rint(k)) <= 1e-9):
             return steps
     raise InputDomainError(
-        f"the requested times share no step grid between {n_t} and {2 * n_t} steps"
+        f"the requested times share no step grid between {n_t} and {last} steps"
     )
 
 
@@ -235,7 +302,16 @@ def mean_field_reference_batch(
     if np.any(horizons < 0):
         raise InputDomainError("a requested time is past the horizon")
     longest = float(horizons.max())
-    steps = n_t if n_t > 0 else default_flow_steps(problem, rho0.shape[0])
+    # the bound that sets the step count, for the log
+    cfl = _cfl_steps(problem, rho0.shape[0])
+    if n_t > 0:
+        steps, bound = n_t, f"ref_steps {n_t}, CFL {cfl}"
+    else:
+        steps = default_flow_steps(problem, rho0.shape[0])
+        if cfl > MIN_FLOW_STEPS:
+            bound = f"CFL {cfl} over floor {MIN_FLOW_STEPS}"
+        else:
+            bound = f"floor {MIN_FLOW_STEPS} over CFL {cfl}"
     if longest > 0.0:
         steps = _steps_on_every_time(horizons / longest, steps)
         read_at = np.rint(horizons / longest * steps).astype(int)
@@ -253,6 +329,7 @@ def mean_field_reference_batch(
             for i in rows:
                 values[i] = running + term.value_moments(*moments, shift_var[i])
 
+    start = time.perf_counter()
     _, _, mass_drift = fokker_planck_flow_batch(
         dataclasses.replace(problem, a=0.0),
         rho0,
@@ -261,11 +338,13 @@ def mean_field_reference_batch(
         record,
     )
     log.info(
-        "fp reference: %d columns, %d steps, ds %.3e, mass drift %.2e%s",
+        "fp reference: %d columns, %d steps (%s), ds %.3e, mass drift %.2e, %.3f s%s",
         rho0.shape[1],
         steps,
+        bound,
         longest / steps if steps else 0.0,
         mass_drift,
+        time.perf_counter() - start,
         f", shift variance up to {shift_var.max():.3e}" if problem.a else "",
     )
     return values, steps, mass_drift

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputDomainError, check_fields, plan_int
 from .mc import mc_path_values, runs_whole, worker_pool
-from .meanfield import deposit_empirical, mean_field_reference_batch
+from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
 from .metric import alpha_rate, rho_star, truncation_tail_bound
 from .problems import ProblemSpec
 from .torus import (
@@ -78,9 +78,10 @@ class ExperimentPlan:
     """Budgets and seeds for one rate sweep.
 
     ``ref_mesh`` is the node count of the Fokker-Planck reference grid and
-    ``ref_steps`` its step count over the longest horizon, from t = 0 to T,
-    rounded up so that every time of the sweep falls on a step (0 means
-    ``default_flow_steps``).  ``m_ref`` is accepted, checked to be an integer
+    ``ref_steps`` the step count of its second-order split flow over the
+    longest horizon, from t = 0 to T, rounded up so that every time of the
+    sweep falls on a step (0 means ``default_flow_steps``: the drift's CFL
+    bound, at least ``MIN_FLOW_STEPS``).  ``m_ref`` is accepted, checked to be an integer
     >= 0 and ignored: plans of version 1 may set it, but the reference needs
     no particle surrogate at any a.
     """
@@ -204,11 +205,14 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     seed and draws its noise in its own fixed order, so the report does not
     depend on which thread ran what.  If anything fails, the jobs not yet
     started are cancelled and the error is raised once the running ones have
-    finished.
+    finished.  A plan whose reference flow would hold more than
+    ``meanfield.FLOW_BYTES_BUDGET`` is refused with ``ResourceBudgetError``
+    before anything is drawn or allocated.
     """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("rate experiment needs a linear-in-p family")
+    check_flow_budget(problem, plan.ref_mesh, len(plan.n_list) * plan.n_configs)
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
     draws = []
     for n in plan.n_list:

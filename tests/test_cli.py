@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,24 @@ def test_rate_plan_with_bad_integer_field_exits_with_schema_code(
     out = tmp_path / "r.csv"
     assert main(["rate", "--plan", plan, "--out", str(out)]) == EXIT_SCHEMA
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_plan_beyond_the_flow_budget_exits_before_allocating(tmp_path, capsys):
+    plan = write(
+        tmp_path / "rate.json",
+        {"version": 1, "plan": {"problem": problem_dict(), **RATE_PLAN, "ref_mesh": 2**31}},
+    )
+    out = tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        code = main(["rate", "--plan", plan, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PRECONDITION
+    assert "budget" in capsys.readouterr().err
+    assert peak < 1 << 20  # one deposited density alone would be 16 GiB
     assert not out.exists()
 
 

@@ -1,13 +1,19 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from mfrl.errors import InputDomainError
+from mfrl.errors import InputDomainError, ResourceBudgetError
 from mfrl.mc import mc_path_values
 from mfrl.meanfield import (
+    MIN_FLOW_STEPS,
     default_flow_steps,
     deposit_empirical,
     fokker_planck_flow_batch,
+    heat_symbol,
     mean_field_reference_batch,
     solve_circulant,
 )
@@ -60,6 +66,41 @@ def test_pure_diffusion_mode_decay():
     assert c1 == pytest.approx(0.25 * np.exp(-0.4), abs=2e-3)
     assert running[0] == pytest.approx(0.0, abs=1e-14)
     assert drift <= 1e-12
+
+
+def test_pure_diffusion_damps_every_grid_mode_exactly():
+    # the half-steps are the exact semigroup of the periodic second difference:
+    # grid mode l decays by exp(-s (2 sin(pi l / m) / dx)^2), whatever n_t
+    m, s = 256, 0.4
+    dx = TWO_PI / m
+    nodes = np.arange(m) * dx
+    ls = np.array([1, 3, 10, 40, 128])
+    rho0 = np.column_stack([(1.0 + 0.5 * np.cos(l * nodes)) / TWO_PI for l in ls])
+    for n_t in (1, 7, 64):
+        out, _, drift = fokker_planck_flow_batch(heat_problem(T=s), rho0, 0.0, n_t)
+        spectrum = np.fft.rfft(out, axis=0) * dx
+        decay = np.exp(-s * (2.0 * np.sin(np.pi * ls / m) / dx) ** 2)
+        # mode l of (1 + 0.5 cos(l x)) / 2 pi carries 0.5 m dx / (4 pi) = 0.25,
+        # or twice that at the Nyquist mode l = m / 2
+        amp = np.where(ls == m // 2, 0.5, 0.25)
+        assert np.max(np.abs(spectrum[ls, np.arange(ls.size)] - amp * decay)) < 1e-13
+        assert np.max(np.abs(spectrum[0] - 1.0)) < 1e-13
+        assert drift <= 1e-13
+
+
+def test_heat_symbol_cannot_overflow():
+    # exp(s (2/dx)^2) overflows float64 past s (2/dx)^2 = 709.8; the capped
+    # symbol still damps those modes to nothing, and raises no warning
+    m, s = 1024, 0.5
+    assert s * (2.0 * m / TWO_PI) ** 2 > 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        symbol = heat_symbol(m, s)
+        nodes = np.arange(m) * TWO_PI / m
+        rho = ((1.0 + 0.5 * np.cos(300 * nodes)) / TWO_PI)[:, None]
+        out = solve_circulant(symbol, rho)
+    assert np.all(np.isfinite(symbol)) and symbol[0] == 1.0
+    assert np.max(np.abs(out - 1.0 / TWO_PI)) < 1e-15
 
 
 def test_delta_initial_data_damped_not_oscillating():
@@ -199,12 +240,57 @@ def empirical_columns(seed, sizes=(3, 8), m=256):
     )
 
 
-def flow_value(prob, rho, t, n_t):
+def cost_only_problem():
+    """No drift, a running cost with both harmonics, quadratic G."""
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(), cost_kernel=TrigPoly(0.1, [0.3], [0.2])
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
+    return ProblemSpec(ham, term, T=0.5, ctx=CTX)
+
+
+def flow_value(prob, rho, t, n_t, flow=fokker_planck_flow_batch):
     """v(t, .) of each column from its own flow of n_t steps."""
-    rho_end, running, _ = fokker_planck_flow_batch(prob, rho, t, n_t)
+    rho_end, running, _ = flow(prob, rho, t, n_t)
     return running + prob.terminal.value_moments(
         *density_moments(rho_end, prob.terminal.degree)
     )
+
+
+def backward_euler_flow(prob, rho0, t, n_t):
+    """The first-order oracle: an explicit upwind drift step, then a
+    backward-Euler solve of the periodic second difference, per step.
+
+    Same grid, flux and running-cost trapezoid as the flow, so both schemes
+    share one limit as the step shrinks.
+    """
+    rho = np.array(rho0, dtype=float)
+    m, n_cols = rho.shape
+    dx = TWO_PI / m
+    ds = (prob.T - t) / n_t
+    r = ds / (dx * dx)
+    first_col = np.zeros(m)
+    first_col[0], first_col[1], first_col[-1] = 1.0 + 2.0 * r, -r, -r
+    symbol = np.fft.rfft(first_col)
+    drift, cost = prob.hamiltonian.drift_kernel, prob.hamiltonian.cost_kernel
+    cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
+    running = np.zeros(n_cols)
+    for step in range(n_t + 1):
+        cm, sm = (cos_n @ rho) * dx, (sin_n @ rho) * dx
+        rate = convolve(cost, cm, sm, cm.copy(), sm.copy())
+        if step == n_t:
+            break
+        running += (0.5 if step == 0 else 1.0) * ds * rate
+        table = [np.repeat(h[: drift.degree, :, None], n_cols, axis=2) for h in (cos_n, sin_n)]
+        b = convolve(drift, cm[:, None, :], sm[:, None, :], *table)
+        b_face = 0.5 * (b + np.roll(b, -1, axis=0))
+        flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
+            rho, -1, axis=0
+        )
+        rho = rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
+        rho = solve_circulant(symbol, rho)
+    running += 0.5 * ds * rate
+    return np.maximum(rho, 0.0), running, 0.0
 
 
 @pytest.mark.parametrize("make", [interaction_problem, linear_problem])
@@ -235,6 +321,68 @@ def test_folded_reference_close_to_a_fine_flow_from_each_time(make):
     for i, t in enumerate(times):
         own = flow_value(prob, rho, t, default_flow_steps(prob, rho.shape[0]))
         assert np.max(np.abs(values[i] - own)) < 1e-4
+
+
+@pytest.mark.parametrize("make", [interaction_problem, linear_problem, cost_only_problem])
+def test_default_reference_close_to_an_8000_step_flow(make):
+    # the time error of the default (~64-step) second-order flow
+    prob = make()
+    rho = empirical_columns(11)
+    times = np.linspace(0.0, prob.T, 4, endpoint=False)
+    values, steps, _ = mean_field_reference_batch(prob, times, rho)
+    assert steps == MIN_FLOW_STEPS
+    fine, _, _ = mean_field_reference_batch(prob, times, rho, n_t=8000)
+    assert np.max(np.abs(values - fine)) < 1e-5
+
+
+@pytest.mark.parametrize("make", [interaction_problem, linear_problem])
+def test_fine_flow_shares_the_backward_euler_limit(make):
+    # both schemes converge to the same semi-discrete flow: the split one in
+    # second order, the backward-Euler one in first
+    prob = make()
+    rho = empirical_columns(12, m=32)
+    ours = flow_value(prob, rho, 0.0, 4000)
+    oracle = flow_value(prob, rho, 0.0, 40000, flow=backward_euler_flow)
+    assert np.max(np.abs(ours - oracle)) < 5e-6
+
+
+@pytest.mark.parametrize("n_times", [200, 1000])
+def test_reference_accepts_dense_sweep_times(n_times):
+    # a sweep's times are multiples of T / n_times, so its step count must be
+    # a multiple of n_times, even one far above the default count
+    prob = interaction_problem()
+    rho = empirical_columns(13, m=64)
+    times = np.linspace(0.0, prob.T, n_times, endpoint=False)
+    values, steps, drift = mean_field_reference_batch(prob, times, rho)
+    assert steps % n_times == 0 and steps >= default_flow_steps(prob, 64)
+    assert values.shape == (n_times, 2) and np.all(np.isfinite(values))
+    assert 0.0 <= drift <= 1e-12
+
+
+def test_info_log_names_the_step_bound_and_the_flow_time(caplog):
+    prob = interaction_problem()
+    with warnings.catch_warnings(), caplog.at_level(logging.INFO, logger="mfrl.meanfield"):
+        warnings.simplefilter("error")
+        mean_field_reference_batch(prob, [0.0, 0.25], empirical_columns(14))
+        mean_field_reference_batch(prob, [0.0], empirical_columns(14, m=1024))
+        mean_field_reference_batch(prob, [0.0, 0.25], empirical_columns(14), n_t=101)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.meanfield"]
+    tail = r", ds \S+, mass drift \S+, \d+\.\d{3} s"
+    assert len(lines) == 3
+    heads = [
+        r"fp reference: 2 columns, 64 steps \(floor 64 over CFL 52\)",
+        r"fp reference: 2 columns, 205 steps \(CFL 205 over floor 64\)",
+        r"fp reference: 2 columns, 102 steps \(ref_steps 101, CFL 52\)",
+    ]
+    for head, line in zip(heads, lines):
+        assert re.fullmatch(head + tail, line), line
+
+
+def test_flow_refuses_a_batch_beyond_the_byte_budget():
+    # the budget is checked on the shape alone, before the flow copies rho0
+    huge = np.broadcast_to(np.float64(1.0 / TWO_PI), (2**31, 2))
+    with pytest.raises(ResourceBudgetError, match="budget"):
+        fokker_planck_flow_batch(interaction_problem(), huge, 0.0, 64)
 
 
 def test_reference_refuses_times_without_a_common_step_grid():
@@ -290,7 +438,12 @@ def test_default_flow_steps_respects_cfl():
         + prob.hamiltonian.drift_kernel.derivative().sup_norm()
     )
     assert (prob.T / steps) * b_max / dx <= 0.4 + 1e-12
-    assert steps >= 500 * prob.T / 0.4
+    assert steps >= MIN_FLOW_STEPS
+    # the floor binds without drift, and the CFL bound on a fine mesh
+    assert default_flow_steps(heat_problem(), mesh) == MIN_FLOW_STEPS
+    fine = 4096
+    assert default_flow_steps(prob, fine) > MIN_FLOW_STEPS
+    assert (prob.T / default_flow_steps(prob, fine)) * b_max / (TWO_PI / fine) <= 0.4 + 1e-12
 
 
 def roll_flow(prob, rho0, t, n_t):
@@ -303,12 +456,20 @@ def roll_flow(prob, rho0, t, n_t):
     m, n_cols = rho.shape
     dx = TWO_PI / m
     ds = (prob.T - t) / n_t
-    r = ds / (dx * dx)
-    first_col = np.zeros(m)
-    first_col[0], first_col[1], first_col[-1] = 1.0 + 2.0 * r, -r, -r
-    symbol = np.fft.rfft(first_col)
+    half = heat_symbol(m, 0.5 * ds)
     drift, cost = prob.hamiltonian.drift_kernel, prob.hamiltonian.cost_kernel
     cos_n, sin_n = harmonics(np.arange(m) * dx, max(drift.degree, cost.degree))
+
+    def euler(rho):
+        cm, sm = (cos_n @ rho) * dx, (sin_n @ rho) * dx
+        table = [np.repeat(h[: drift.degree, :, None], n_cols, axis=2) for h in (cos_n, sin_n)]
+        b = convolve(drift, cm[:, None, :], sm[:, None, :], *table)
+        b_face = 0.5 * (b + np.roll(b, -1, axis=0))
+        flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
+            rho, -1, axis=0
+        )
+        return rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
+
     running, states = np.zeros(n_cols), []
     for step in range(n_t + 1):
         states.append(rho)
@@ -317,14 +478,9 @@ def roll_flow(prob, rho0, t, n_t):
         if step == n_t:
             break
         running += (0.5 if step == 0 else 1.0) * ds * rate
-        table = [np.repeat(h[: drift.degree, :, None], n_cols, axis=2) for h in (cos_n, sin_n)]
-        b = convolve(drift, cm[:, None, :], sm[:, None, :], *table)
-        b_face = 0.5 * (b + np.roll(b, -1, axis=0))
-        flux = np.maximum(b_face, 0.0) * rho + np.minimum(b_face, 0.0) * np.roll(
-            rho, -1, axis=0
-        )
-        rho = rho - (ds / dx) * (flux - np.roll(flux, 1, axis=0))
-        rho = solve_circulant(symbol, rho)
+        rho = solve_circulant(half, rho)
+        rho = 0.5 * (rho + euler(euler(rho)))
+        rho = solve_circulant(half, rho)
     running += 0.5 * ds * rate
     return states, running
 
