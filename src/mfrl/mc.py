@@ -17,13 +17,22 @@ Euler-Maruyama step and the sampling error reported as a standard error.
 The drift and running-cost fields are evaluated on a float32 copy of the
 positions, where numpy's sin and cos are vectorized and 10-40x cheaper than in
 float64, and so is the mean of the running-cost field over a path's particles.
-Positions, noise, increments, the running-cost sum and G stay float64.
+Positions, increments, the running-cost sum and G stay float64.
 The cast moves a position x by at most |x| 2^-24, and positions stay O(10)
 over a horizon, so harmonic k moves by about k |x| 2^-23 and the field of a
 kernel with coefficients (a_k, b_k) by about 1.2e-6 sum_k k (|a_k| + |b_k|)
 at |x| = 10.  On the test problems the path values stay within 1e-8 of the
 float64 step on the same noise, far below their standard errors (5e-3 and up
 at 400 paths).
+
+Each step's idiosyncratic and common normals come from one Philox call for
+float32 uniforms, turned into normals by the Box-Muller transform (Box &
+Muller 1958) in float32 and stored in the float64 noise buffer (``BoxMuller``):
+about 6 ns a normal on one AVX-512 core, against 17 ns for numpy's
+``standard_normal``.  The uniforms are multiples of 2^-24, so every normal
+lies within sqrt(48 log 2) ~ 5.77: the tail cut off has mass 8e-9 per draw
+and lowers the variance by 3e-7.  Every particle mean of a step goes through
+``trig.particle_mean``, whose rows do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -34,14 +43,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from .errors import InputDomainError
 from .problems import ProblemSpec
 from .torus import EmpiricalMeasure, GridDensity, Measure, sample_iid, seeded_generator
-from .trig import mean_field_eval
+from .trig import mean_field_eval, particle_mean
 
 log = logging.getLogger(__name__)
 
@@ -133,12 +142,55 @@ def runs_whole(starts_shape, n_paths: int) -> bool:
 def _row_chunks(n_rows: int, n_particles: int) -> list[slice]:
     """One contiguous block of path rows per CPU, or all rows for small steps.
 
-    A call running on a pool worker always takes one chunk.
+    A call running on a pool worker always takes one chunk.  Of a split
+    step, the calling thread evaluates the first chunk and the pool the rest.
     """
     split = n_rows * n_particles >= _SPLIT_MIN and not _on_worker()
     n = max(1, min(_cpu_count() if split else 1, n_rows))
     bounds = [n_rows * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+#: how ``mc_path_values`` draws its normals; rate reports carry it
+NOISE = "philox-float32-box-muller"
+
+
+class BoxMuller:
+    """Standard normals into a float64 buffer of ``size``, from float32 uniforms.
+
+    ``fill`` makes one Philox call for the uniform pairs (u1, u2), then
+    ``transform`` writes ``r cos(2 pi u2)`` to the first half of the buffer
+    and ``r sin(2 pi u2)`` to the rest, ``r = sqrt(-2 log(1 - u1))``.  The
+    radius, angle, sine and cosine are float32; each product of two float32
+    values is exact in the float64 buffer.  The one work array, the
+    uniforms, is allocated here.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.half = (size + 1) // 2
+        #: row 0 holds u1, then the radius; row 1 u2, then the angle
+        self.uniforms = np.empty((2, self.half), dtype=np.float32)
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=self.uniforms, dtype=np.float32)
+        self.transform(out)
+
+    def transform(self, out: np.ndarray) -> None:
+        """The normals of the pairs in ``uniforms``, which it overwrites."""
+        r, angle = self.uniforms
+        # 1 - u1 is exact and in (0, 1], so r <= sqrt(48 log 2)
+        np.subtract(np.float32(1.0), r, out=r)
+        np.log(r, out=r)
+        r *= np.float32(-2.0)
+        np.sqrt(r, out=r)
+        angle *= np.float32(2.0 * pi)
+        cosines, sines = out[: self.half], out[self.half :]
+        rest = self.size - self.half
+        np.cos(angle, out=cosines)
+        np.sin(angle[:rest], out=sines)
+        cosines *= r
+        sines *= r[:rest]
 
 
 def mc_path_values(
@@ -193,12 +245,15 @@ def mc_path_values(
     # Every path row evolves on its own, so the rows are split into chunks
     # whose fields are evaluated on worker threads while this thread draws
     # the step's noise from the one generator, in the same order as a
-    # serial loop: the result does not depend on the chunking.
+    # serial loop, and then evaluates the first chunk: the result does not
+    # depend on the chunking.
     rows = x.reshape(m_batch * n_paths, n_particles)
     run_rows = running.reshape(-1)
     incr = np.empty_like(rows)
-    noise = np.empty_like(rows)
-    common = np.empty((rows.shape[0], 1)) if sig_b else None
+    draws = np.empty(rows.size + (rows.shape[0] if sig_b else 0))
+    noise = draws[: rows.size].reshape(rows.shape)
+    common = draws[rows.size :].reshape(-1, 1)
+    normals = BoxMuller(draws.size)
     cost_mean = np.empty(rows.shape[0])
     rows32 = np.empty(rows.shape, dtype=np.float32)
     chunks = _row_chunks(rows.shape[0], n_particles)
@@ -210,21 +265,19 @@ def mc_path_values(
         if with_drift and drift is not None:
             np.multiply(mean_field_eval(drift, rows32[part]), dt, out=incr[part], dtype=float)
         if cost is not None:
-            cost_mean[part] = mean_field_eval(cost, rows32[part]).mean(axis=-1)
+            cost_mean[part] = particle_mean(mean_field_eval(cost, rows32[part]))
 
-    def start_fields(with_drift):
-        if len(chunks) == 1:
-            fields(chunks[0], with_drift)
-            return []
-        return [worker_pool().submit(fields, part, with_drift) for part in chunks]
+    def step_fields(with_drift):
+        """The fields of every chunk, and the step's noise if ``with_drift``."""
+        jobs = [worker_pool().submit(fields, part, with_drift) for part in chunks[1:]]
+        if with_drift:
+            normals.fill(rng, draws)
+        fields(chunks[0], with_drift)
+        for job in jobs:
+            job.result()
 
     for step in range(n_steps):
-        pending = start_fields(True)
-        rng.standard_normal(out=noise)
-        if sig_b:
-            rng.standard_normal(out=common)
-        for job in pending:
-            job.result()
+        step_fields(True)
         if cost is not None:
             run_rows += (0.5 if step == 0 else 1.0) * dt * cost_mean
         if drift is not None:
@@ -237,8 +290,7 @@ def mc_path_values(
             incr += common
         rows += incr
     if cost is not None:
-        for job in start_fields(False):
-            job.result()
+        step_fields(False)
         run_rows += 0.5 * dt * cost_mean
     values = running + problem.terminal.value_atoms(x)
     return done(values, rows.size * n_steps, len(chunks))

@@ -7,7 +7,10 @@ common-noise intensity a: one a = 0 flow and a Gaussian shift average of G,
 see ``meanfield``), and fits the observed sup-differences against the
 sample-complexity scale alpha(N) in log-log space.
 The target law is sup |v^N - v| <= C alpha(N)^{1/3}; only the exponent is
-asserted downstream since the constant is problem-dependent.
+asserted downstream since the constant is problem-dependent.  The sweep runs
+its one reference flow first and then its Monte Carlo calls on the MC
+worker pool; the report's metadata names what produced the paths (the
+noise, ``mc.NOISE``, and numpy's version).
 
 ``sample_complexity_experiment`` measures E[W1] and E[rho_star] between a
 density and its N-sample empirical measures, the quantities that drive the
@@ -19,13 +22,15 @@ from __future__ import annotations
 import functools
 import io
 import json
+import logging
+import time
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputDomainError, check_fields, plan_int
-from .mc import mc_path_values, runs_whole, worker_pool
+from .mc import NOISE, _cpu_count, mc_path_values, runs_whole, worker_pool
 from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
 from .metric import alpha_rate, rho_star, truncation_tail_bound
 from .problems import ProblemSpec
@@ -39,6 +44,8 @@ from .torus import (
     seeded_generator,
     w1_circle_density,
 )
+
+log = logging.getLogger(__name__)
 
 
 def fit_rate(points) -> tuple[float, float, np.ndarray]:
@@ -198,16 +205,20 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
 
     Every configuration of every N is deposited as one column of a single
     density batch, and one Fokker-Planck flow gives the mean-field value of
-    every column at every time.  Every Monte Carlo call small enough to run
-    whole (``runs_whole``) is an independent job on the MC worker pool, and
-    this thread runs the flow meanwhile; larger calls run here afterwards,
-    one at a time, their steps split over the pool.  Each call has its own
+    every column at every time.  The flow runs first, alone: beside the MC
+    workers it took 4-8x longer, slowed through the GIL.  Then every Monte
+    Carlo call small enough to run whole (``runs_whole``) is an independent
+    job on the MC worker pool; larger calls run here, one at a time, their
+    steps split over the pool and this thread.  Each call has its own
     seed and draws its noise in its own fixed order, so the report does not
     depend on which thread ran what.  If anything fails, the jobs not yet
     started are cancelled and the error is raised once the running ones have
     finished.  A plan whose reference flow would hold more than
     ``meanfield.FLOW_BYTES_BUDGET`` is refused with ``ResourceBudgetError``
-    before anything is drawn or allocated.
+    before anything is drawn or allocated.  ``MFRL_LOG=info`` prints one
+    line per sweep: its calls run whole and split, its particle-steps, the
+    flow's seconds, the MC seconds after it, and ns per particle-step per
+    core.
     """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
@@ -226,6 +237,11 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         ],
         axis=1,
     )
+    start = time.perf_counter()
+    refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
+        problem, t_points, densities, n_t=plan.ref_steps
+    )
+    flow_end = time.perf_counter()
     pool = worker_pool()
     jobs = []
 
@@ -248,9 +264,6 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     rows = []
     try:
         calls = [[mc_call(n, c, ti, t) for ti, t in enumerate(t_points)] for n, c in draws]
-        refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
-            problem, t_points, densities, n_t=plan.ref_steps
-        )
         for i, (n, _) in enumerate(draws):
             sup_error = 0.0
             mc_std = 0.0
@@ -274,6 +287,17 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         for job in jobs:
             job.cancel()
         wait(jobs)
+    mc_s = time.perf_counter() - flow_end
+    n_calls = len(plan.n_list) * plan.n_time_points
+    particle_steps = (
+        plan.n_configs * sum(plan.n_list) * plan.n_time_points * plan.n_paths * plan.n_steps
+    )
+    log.info(
+        "rate sweep: %d MC calls whole, %d split, %d particle-steps; flow %.3f s, "
+        "then MC %.3f s, %.1f ns per particle-step per core (%d cores)",
+        len(jobs), n_calls - len(jobs), particle_steps, flow_end - start, mc_s,
+        mc_s * _cpu_count() * 1e9 / particle_steps, _cpu_count(),
+    )
 
     noted = []
     for i, r in enumerate(rows):
@@ -295,6 +319,8 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         "ref_steps": plan.ref_steps,
         "m_ref": plan.m_ref,
         "fp_steps": fp_steps,
+        "mc_noise": NOISE,
+        "numpy": np.__version__,
         "fp_mass_drift": fp_mass_drift,
         "reference": "exact-fp" if problem.a == 0.0 else "exact-fp-shift",
         # no particle surrogate, so no bias budget at any a; the benchmark's

@@ -1,16 +1,18 @@
 import os
 import signal
-from math import sqrt
+import threading
+from math import log, sqrt
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from mfrl import mc
 from mfrl.errors import InputDomainError
 from mfrl.fd import fd_solve, required_time_steps
 from mfrl.mc import McEstimate, hat_v, mc_path_values, mc_solve_linear, resample_tuples
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
+from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext, seeded_generator
 from mfrl.trig import TrigPoly, mean_field_eval
 
 CTX = TorusContext(1, 64)
@@ -113,16 +115,36 @@ def test_hat_v_constant_accessor():
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
 
+def _mean(x):
+    """The particle mean of each row: a row-wise sum over the last axis, / N."""
+    return np.einsum("...j->...", x) / x.shape[-1]
+
+
 def _field(poly, x):
     """(1/N) sum_j K(x_i - x_j) in the dtype of x, one temporary per operation."""
     out = np.full_like(x, poly.const)
     coeffs = zip(poly.cos_coeffs.astype(x.dtype), poly.sin_coeffs.astype(x.dtype))
     for k, (a, b) in enumerate(coeffs, start=1):
         ck, sk = np.cos(k * x), np.sin(k * x)
-        cm = ck.mean(axis=-1, keepdims=True)
-        sm = sk.mean(axis=-1, keepdims=True)
+        cm = _mean(ck)[..., None]
+        sm = _mean(sk)[..., None]
         out += ck * (a * cm - b * sm) + sk * (a * sm + b * cm)
     return out
+
+
+def _normals(rng, size):
+    """``size`` standard normals by the float32 Box-Muller transform, as float64.
+
+    The uniforms of one call to ``rng.random`` pair up as (u1, u2) =
+    (first half, second half); the cosines fill the first half of the result.
+    """
+    half = (size + 1) // 2
+    u1, u2 = rng.random((2, half), dtype=np.float32)
+    r = np.sqrt(np.log(np.float32(1.0) - u1) * np.float32(-2.0))
+    angle = u2 * np.float32(2.0 * np.pi)
+    # radius, sine and cosine are float32; their product is taken in float64
+    z = np.concatenate([np.cos(angle).astype(float) * r, np.sin(angle).astype(float) * r])
+    return z[:size]
 
 
 def _serial_paths(problem, starts, t, n_paths, n_steps, seed, field_dtype=np.float32):
@@ -147,15 +169,62 @@ def _serial_paths(problem, starts, t, n_paths, n_steps, seed, field_dtype=np.flo
     sig_b = sqrt(2.0 * problem.a * dt)
     for step in range(n_steps):
         weight = 0.5 if step == 0 else 1.0
-        running += weight * dt * field(cost, x).mean(axis=-1).astype(float)
+        running += weight * dt * _mean(field(cost, x)).astype(float)
+        # one draw per step: every particle's normal, then one per path if a > 0
+        z = _normals(rng, x.size + (m_batch * n_paths if sig_b else 0))
         incr = np.zeros_like(x)
         incr += dt * field(drift, x).astype(float)
-        incr += sig_w * rng.standard_normal(x.shape)
+        incr += sig_w * z[: x.size].reshape(x.shape)
         if sig_b:
-            incr += sig_b * rng.standard_normal((m_batch, n_paths, 1))
+            incr += sig_b * z[x.size :].reshape(m_batch, n_paths, 1)
         x += incr
-    running += 0.5 * dt * field(cost, x).mean(axis=-1).astype(float)
+    running += 0.5 * dt * _mean(field(cost, x)).astype(float)
     return running + problem.terminal.value_atoms(x)
+
+
+#: every |z| of the float32 Box-Muller transform: r = sqrt(-2 log(1 - u1))
+#: and 1 - u1 >= 2^-24
+Z_BOUND = sqrt(48.0 * log(2.0))
+
+
+def test_box_muller_draws_are_standard_normal():
+    n = 10**6
+    z = np.empty(n)
+    mc.BoxMuller(n).fill(seeded_generator(2024), z)
+    # Kolmogorov-Smirnov distance to Phi, against its 1% critical value
+    ks = np.max(np.abs(ndtr(np.sort(z)) - (np.arange(n) + 0.5) / n)) + 0.5 / n
+    assert ks < 1.628 / sqrt(n)
+    # mean, variance, skew and excess kurtosis, each within 5 standard errors
+    c = z - z.mean()
+    var = np.mean(c**2)
+    moments = [z.mean(), var - 1.0, np.mean(c**3) / var**1.5, np.mean(c**4) / var**2 - 3.0]
+    std_errors = np.sqrt(np.array([1.0, 2.0, 6.0, 24.0]) / n)
+    assert np.all(np.abs(moments) <= 5.0 * std_errors), moments
+    assert np.max(np.abs(z)) <= Z_BOUND
+
+
+def test_box_muller_extreme_uniform_stays_inside_the_bound():
+    normals = mc.BoxMuller(8)
+    normals.uniforms[0] = np.float32(1.0 - 2.0**-24)  # 1 - u1 = 2^-24
+    normals.uniforms[1] = [0.0, 0.25, 0.5, 0.75]
+    z = np.empty(8)
+    normals.transform(z)
+    assert np.max(np.abs(z)) <= Z_BOUND
+    assert np.max(np.abs(z)) == pytest.approx(Z_BOUND, rel=1e-6)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 1001])
+def test_box_muller_fills_every_size_and_repeats_with_its_key(size):
+    draws = []
+    for key in (5, 5, 6):
+        z = np.full(size + 1, np.nan)
+        mc.BoxMuller(size).fill(seeded_generator(key), z[:size])
+        assert np.all(np.isfinite(z[:size])) and np.isnan(z[size])
+        draws.append(z[:size])
+    assert np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[0], draws[2])
+    # the layout: cosines first, then sines, one uniform pair per two draws
+    assert np.array_equal(draws[0], _normals(seeded_generator(5), size))
 
 
 @pytest.mark.parametrize("cpus", [None, 3])
@@ -252,6 +321,25 @@ def test_call_on_a_pool_worker_takes_one_row_chunk(monkeypatch):
     there = mc.worker_pool().submit(mc_path_values, prob, starts, 0.1, 500, 5, 3).result()
     assert counts == [2, 1]
     assert np.array_equal(here.view(np.int64), there.view(np.int64))
+
+
+def test_split_step_evaluates_one_chunk_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    evaluated = []  # (thread, rows) of every field evaluation
+    field = mc.mean_field_eval
+
+    def recorded(poly, x):
+        evaluated.append((threading.get_ident(), x.shape[0]))
+        return field(poly, x)
+
+    monkeypatch.setattr(mc, "mean_field_eval", recorded)
+    prob = linear_problem()
+    starts = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, 16))
+    mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
+    here = [rows for thread, rows in evaluated if thread == threading.get_ident()]
+    there = [rows for thread, rows in evaluated if thread != threading.get_ident()]
+    # drift and cost per step, and the cost at the end, for each of 2 chunks
+    assert here == [1000] * 11 and there == [1000] * 11
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

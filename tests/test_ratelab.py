@@ -140,9 +140,9 @@ def test_common_noise_sweep_runs_one_flow_without_noise(monkeypatch):
 
 def test_noise_free_report_is_byte_identical_to_recorded():
     # the benchmark's rate_meanfield plan at seed 1; the recorded report was
-    # made with the Monte Carlo fields evaluated in float32, so it pins
-    # numpy's vectorized float32 sin and cos as well as the float64 code
-    # (numpy 2.4.6, x86-64 AVX-512)
+    # made with the Monte Carlo fields and the Box-Muller normals evaluated in
+    # float32, so it pins numpy's vectorized float32 sin, cos, log and sqrt
+    # as well as the float64 code (numpy 2.4.6, x86-64 AVX-512)
     ham = HamiltonianSpec(
         "linear", drift_kernel=TrigPoly(0.0, [0.0], [0.5]), cost_kernel=TrigPoly()
     )
@@ -265,6 +265,37 @@ def test_debug_log_reports_every_mc_call(caplog):
         assert how == "whole"  # every call of this sweep is small
         seen.append((int(n), float(t)))
     assert sorted(seen) == [(n, t) for n in plan.n_list for t in (0.0, 0.25)]
+
+
+@pytest.mark.parametrize("whole_max", [None, 8 * 400 * 4], ids=["all-whole", "mixed"])
+def test_info_log_sums_up_the_sweep_and_leaves_the_report_alone(whole_max, caplog, monkeypatch):
+    if whole_max is not None:  # N = 8 runs on this thread, split over the pool
+        monkeypatch.setattr(mc, "_WHOLE_MAX", whole_max)
+    plan = small_plan(problem=interaction_problem(0.0), n_time_points=2)
+    quiet = run_rate_experiment(plan).to_json()
+    with caplog.at_level(logging.INFO, logger="mfrl.ratelab"):
+        report = run_rate_experiment(plan)
+    assert report.to_json() == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.ratelab"]
+    assert len(lines) == 1, lines
+    match = re.fullmatch(
+        r"rate sweep: (\d+) MC calls whole, (\d+) split, (\d+) particle-steps; "
+        r"flow (\d+\.\d{3}) s, then MC (\d+\.\d{3}) s, (\d+\.\d) ns per particle-step "
+        r"per core \((\d+) cores\)",
+        lines[0],
+    )
+    assert match, lines[0]
+    whole, split, steps, flow_s, mc_s, ns, cores = match.groups()
+    assert (int(whole), int(split)) == ((6, 0) if whole_max is None else (4, 2))
+    assert int(steps) == plan.n_configs * (2 + 4 + 8) * 2 * plan.n_paths * plan.n_steps
+    assert float(flow_s) > 0.0 and float(mc_s) > 0.0
+    assert int(cores) == mc._cpu_count()
+    # the MC seconds are printed to 1 ms, the ns to 0.1 ns
+    per_s = int(cores) * 1e9 / int(steps)
+    low, high = (float(mc_s) - 5e-4) * per_s, (float(mc_s) + 5e-4) * per_s
+    assert low - 0.05 <= float(ns) <= high + 0.05
+    assert report.metadata["mc_noise"] == mc.NOISE
+    assert report.metadata["numpy"] == np.__version__
 
 
 def test_errors_shrink_with_n_on_closed_form_benchmark():
