@@ -99,6 +99,14 @@ def _coeffs(mu: Measure | FourierVector, ctx: TorusContext) -> np.ndarray:
     return fourier_coefficients(mu, ctx).coeffs
 
 
+def rho_sq_rows(diff: np.ndarray, order: MetricOrder, ctx: TorusContext) -> np.ndarray:
+    """rho_{-k}^2 for each row of Fourier-coefficient differences
+    ``F(mu) - F(nu)``, an (..., n_modes) array: the weighted sum over the
+    last axis, pairwise within each row."""
+    w = metric_weights(ctx, order.k).weights
+    return np.sum(w * np.abs(diff) ** 2, axis=-1)
+
+
 def rho_sq(
     mu: Measure | FourierVector,
     nu: Measure | FourierVector,
@@ -106,9 +114,7 @@ def rho_sq(
     ctx: TorusContext,
 ) -> float:
     """Squared negative-Sobolev distance rho_{-k}^2(mu, nu)."""
-    diff = _coeffs(mu, ctx) - _coeffs(nu, ctx)
-    w = metric_weights(ctx, order.k).weights
-    return float(np.sum(w * np.abs(diff) ** 2))
+    return float(rho_sq_rows(_coeffs(mu, ctx) - _coeffs(nu, ctx), order, ctx))
 
 
 def rho(mu, nu, order: MetricOrder, ctx: TorusContext) -> float:

@@ -10,7 +10,10 @@ Two concrete representations are provided:
 On top of the representations the module implements Fourier coefficients with
 respect to the orthonormal basis ``e_l(x) = (2 pi)^{-d/2} exp(i l.x)``, i.i.d.
 sampling from grid densities, a seeded counter-based generator, and
-1-Wasserstein distances on the circle (d = 1).  Both W1 entry points share
+1-Wasserstein distances on the circle (d = 1).  Sampling, the empirical
+Fourier mean and W1 against a density run on rows, one empirical measure per
+row, and keep every sort, sum and search within a row; the one-measure
+functions are their one-row case.  Both W1 entry points share
 one formula, ``W1 = min_t integral |F_mu - F_nu - t| dx`` over [0, 2 pi)
 (Rabin, Delon & Gousseau 2011): the CDF gap is read at the midpoints of the
 intervals between its breakpoints and t is its length-weighted median.
@@ -35,7 +38,7 @@ from .errors import InputDomainError, UnsupportedDimensionError
 TWO_PI = 2.0 * np.pi
 
 #: mesh refinement of ``w1_circle_density``: breakpoints every 1/8 grid cell
-_DENSITY_REFINE = 8
+DENSITY_REFINE = 8
 
 
 def canonicalize(point):
@@ -235,64 +238,91 @@ def phase_table(points, ctx: TorusContext) -> np.ndarray:
     return _mirror(_upper_phase_table(np.asarray(points, dtype=float), ctx))
 
 
+def empirical_coefficients(atoms, ctx: TorusContext) -> np.ndarray:
+    """F_l of the empirical measures whose atoms are the rows of an (R, n, d)
+    array: an (R, n_modes) array, modes in ``ctx.modes`` order.
+
+    The mean over each row's atoms of the upper half of the phase table,
+    mirrored, which is bit for bit the mean of the whole table.  Each row's
+    mean is a pairwise sum over its own atoms, in their order, so a row's
+    coefficients do not depend on the other rows.
+    """
+    R, n, d = atoms.shape
+    upper = _upper_phase_table(atoms.reshape(R * n, d), ctx)
+    means = upper.reshape(-1, R, n).mean(axis=-1)
+    # contiguous rows, so that a reduction over modes stays pairwise per row
+    return np.ascontiguousarray((TWO_PI ** (-d / 2.0) * _mirror(means)).T)
+
+
 def fourier_coefficients(mu: Measure, ctx: TorusContext) -> FourierVector:
     """Truncated Fourier coefficients F_l(mu), |l|_inf <= ctx.trunc.
 
-    Empirical measures are summed exactly: the mean over atoms of the upper
-    half of the phase table, mirrored, which is bit for bit the mean of the
-    whole table.  Grid densities use the rectangle rule, which is spectrally
-    accurate for smooth periodic densities.
+    Empirical measures are summed exactly, as one row of
+    ``empirical_coefficients``.  Grid densities use the rectangle rule, which
+    is spectrally accurate for smooth periodic densities.
     """
-    norm = (TWO_PI) ** (-ctx.d / 2.0)
     if isinstance(mu, EmpiricalMeasure):
         if mu.d != ctx.d:
             raise InputDomainError("measure dimension does not match context")
-        coeffs = norm * _mirror(_upper_phase_table(mu.atoms, ctx).mean(axis=1))
+        coeffs = empirical_coefficients(mu.atoms[None], ctx)[0]
     elif isinstance(mu, GridDensity):
         if ctx.d != 1:
             raise InputDomainError("grid densities are d=1 only")
+        norm = (TWO_PI) ** (-ctx.d / 2.0)
         coeffs = norm * (phase_table(mu.nodes[:, None], ctx) @ mu.values) * (TWO_PI / mu.m)
     else:
         raise InputDomainError(f"unsupported measure type {type(mu)!r}")
     return FourierVector(ctx, coeffs)
 
 
-def sample_iid(mu: GridDensity, n: int, seed: int) -> EmpiricalMeasure:
-    """Draw n i.i.d. atoms from a grid density by inverse-CDF sampling.
+def sample_rows(mu: GridDensity, n: int, seeds) -> np.ndarray:
+    """One row of n i.i.d. atoms from a grid density per seed, by inverse-CDF
+    sampling: an (R, n) array of canonical coordinates.
 
-    The CDF is piecewise linear over mesh cells (density constant per cell);
-    the generator is counter-based (Philox) so runs are bit-reproducible.
+    The CDF is piecewise linear over mesh cells (density constant per cell).
+    Each row draws its uniforms from its own counter-based (Philox) generator,
+    so a row is bit-reproducible and does not depend on the other rows.
     """
     if n < 1:
         raise InputDomainError("sample size must be >= 1")
-    rng = seeded_generator(seed)
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        seeded_generator(seed).random(out=row)
     dx = TWO_PI / mu.m
     cell_mass = mu.values * dx
     cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
     cum[-1] = 1.0  # close rounding
-    u = rng.random(n)
     idx = np.searchsorted(cum, u, side="right") - 1
     idx = np.clip(idx, 0, mu.m - 1)
     local = np.where(cell_mass[idx] > 0, (u - cum[idx]) / np.maximum(cell_mass[idx], 1e-300), 0.0)
-    atoms = (idx + local) * dx
-    return EmpiricalMeasure(atoms[:, None])
+    return canonicalize((idx + local) * dx)
 
 
-def _circle_w1(breaks, cdf_gap) -> float:
-    """min_t integral_0^{2 pi} |g(x) - t| dx for a CDF gap g = F_mu - F_nu.
+def sample_iid(mu: GridDensity, n: int, seed: int) -> EmpiricalMeasure:
+    """Draw n i.i.d. atoms from a grid density: the one row of
+    ``sample_rows`` for ``seed``."""
+    return EmpiricalMeasure(sample_rows(mu, n, [seed])[0][:, None])
 
-    ``breaks`` holds 0 and every point of [0, 2 pi) where g is not linear;
-    ``cdf_gap`` evaluates g at the interval midpoints, which is exact where g
-    is constant on each interval.  The minimizing t is the length-weighted
-    median of the midpoint values.
+
+def _circle_w1(grid, cdf_gap) -> np.ndarray:
+    """min_t integral_0^{2 pi} |g(x) - t| dx for CDF gaps g = F_mu - F_nu,
+    one per row.
+
+    Each row of ``grid`` holds 0, every point of [0, 2 pi) where its g is not
+    linear, in ascending order, and 2 pi last; ``cdf_gap`` evaluates the rows
+    of g at the interval midpoints, which is exact where g is constant on
+    each interval.  The minimizing t is the length-weighted median of the
+    midpoint values.  Every step sorts, sums or searches within a row, so a
+    row's result does not depend on the other rows.
     """
-    grid = np.append(np.unique(breaks), TWO_PI)
-    lens = np.diff(grid)
-    g = cdf_gap(0.5 * (grid[:-1] + grid[1:]))
-    order = np.argsort(g)
-    w = np.cumsum(lens[order])
-    t = g[order][np.searchsorted(w, 0.5 * w[-1])]
-    return float(np.sum(np.abs(g - t) * lens))
+    lens = np.diff(grid, axis=1)
+    g = cdf_gap(0.5 * (grid[:, :-1] + grid[:, 1:]))
+    order = np.argsort(g, axis=1)
+    w = np.cumsum(np.take_along_axis(lens, order, axis=1), axis=1)
+    # the first sorted interval whose cumulative length reaches half the total
+    median = np.sum(w < 0.5 * w[:, -1:], axis=1, keepdims=True)
+    t = np.take_along_axis(g, np.take_along_axis(order, median, axis=1), axis=1)
+    return np.sum(np.abs(g - t) * lens, axis=1)
 
 
 def _sorted_circle_atoms(mu: EmpiricalMeasure, name: str) -> np.ndarray:
@@ -310,31 +340,72 @@ def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """
     xs = _sorted_circle_atoms(mu, "w1_circle")
     ys = _sorted_circle_atoms(nu, "w1_circle")
-    return _circle_w1(
-        np.concatenate(([0.0], xs, ys)),
-        lambda mids: np.searchsorted(xs, mids, side="right") / xs.size
-        - np.searchsorted(ys, mids, side="right") / ys.size,
+    grid = np.append(np.unique(np.concatenate(([0.0], xs, ys))), TWO_PI)
+    return float(
+        _circle_w1(
+            grid[None],
+            lambda mids: np.searchsorted(xs, mids, side="right") / xs.size
+            - np.searchsorted(ys, mids, side="right") / ys.size,
+        )[0]
     )
 
 
-def w1_circle_density(mu: EmpiricalMeasure, rho: GridDensity) -> float:
-    """Exact-up-to-quadrature W1 between an empirical measure and a density.
+def w1_density_rows(atoms, rho: GridDensity) -> np.ndarray:
+    """W1 between rho and each empirical measure whose atoms are a row of an
+    (R, n) array of ascending canonical coordinates.
 
-    The breakpoints are the atoms and the density mesh refined
-    ``_DENSITY_REFINE`` times; the density's CDF is linear between them and
-    the gap is read at the midpoints.
+    The breakpoints of a row are its atoms merged with the density mesh
+    refined ``DENSITY_REFINE`` times (each atom after the mesh points equal
+    to it); the density's CDF is linear between them and the gap is read at
+    the midpoints, where the empirical CDF counts the atoms merged at or
+    before the interval (and the atom at its right end when the rounded
+    midpoint lands on it).  A row whose breakpoints coincide keeps the last
+    of each run of equal ones and is measured on its own, so every row sees
+    exactly its distinct breakpoints.
     """
-    atoms = _sorted_circle_atoms(mu, "w1_circle_density")
+    R, n = atoms.shape
+    fine = rho.m * DENSITY_REFINE
+    refined = np.arange(fine) * (TWO_PI / fine)
+    is_atom = np.zeros((R, fine + n), dtype=bool)
+    slots = np.searchsorted(refined, atoms, side="right") + np.arange(n)
+    np.put_along_axis(is_atom, slots, True, axis=1)
+    merged = np.empty((R, fine + n))
+    merged[is_atom] = atoms.ravel()
+    merged[~is_atom] = np.broadcast_to(refined, (R, fine)).ravel()
+    # atoms at or below each breakpoint, closed by 2 pi above every atom
+    below = np.empty((R, fine + n + 1), dtype=np.intp)
+    np.cumsum(is_atom, axis=1, out=below[:, :-1])
+    below[:, -1] = n
     dx = TWO_PI / rho.m
     cum = np.concatenate(([0.0], np.cumsum(rho.values * dx)))
 
-    def cdf_gap(mids):
-        j = np.minimum((mids / dx).astype(int), rho.m - 1)
-        f_rho = cum[j] + rho.values[j] * (mids - j * dx)
-        return np.searchsorted(atoms, mids, side="right") / mu.N - f_rho
+    def measure(breaks, below):
+        grid = np.concatenate((breaks, np.full((breaks.shape[0], 1), TWO_PI)), axis=1)
 
-    fine = rho.m * _DENSITY_REFINE
-    return _circle_w1(np.concatenate((np.arange(fine) * (TWO_PI / fine), atoms)), cdf_gap)
+        def cdf_gap(mids):
+            j = np.minimum((mids / dx).astype(int), rho.m - 1)
+            f_rho = cum[j] + rho.values[j] * (mids - j * dx)
+            counts = np.where(mids == grid[:, 1:], below[:, 1:], below[:, :-1])
+            return counts / n - f_rho
+
+        return _circle_w1(grid, cdf_gap)
+
+    last = np.ones((R, fine + n + 1), dtype=bool)
+    np.not_equal(merged[:, 1:], merged[:, :-1], out=last[:, : fine + n - 1])
+    distinct = last.all(axis=1)
+    out = np.empty(R)
+    out[distinct] = measure(merged[distinct], below[distinct])
+    for r in np.flatnonzero(~distinct):
+        keep = last[r]
+        out[r] = measure(merged[r, keep[:-1]][None], below[r, keep][None])[0]
+    return out
+
+
+def w1_circle_density(mu: EmpiricalMeasure, rho: GridDensity) -> float:
+    """Exact-up-to-quadrature W1 between an empirical measure and a density:
+    the one row of ``w1_density_rows``."""
+    atoms = _sorted_circle_atoms(mu, "w1_circle_density")
+    return float(w1_density_rows(atoms[None], rho)[0])
 
 
 # ---------------------------------------------------------------------------

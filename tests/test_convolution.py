@@ -1,4 +1,6 @@
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from mfrl.convolution import (
     sup_convolve_testfn,
 )
 from mfrl.errors import ConfigurationError, InputDomainError
-from mfrl.fd import extend_value, fd_solve, required_time_steps
+from mfrl.fd import GridValueFunction, extend_value, fd_solve, required_time_steps
 from mfrl.metric import MetricOrder, rho_sq
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, circle_arc
@@ -183,6 +185,15 @@ def pinned():
     return fd_solve(prob, 1, 64, required_time_steps(prob, 1, 64))
 
 
+def two_particle_problem():
+    """Criterion 3's problem at a = 0.5: drift and running-cost kernels, quadratic terminal."""
+    ham = HamiltonianSpec(
+        "linear", drift_kernel=TrigPoly(0.0, [0.4], [0.2]), cost_kernel=TrigPoly(0.1, [0.0, 0.3])
+    )
+    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
+    return ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
+
+
 def scan_both_ways(monkeypatch, vn, target, cfg):
     """inf_convolve with the time window and with every time node scanned."""
     pruned = inf_convolve(vn, target, cfg)
@@ -232,11 +243,7 @@ def test_time_window_is_narrower_than_the_global_value_range_on_criterion_7_targ
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_time_window_keeps_the_scan_bit_identical_for_two_particles(monkeypatch, eps):
-    ham = HamiltonianSpec(
-        "linear", drift_kernel=TrigPoly(0.0, [0.4], [0.2]), cost_kernel=TrigPoly(0.1, [0.0, 0.3])
-    )
-    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
-    prob = ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
+    prob = two_particle_problem()
     vn = fd_solve(prob, 2, 12, required_time_steps(prob, 2, 12))
     cfg = ConvolutionConfig(epsilon=eps, n_time=vn.n_t + 1, shift_refine=4)
     for k, idx, z in ((0, (3, 7), 0.0), (vn.n_t // 2, (11, 0), 0.3), (vn.n_t, (5, 5), 2.0)):
@@ -281,8 +288,9 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
 
 
 def roll_inf_convolve(vn, target, cfg):
-    """inf_convolve with its time envelope written out per time node: the
-    slice blended into a fresh array, corners by np.roll, masked updates."""
+    """inf_convolve with its time envelope written out per time node (the
+    slice blended into a fresh array, corners by np.roll, masked updates)
+    and every shift q scanned in ascending order."""
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
     rho_pen = _config_rho_sq(vn, mu, cfg.ctx)
@@ -333,7 +341,7 @@ def roll_inf_convolve(vn, target, cfg):
     return best, rec
 
 
-@pytest.mark.parametrize("eps", [0.2, 0.025])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025])
 def test_in_place_envelope_matches_the_roll_scan_on_criterion_7_targets(eps):
     vn = pinned()
     cfg = ConvolutionConfig(epsilon=eps, n_time=201, shift_refine=16)
@@ -344,11 +352,7 @@ def test_in_place_envelope_matches_the_roll_scan_on_criterion_7_targets(eps):
 
 
 def test_in_place_envelope_matches_the_roll_scan_for_two_particles():
-    ham = HamiltonianSpec(
-        "linear", drift_kernel=TrigPoly(0.0, [0.4], [0.2]), cost_kernel=TrigPoly(0.1, [0.0, 0.3])
-    )
-    term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
-    prob = ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
+    prob = two_particle_problem()
     vn = fd_solve(prob, 2, 12, required_time_steps(prob, 2, 12))
     for eps, n_time in ((0.1, vn.n_t + 1), (0.01, 33)):
         cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=4)
@@ -356,3 +360,61 @@ def test_in_place_envelope_matches_the_roll_scan_for_two_particles():
             atoms = EmpiricalMeasure((np.array(idx) * vn.dx)[:, None])
             target = (float(vn.times[k]), z, atoms)
             assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))
+
+
+def test_shift_bound_matches_the_full_scan_on_the_benchmark_pair_targets():
+    # fd_analysis's N = 2 convolutions: mesh 48, eps 0.1, the stored slices
+    # as time grid, on-grid targets drawn as the benchmark draws them
+    prob = two_particle_problem()
+    vn = fd_solve(prob, 2, 48, required_time_steps(prob, 2, 48))
+    cfg = ConvolutionConfig(epsilon=0.1, n_time=vn.n_t + 1, shift_refine=4)
+    rng = np.random.default_rng(501)
+    for z in (0.0, 0.0, 0.0, 2.5):
+        kt, idx = int(rng.integers(0, vn.n_t + 1)), rng.integers(0, 48, 2)
+        atoms = EmpiricalMeasure((idx * vn.dx)[:, None])
+        target = (float(vn.times[kt]), z, atoms)
+        assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))
+
+
+def test_shift_bound_keeps_the_smallest_key_among_ties():
+    # a constant value: the envelope is the same at every lattice point.  At
+    # eps = 1e18 every penalty is below half an ulp of the value, so every
+    # candidate ties and the smallest key (q, f, c) = (0, 0, 0) must win,
+    # although the scan starts at the shift nearest z
+    vn = GridValueFunction(2, 8, 4, 0.5, np.full((5, 8, 8), 0.7))
+    mu = EmpiricalMeasure(np.array([[0.0], [np.pi]]))
+    for eps in (0.2, 1e18):
+        for z, refine in ((0.0, 1), (2.0, 2), (5.5, 4)):
+            cfg = ConvolutionConfig(epsilon=eps, n_time=9, shift_refine=refine)
+            got = inf_convolve(vn, (0.25, z, mu), cfg)
+            assert_same_scan(got, roll_inf_convolve(vn, (0.25, z, mu), cfg))
+            if eps == 1e18:
+                assert got[0] == 0.7 and got[1].w0 == 0.0 and not got[1].x0.any()
+
+
+def test_shift_bound_matches_the_full_scan_on_a_value_with_a_nan():
+    values = np.array(solved(n=2, mesh=8).values)
+    values[:, 3, 5] = np.nan
+    values[2, 0, 1] = np.nan
+    vn = GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values)
+    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
+    for t, z in ((0.0, 0.0), (0.3, 1.9), (0.5, 5.0)):
+        cfg = ConvolutionConfig(epsilon=0.1, n_time=17, shift_refine=2)
+        assert_same_scan(inf_convolve(vn, (t, z, mu), cfg), roll_inf_convolve(vn, (t, z, mu), cfg))
+
+
+def test_debug_log_reports_the_scanned_nodes_and_shifts(caplog):
+    vn = pinned()
+    cfg = ConvolutionConfig(epsilon=0.05, n_time=201, shift_refine=16)
+    target = (22 / 64.0 * vn.T, 20 * vn.dx, EmpiricalMeasure(np.array([[20 * vn.dx]])))
+    quiet = inf_convolve(vn, target, cfg)
+    with caplog.at_level(logging.DEBUG, logger="mfrl.convolution"):
+        loud = inf_convolve(vn, target, cfg)
+    assert_same_scan(loud, quiet)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "mfrl.convolution"]
+    match = re.fullmatch(r"inf_convolve: (\d+) of 201 time nodes, (\d+) of 64 shifts", line)
+    assert match, line
+    nodes, shifts = map(int, match.groups())
+    inv = 1.0 / (2.0 * cfg.epsilon)
+    assert nodes == convolution._time_window(vn, target[0], inv, 201).size
+    assert 1 <= shifts < 64

@@ -331,3 +331,38 @@ def test_debug_log_reports_the_solve(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "mfrl.fd"]
     assert line.startswith(f"fd solve: N 2, mesh 12, n_t {n_req + 3} (stability needs {n_req})")
     assert "upwind False" in line and line.endswith(" s")
+
+
+def cole_hopf_value(lam, s, x, m=1024):
+    """u(T - s, x) for -du/dt = u'' + (lam/2) u'^2, u(T) = cos: by the Cole-Hopf
+    transform u = (2/lam) log w with w the heat flow of e^{lam cos/2} over a
+    time s, its Fourier series summed from m points at the nodes x."""
+    grid = np.arange(m) * (TWO_PI / m)
+    k = np.fft.fftfreq(m, 1.0 / m)
+    w_hat = np.fft.fft(np.exp(0.5 * lam * np.cos(grid))) * np.exp(-s * k**2) / m
+    w = (w_hat * np.exp(1j * np.outer(x, k))).sum(axis=1).real
+    return (2.0 / lam) * np.log(w)
+
+
+def cole_hopf_error(n, mesh, lam):
+    """Largest FD error at every node of slices 0 and n_t // 2 of the quadratic
+    problem H = lam/2 |p|^2, G = int cos dmu, against the exact value
+    v^N(t, x) = (1/N) sum_i u(t, x^i)."""
+    prob = ProblemSpec(
+        HamiltonianSpec("quadratic", lam=lam), TerminalSpec(g=TrigPoly(0.0, [1.0])), T=0.5, ctx=CTX
+    )
+    vn = solve(prob, n, mesh)
+    err = 0.0
+    for k in (0, vn.n_t // 2):
+        u = cole_hopf_value(lam, vn.T - vn.times[k], np.arange(mesh) * vn.dx)
+        exact = sum(np.meshgrid(*[u] * n, indexing="ij")) / n
+        err = max(err, float(np.max(np.abs(vn.values[k] - exact))))
+    return err
+
+
+def test_quadratic_scheme_converges_to_the_cole_hopf_value():
+    coarse, fine = cole_hopf_error(1, 48, 1.0), cole_hopf_error(1, 96, 1.0)
+    assert coarse <= 1e-3 and coarse / fine >= 3.0
+    assert cole_hopf_error(2, 48, 1.0) <= 5e-4
+    assert cole_hopf_error(3, 32, 4.0) <= 1e-2
+

@@ -1,6 +1,7 @@
 import logging
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from mfrl import mc
 from mfrl.errors import DivergenceError, InputDomainError
 from mfrl.mc import mc_path_values
 from mfrl.meanfield import deposit_empirical, mean_field_reference_batch
+from mfrl.metric import rho_star
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
+    ComplexityRow,
     ComplexityTable,
     ExperimentPlan,
     RateReport,
@@ -22,7 +25,15 @@ from mfrl.ratelab import (
     run_rate_experiment,
     sample_complexity_experiment,
 )
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
+from mfrl.torus import (
+    TWO_PI,
+    EmpiricalMeasure,
+    GridDensity,
+    TorusContext,
+    fourier_coefficients,
+    sample_iid,
+    w1_circle_density,
+)
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
@@ -346,8 +357,96 @@ def test_sample_complexity_half_slope_for_smooth_density():
     )
 
 
-def test_sample_complexity_validation():
-    nodes = np.arange(64) * (TWO_PI / 64)
+def test_sample_complexity_validation(monkeypatch):
     mu = GridDensity(np.full(64, 1.0 / TWO_PI))
     with pytest.raises(InputDomainError):
         sample_complexity_experiment(mu, [4, 8], n_trials=1, seed=0)
+
+    # no slope from fewer than two distinct sample sizes, refused before
+    # anything is drawn
+    def no_draws(*args):
+        raise AssertionError("drew samples for an invalid call")
+
+    monkeypatch.setattr(mfrl.ratelab, "sample_rows", no_draws)
+    for n_list in ([16], [4, 4], [], [0, 4]):
+        with pytest.raises(InputDomainError):
+            sample_complexity_experiment(mu, n_list, n_trials=8, seed=0)
+
+
+def per_trial_csv(mu, n_list, n_trials, seed, ctx=CTX):
+    """The complexity CSV from a loop over trials: one sample_iid,
+    w1_circle_density and rho_star per trial."""
+    target = fourier_coefficients(mu, ctx)
+    rows = []
+    for n in sorted(n_list):
+        w1s, rhos = np.empty(n_trials), np.empty(n_trials)
+        for trial in range(n_trials):
+            hat = sample_iid(mu, n, seed=_derived_seed(seed, n, trial))
+            w1s[trial] = w1_circle_density(hat, mu)
+            rhos[trial] = rho_star(hat, target, ctx)
+        se = np.sqrt(n_trials)
+        rows.append(
+            ComplexityRow(
+                n, float(w1s.mean()), float(w1s.std(ddof=1) / se),
+                float(rhos.mean()), float(rhos.std(ddof=1) / se),
+            )
+        )
+    return ComplexityTable(tuple(rows), 0.0, 0.0, 0.0).to_csv()
+
+
+def uniform64():
+    return GridDensity(np.full(64, 1.0 / TWO_PI))
+
+
+def bumpy(m=48):
+    # zero cells, so whole intervals of the CDF gap are flat
+    nodes = np.arange(m) * (TWO_PI / m)
+    return GridDensity(np.maximum(np.sin(3.0 * nodes), 0.0) + 0.5 * (nodes < 1.0))
+
+
+def test_batched_complexity_trials_equal_the_per_trial_loop_on_criterion_6():
+    mu = uniform64()
+    table = sample_complexity_experiment(mu, [16, 64, 256, 1024], n_trials=200, seed=61, ctx=CTX)
+    assert table.to_csv() == per_trial_csv(mu, [16, 64, 256, 1024], 200, 61)
+
+
+def test_batched_complexity_trials_equal_the_per_trial_loop_for_one_atom():
+    for mu in (uniform64(), bumpy()):
+        table = sample_complexity_experiment(mu, [1, 3], n_trials=300, seed=9, ctx=CTX)
+        assert table.to_csv() == per_trial_csv(mu, [1, 3], 300, 9)
+
+
+@pytest.mark.parametrize("numbers", [1, 3000, 2**22])
+def test_complexity_rows_do_not_depend_on_the_block_size(numbers, monkeypatch):
+    # 1: a block per trial; 3000: blocks of 7, 2 and 1 rows, the last ones
+    # ragged; 2**22: every N in one block
+    want = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
+    monkeypatch.setattr(mfrl.ratelab, "_BLOCK_NUMBERS", numbers)
+    got = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
+    assert got.to_csv() == want.to_csv()
+    assert got.max_rho_over_w1 == want.max_rho_over_w1
+
+
+def test_complexity_blocks_bound_the_memory_of_criterion_6():
+    tracemalloc.start()
+    try:
+        sample_complexity_experiment(uniform64(), [16, 64, 256, 1024], n_trials=200, seed=61, ctx=CTX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_debug_log_reports_every_sample_size_and_leaves_the_table_alone(caplog):
+    quiet = sample_complexity_experiment(uniform64(), [16, 1024], n_trials=10, seed=2, ctx=CTX)
+    with caplog.at_level(logging.DEBUG, logger="mfrl.ratelab"):
+        table = sample_complexity_experiment(uniform64(), [1024, 16], n_trials=10, seed=2, ctx=CTX)
+    assert table == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.ratelab"]
+    assert len(lines) == 2, lines
+    # 65 phase-table numbers per atom at trunc 64: 2^18 of them hold 252
+    # rows of 16 atoms and 3 rows of 1024
+    for line, n, blocks in zip(lines, (16, 1024), (1, 4)):
+        assert re.fullmatch(
+            rf"sample complexity N={n}: 10 trials in {blocks} blocks, \d+\.\d{{3}} s", line
+        ), line

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from mfrl.errors import InputDomainError, ResourceBudgetError, UnsupportedDimensionError
 from mfrl.torus import (
+    DENSITY_REFINE,
     TWO_PI,
     EmpiricalMeasure,
     GridDensity,
@@ -23,6 +24,7 @@ from mfrl.torus import (
     sample_iid,
     w1_circle,
     w1_circle_density,
+    w1_density_rows,
 )
 
 #: Hard budget for the exact LP transport oracle (pairs of support points).
@@ -234,6 +236,46 @@ def test_w1_density_against_lp_on_quantile_atoms():
     q = np.interp((np.arange(big) + 0.5) / big, cum / cum[-1], grid)
     ref = w1_lp(mu, EmpiricalMeasure(q[:, None]))
     assert w1_circle_density(mu, dens) == pytest.approx(ref, abs=2 * TWO_PI / big + 1e-3)
+
+
+def w1_density_on_distinct_breaks(mu: EmpiricalMeasure, rho: GridDensity) -> float:
+    """w1_circle_density from ``np.unique`` of the atoms and the refined mesh,
+    every step on one 1-d array, and the empirical CDF by ``searchsorted``."""
+    atoms = np.sort(mu.atoms[:, 0])
+    dx = TWO_PI / rho.m
+    cum = np.concatenate(([0.0], np.cumsum(rho.values * dx)))
+    fine = rho.m * DENSITY_REFINE
+    grid = np.append(np.unique(np.concatenate((np.arange(fine) * (TWO_PI / fine), atoms))), TWO_PI)
+    lens = np.diff(grid)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    j = np.minimum((mids / dx).astype(int), rho.m - 1)
+    g = np.searchsorted(atoms, mids, side="right") / mu.N - (cum[j] + rho.values[j] * (mids - j * dx))
+    order = np.argsort(g)
+    w = np.cumsum(lens[order])
+    t = g[order][np.searchsorted(w, 0.5 * w[-1])]
+    return float(np.sum(np.abs(g - t) * lens))
+
+
+def test_w1_density_rows_equal_the_formula_on_distinct_breakpoints():
+    m = 32
+    nodes = np.arange(m) * (TWO_PI / m)
+    flat_parts = GridDensity(np.maximum(np.cos(2.0 * nodes), 0.0) + 0.1 * (nodes > 5.0))
+    smooth = GridDensity(1.0 + 0.4 * np.sin(nodes))
+    rng = np.random.default_rng(17)
+    step = TWO_PI / (m * DENSITY_REFINE)
+    rows = [
+        rng.uniform(0.0, TWO_PI, 9),
+        rng.integers(0, m * DENSITY_REFINE, 9) * step,  # atoms on the refined mesh
+        np.repeat(rng.uniform(0.0, TWO_PI, 3), 3),  # repeated atoms
+        np.concatenate(([0.0, 0.0], rng.uniform(0.0, TWO_PI, 7))),  # atoms at 0
+        rng.uniform(0.0, TWO_PI, 9),
+    ]
+    atoms = np.sort(np.array(rows), axis=1)
+    for rho in (smooth, flat_parts):
+        want = [w1_density_on_distinct_breaks(EmpiricalMeasure(a[:, None]), rho) for a in atoms]
+        assert w1_density_rows(atoms, rho).tolist() == want
+        for a, w in zip(atoms, want):
+            assert w1_circle_density(EmpiricalMeasure(a[::-1, None]), rho) == w
 
 
 def test_w1_density_dimension_guard():
