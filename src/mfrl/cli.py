@@ -38,8 +38,6 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_DIVERGENCE = 4
 
-log = logging.getLogger("mfrl")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("MFRL_LOG", "warn").lower()
@@ -153,12 +151,12 @@ def cmd_metric(args) -> int:
             mu = measure_from_json(fh.read())
         with open(args.nu) as fh:
             nu = measure_from_json(fh.read())
+        if mu.d != nu.d:
+            raise InputDomainError(f"dimension mismatch: {mu.d} vs {nu.d}")
+        ctx = TorusContext(mu.d, args.trunc)
+        order = MetricOrder(args.order or ctx.k_star)
     except (OSError, InputDomainError, json.JSONDecodeError) as exc:
         raise SchemaError(str(exc)) from exc
-    if mu.d != nu.d:
-        raise SchemaError(f"dimension mismatch: {mu.d} vs {nu.d}")
-    ctx = TorusContext(mu.d, args.trunc)
-    order = MetricOrder(args.order if args.order > 0 else ctx.k_star)
     value = rho(mu, nu, order, ctx)
     sys.stdout.write(f"{value:.12g}\n")
     return 0
@@ -201,7 +199,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        log.error("schema error: %s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
     except DivergenceError as exc:

@@ -1,4 +1,4 @@
-"""Inf- and sup-convolution scans over discretized (time, shift, configuration) grids.
+"""Inf-convolution scans over discretized (time, shift, configuration) grids.
 
 The inf-convolution of an extended value function V(s, w, x) = v(s, w + x) at a
 target (t, z, mu) is
@@ -63,7 +63,7 @@ import numpy as np
 from .errors import ConfigurationError, InputDomainError
 from .fd import GridValueFunction
 from .metric import metric_weights
-from .torus import TWO_PI, EmpiricalMeasure, Measure, TorusContext, circle_arc
+from .torus import TWO_PI, Measure, TorusContext, circle_arc
 from .torus import fourier_coefficients, phase_table
 
 log = logging.getLogger(__name__)
@@ -258,37 +258,6 @@ def inf_convolve(
         rho_gap=rho_gap,
     )
     return best, rec
-
-
-def sup_convolve_testfn(
-    phi_at_z,
-    t0: float,
-    s: float,
-    w: float,
-    atoms: EmpiricalMeasure,
-    mu0: Measure,
-    cfg: ConvolutionConfig,
-    n_z: int = 512,
-) -> float:
-    """Sup-convolved test function
-
-        sup_z { phi(z) - dist(w, z)^2 / (2 eps) }
-            - |s - t0|^2 / (2 eps) - rho_star^2(mu^x, mu0) / (2 eps),
-
-    with the supremum taken over a uniform circle grid that contains w, so the
-    result is >= phi(w) minus the time and measure penalties exactly.
-    """
-    inv = 1.0 / (2.0 * cfg.epsilon)
-    z_grid = np.arange(n_z) * (TWO_PI / n_z)
-    z_grid = np.append(z_grid, w)
-    phi_vals = np.asarray([float(phi_at_z(z)) for z in z_grid])
-    pen = inv * circle_arc(w - z_grid) ** 2
-    sup_term = float(np.max(phi_vals - pen))
-    from .metric import rho_sq as _rho_sq
-    from .metric import MetricOrder
-
-    rho_pen = _rho_sq(atoms, mu0, MetricOrder(cfg.ctx.k_star), cfg.ctx)
-    return sup_term - inv * (s - t0) ** 2 - inv * rho_pen
 
 
 @dataclass(frozen=True)

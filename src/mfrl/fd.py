@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
-from .torus import TWO_PI, EmpiricalMeasure, canonicalize, seeded_generator, w1_circle
+from .torus import TWO_PI, EmpiricalMeasure, seeded_generator, w1_circle
 from .trig import mean_field_eval
 
 _MAGIC = b"MFRL1"
@@ -209,16 +209,13 @@ def fd_solve(
     N: int,
     mesh: int,
     n_t: int,
-    upwind: bool | None = None,
 ) -> GridValueFunction:
     """Solve the N-particle HJB equation by an explicit backward sweep.
 
-    ``upwind=None`` selects upwinding automatically from the cell Peclet
-    number; the resulting scheme is monotone, which is what the discrete
-    comparison tests rely on.
+    The drift is differenced centrally while the cell Peclet number
+    max |b| dx / 2 is at most one, exactly where that is monotone, and upwind
+    beyond it: the scheme is always monotone, as the comparison tests need.
     """
-    if problem.ctx.d != 1:
-        raise InputDomainError("fd_solve supports d = 1 only")
     if N < 1:
         raise InputDomainError("N must be >= 1")
     value_bytes = (int(n_t) + 1) * int(mesh) ** int(N) * 8
@@ -261,9 +258,8 @@ def fd_solve(
     del keys, cells
 
     drift_fields, cost_sum = _kernel_fields(problem, configs)
-    if upwind is None:
-        b_max = max((np.max(np.abs(b)) for b in drift_fields), default=0.0) if drift_fields else 0.0
-        upwind = bool(b_max * dx / 2.0 > 1.0)
+    b_max = max((float(np.max(np.abs(b))) for b in drift_fields or ()), default=0.0)
+    upwind = b_max * dx / 2.0 > 1.0
     values = np.empty((n_t + 1,) + shape)
     flat = values.reshape(n_t + 1, -1)  # a view: the expansion writes into values
     v, out = np.empty(n_sorted), np.empty(n_sorted)
@@ -328,18 +324,6 @@ def _step_coefficients(drift_fields, N: int, a: float, dx: float, dt: float, upw
             half = b * (dt / (2.0 * dx))
             plus[i], minus[i] = lap + half, lap - half
     return center, plus, minus
-
-
-def extend_value(vn, t: float, z, atoms) -> float:
-    """V^N(t, z, x) = v^N(t, z + x) with canonicalized shifts.
-
-    ``vn`` is a :class:`GridValueFunction` or any callable (t, config) -> value.
-    ``atoms`` may be an :class:`EmpiricalMeasure` or a configuration array.
-    """
-    config = atoms.atoms[:, 0] if isinstance(atoms, EmpiricalMeasure) else np.asarray(atoms, dtype=float)
-    shifted = canonicalize(config + float(np.asarray(z)))
-    accessor = vn.value if isinstance(vn, GridValueFunction) else vn
-    return float(accessor(t, shifted))
 
 
 @dataclass(frozen=True)

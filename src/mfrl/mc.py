@@ -63,14 +63,6 @@ class McEstimate:
     seed: int
 
 
-def _as_config(atoms) -> np.ndarray:
-    if isinstance(atoms, EmpiricalMeasure):
-        if atoms.d != 1:
-            raise InputDomainError("Monte Carlo solver is d = 1 only")
-        return atoms.atoms[:, 0].copy()
-    return np.asarray(atoms, dtype=float).reshape(-1)
-
-
 def _require_linear(problem: ProblemSpec):
     if not problem.hamiltonian.is_linear:
         raise InputDomainError(
@@ -306,7 +298,7 @@ def mc_solve_linear(
     seed: int,
 ) -> McEstimate:
     """Monte Carlo estimate of v^N(t, x) with mean and standard error."""
-    config = _as_config(atoms)
+    config = np.asarray(atoms, dtype=float).reshape(-1)
     if config.size != N:
         raise InputDomainError(f"configuration has {config.size} atoms, expected {N}")
     vals = mc_path_values(problem, config[None, :], t, n_paths, n_steps, seed)[0]
@@ -324,24 +316,3 @@ def resample_tuples(mu: Measure, N: int, n_resample: int, seed: int) -> np.ndarr
         flat = sample_iid(mu, n_resample * N, seed=int(seed) ^ 0x9E3779B9)
         return flat.atoms[:, 0].reshape(n_resample, N)
     raise InputDomainError(f"unsupported measure type {type(mu)!r}")
-
-
-def hat_v(
-    vn_accessor,
-    t: float,
-    mu: Measure,
-    N: int,
-    n_resample: int,
-    seed: int,
-) -> McEstimate:
-    """Smoothing estimator: average of v^N(t, .) over i.i.d. N-tuples from mu.
-
-    ``vn_accessor`` is any callable (t, config) -> value, e.g. the
-    interpolation accessor of a grid solution or a Monte Carlo wrapper.
-    """
-    if n_resample < 1:
-        raise InputDomainError("n_resample must be >= 1")
-    tuples = resample_tuples(mu, N, n_resample, seed)
-    vals = np.array([float(vn_accessor(t, cfg)) for cfg in tuples])
-    se = float(vals.std(ddof=1) / sqrt(n_resample)) if n_resample > 1 else 0.0
-    return McEstimate(float(vals.mean()), se, n_resample, int(seed))

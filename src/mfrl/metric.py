@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InputDomainError
+from .errors import ConsistencyError, InputDomainError, UnsupportedDimensionError
 from .torus import (
     TWO_PI,
     FourierVector,
@@ -30,8 +30,6 @@ from .torus import (
 
 #: imaginary residue above this level signals a convention bug
 _IMAG_HARD_LIMIT = 1e-8
-#: residues below this are silently discarded
-_IMAG_SOFT_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -232,24 +230,18 @@ def alpha_rate(N: int, d: int) -> float:
 
 
 def truncation_tail_bound(ctx: TorusContext, k: int) -> float:
-    """Upper bound on the rho_{-k}^2 mass beyond the truncation level.
+    """Upper bound on the rho_{-k}^2 mass beyond the truncation level (d = 1).
 
     Every mode of a difference of probability measures satisfies
-    ``|F_l(mu - nu)| <= 2 (2 pi)^{-d/2}``, so the tail is bounded by
-    ``sum_{|l|_inf > L} (1+|l|^2)^{-k} (2 (2 pi)^{-d/2})^2``, evaluated by
+    ``|F_l(mu - nu)| <= 2 (2 pi)^{-1/2}``, so the tail is bounded by
+    ``sum_{|l| > L} (1+l^2)^{-k} (2 (2 pi)^{-1/2})^2``, evaluated by
     extended summation plus an integral remainder.
     """
+    if ctx.d != 1:
+        raise UnsupportedDimensionError("truncation_tail_bound supports d = 1 only")
     L = ctx.trunc
-    amp = (2.0 * TWO_PI ** (-ctx.d / 2.0)) ** 2
-    if ctx.d == 1:
-        far = np.arange(L + 1, 16 * L + 1, dtype=float)
-        s = 2.0 * float(np.sum((1.0 + far * far) ** (-float(k))))
-        # integral remainder beyond 16 L
-        rem = 2.0 * (16 * L) ** (1 - 2 * k) / (2 * k - 1)
-        return amp * (s + rem)
-    # small-d lattice sum out to 4L, crude but sufficient for reports
-    big = TorusContext(ctx.d, 4 * L)
-    lsq = np.sum(big.modes * big.modes, axis=1)
-    inner = np.max(np.abs(big.modes), axis=1) <= L
-    s = float(np.sum((1.0 + lsq[~inner]) ** (-float(k))))
-    return amp * s * 2.0
+    far = np.arange(L + 1, 16 * L + 1, dtype=float)
+    s = 2.0 * float(np.sum((1.0 + far * far) ** (-float(k))))
+    # integral remainder beyond 16 L
+    rem = 2.0 * (16 * L) ** (1 - 2 * k) / (2 * k - 1)
+    return (2.0 * TWO_PI**-0.5) ** 2 * (s + rem)

@@ -21,8 +21,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import InputDomainError, check_fields, plan_float, plan_int
-from .torus import Measure, TorusContext
-from .trig import ZERO_POLY, TrigPoly, convolve, harmonics, trig_moments
+from .torus import TorusContext
+from .trig import ZERO_POLY, TrigPoly, harmonics
 
 Family = Literal["zero", "linear", "quadratic"]
 
@@ -113,9 +113,6 @@ class TerminalSpec:
         )
         return mean_g + (h.const**2 + 2.0 * h.const * linear.real + 0.5 * pairs.real)
 
-    def value_measure(self, mu: Measure) -> float:
-        return float(self.value_moments(*trig_moments(mu, self.degree)))
-
     def value_atoms(self, atoms: np.ndarray) -> float | np.ndarray:
         """G(mu^x) for configurations stacked on the last axis."""
         c, s = harmonics(atoms, self.degree)
@@ -136,7 +133,7 @@ class TerminalSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One instance of the mean-field / particle HJB pair."""
+    """One instance of the mean-field / particle HJB pair, on the circle (d = 1)."""
 
     hamiltonian: HamiltonianSpec
     terminal: TerminalSpec
@@ -145,6 +142,8 @@ class ProblemSpec:
     ctx: TorusContext = field(default_factory=lambda: TorusContext(1, 64))
 
     def __post_init__(self):
+        if self.ctx.d != 1:
+            raise InputDomainError(f"dimension d = {self.ctx.d}: every solver handles d = 1 only")
         if self.a < 0:
             raise InputDomainError("common-noise intensity a must be >= 0")
         if self.T <= 0:
@@ -159,13 +158,6 @@ class ProblemSpec:
             raise InputDomainError(
                 f"kernel degree {maxdeg} exceeds truncation {self.ctx.trunc}"
             )
-
-    def drift_at(self, x: np.ndarray, mu: Measure) -> np.ndarray:
-        """b(x, mu) evaluated at points x."""
-        kernel = self.hamiltonian.drift_kernel
-        x = np.asarray(x, dtype=float)
-        cm, sm = (m.reshape(m.shape + (1,) * x.ndim) for m in trig_moments(mu, kernel.degree))
-        return convolve(kernel, cm, sm, *harmonics(x, kernel.degree))
 
     def to_dict(self) -> dict:
         return {

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, UnsupportedDimensionError
+from .errors import InputDomainError, UnsupportedDimensionError, check_fields, plan_float, plan_int
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,10 +143,6 @@ class EmpiricalMeasure:
     def d(self) -> int:
         return self.atoms.shape[1]
 
-    def shifted(self, z) -> "EmpiricalMeasure":
-        """Push-forward under translation by z (all atoms shifted)."""
-        return EmpiricalMeasure(self.atoms + np.asarray(z, dtype=float))
-
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -181,10 +177,6 @@ class GridDensity:
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.m) * (TWO_PI / self.m)
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum() * (TWO_PI / self.m))
 
 
 Measure = EmpiricalMeasure | GridDensity
@@ -422,19 +414,30 @@ def measure_to_json(mu: Measure) -> str:
     return json.dumps(obj)
 
 
+def _json_list(obj: dict, name: str) -> list:
+    value = obj.get(name)
+    if not isinstance(value, list):
+        raise InputDomainError(f"measure field {name} must be a list, got {value!r}")
+    return value
+
+
 def measure_from_json(text: str) -> Measure:
+    """The measure of a JSON document as ``measure_to_json`` writes it; empirical
+    atoms may also be plain numbers for d = 1.  Any other document raises
+    ``InputDomainError``."""
     obj = json.loads(text)
+    check_fields(obj, ("kind", "d", "atoms", "m", "values"), "measure")
     kind = obj.get("kind")
     if kind == "empirical":
-        atoms = np.asarray(obj["atoms"], dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if "d" in obj and atoms.shape[1] != int(obj["d"]):
-            raise InputDomainError("declared dimension does not match atom shape")
-        return EmpiricalMeasure(atoms)
+        rows = [row if isinstance(row, list) else [row] for row in _json_list(obj, "atoms")]
+        d = plan_int("d", obj.get("d", len(rows[0]) if rows else 1))
+        if any(len(row) != d for row in rows):
+            raise InputDomainError(f"every atom must have the d = {d} coordinates declared")
+        atoms = [plan_float("atoms", x) for row in rows for x in row]
+        return EmpiricalMeasure(np.array(atoms).reshape(len(rows), d))
     if kind == "grid":
-        values = np.asarray(obj["values"], dtype=float)
-        if "m" in obj and values.size != int(obj["m"]):
+        values = np.array([plan_float("values", v) for v in _json_list(obj, "values")])
+        if "m" in obj and values.size != plan_int("m", obj["m"]):
             raise InputDomainError("declared mesh size does not match values")
         return GridDensity(values)
     raise InputDomainError(f"unknown measure kind {kind!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDomainError, check_fields, plan_float
-from .torus import TWO_PI, EmpiricalMeasure, GridDensity, Measure
+from .torus import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -158,18 +158,6 @@ def density_moments(rho: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray]:
     dx = TWO_PI / rho.shape[0]
     c, s = harmonics(np.arange(rho.shape[0]) * dx, deg)
     return (c @ rho) * dx, (s @ rho) * dx
-
-
-def trig_moments(mu: Measure, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moments (int cos(k y) dmu, int sin(k y) dmu) for k = 1..deg."""
-    if isinstance(mu, EmpiricalMeasure):
-        if mu.d != 1:
-            raise InputDomainError("trig moments are d=1 only")
-        c, s = harmonics(mu.atoms[:, 0], deg)
-        return c.mean(axis=-1), s.mean(axis=-1)
-    if isinstance(mu, GridDensity):
-        return density_moments(mu.values, deg)
-    raise InputDomainError(f"unsupported measure type {type(mu)!r}")
 
 
 def particle_mean(x: np.ndarray) -> np.ndarray:

@@ -403,3 +403,64 @@ def test_debug_log_leaves_rate_stdout_and_report_unchanged(tmp_path):
     assert runs["warn"][2] == ""
     mc_lines = [ln for ln in runs["debug"][2].splitlines() if ln.startswith("mc paths: ")]
     assert len(mc_lines) == 3 * 2  # one per (N, t) call
+
+
+def run_cli(*args):
+    """``mfrl`` in a fresh interpreter: its exit code and its real stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("MFRL_LOG", None)
+    return subprocess.run(
+        [sys.executable, "-m", "mfrl.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def assert_one_schema_error(proc):
+    assert proc.returncode == EXIT_SCHEMA, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0.5], [1.0]],
+        {"kind": "empirical", "d": 1},
+        {"kind": "empirical", "atoms": [["a"], [1.0]]},
+        {"kind": "empirical", "d": "one", "atoms": [[0.5]]},
+        {"kind": "empirical", "d": 1.5, "atoms": [[0.5]]},
+    ],
+    ids=["json-array", "no-atoms", "non-numeric-atoms", "string-d", "non-integer-d"],
+)
+def test_metric_with_malformed_measure_file_exits_with_one_schema_error(tmp_path, doc):
+    good = tmp_path / "nu.json"
+    good.write_text(measure_to_json(EmpiricalMeasure(np.array([[0.5]]))))
+    proc = run_cli("metric", write(tmp_path / "mu.json", doc), str(good))
+    assert_one_schema_error(proc)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("option, value", [("--trunc", "0"), ("--order", "-2")])
+def test_metric_with_bad_trunc_or_order_exits_with_one_schema_error(tmp_path, option, value):
+    path = tmp_path / "mu.json"
+    path.write_text(measure_to_json(EmpiricalMeasure(np.array([[0.5]]))))
+    proc = run_cli("metric", str(path), str(path), option, value)
+    assert_one_schema_error(proc)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "rate"])
+def test_plan_with_two_dimensional_problem_exits_with_one_schema_error(tmp_path, command):
+    problem = {**problem_dict(), "d": 2}
+    if command == "solve":
+        doc = {"version": 1, "solver": "mc", "problem": problem, **SOLVE_PLANS["mc"]}
+    else:
+        doc = {"version": 1, "plan": {"problem": problem, **RATE_PLAN}}
+    out = tmp_path / "out"
+    proc = run_cli(command, "--plan", write(tmp_path / "plan.json", doc), "--out", str(out))
+    assert "d = 1" in assert_one_schema_error(proc)
+    assert proc.stdout == ""
+    assert not out.exists()

@@ -10,14 +10,13 @@ from mfrl.errors import ConfigurationError, InputDomainError, ResourceBudgetErro
 from mfrl.fd import (
     VALUE_BYTES_BUDGET,
     GridValueFunction,
-    extend_value,
     fd_solve,
     lipschitz_probe,
     max_stable_dt,
     required_time_steps,
 )
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext
+from mfrl.torus import TWO_PI, TorusContext, canonicalize
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
@@ -33,10 +32,10 @@ def null_problem(a=0.0, T=1.0):
     )
 
 
-def linear_problem(a=0.25, T=0.5):
+def linear_problem(a=0.25, T=0.5, drift_scale=1.0):
     ham = HamiltonianSpec(
         "linear",
-        drift_kernel=TrigPoly(0.0, [0.4], [0.2]),
+        drift_kernel=TrigPoly(0.0, [0.4 * drift_scale], [0.2 * drift_scale]),
         cost_kernel=TrigPoly(0.1, [0.0, 0.3]),
     )
     term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
@@ -173,13 +172,18 @@ def test_value_interpolation_at_nodes_is_exact():
 
 
 def test_extend_value_shift_identities():
+    # the extended value V(t, z, x) = v(t, z + x), read on canonical points
     vn = solve(null_problem(T=0.5), 2, 24)
-    atoms = EmpiricalMeasure(np.array([[0.7], [2.9]]))
-    base = extend_value(vn, 0.2, 0.0, atoms)
-    assert extend_value(vn, 0.2, TWO_PI, atoms) == pytest.approx(base, abs=1e-12)
+
+    def extended(t, z, x):
+        return vn.value(t, canonicalize(x + z))
+
+    x = np.array([0.7, 2.9])
+    base = extended(0.2, 0.0, x)
+    assert extended(0.2, TWO_PI, x) == pytest.approx(base, abs=1e-12)
     z1, z2 = 0.9, 1.7
-    lhs = extend_value(vn, 0.2, z1, EmpiricalMeasure(atoms.atoms + z2))
-    rhs = extend_value(vn, 0.2, z1 + z2, atoms)
+    lhs = extended(0.2, z1, x + z2)
+    rhs = extended(0.2, z1 + z2, x)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -273,10 +277,16 @@ def roll_solve(problem, n, mesh, n_t, upwind):
 @pytest.mark.parametrize("a", [0.0, 0.5])
 @pytest.mark.parametrize("n, mesh", [(1, 24), (2, 12), (3, 8)])
 def test_fused_step_matches_roll_stencil(n, mesh, a, upwind):
-    prob = linear_problem(a=a)
+    # fd_solve picks the scheme by itself from the cell Peclet number
+    # max |b| dx / 2 on the lattice.  linear_problem's drift (Peclet 0.05-0.16
+    # on these meshes) stays central; scaled by 20 (Peclet 1.05-3.27) it is
+    # upwinded.
+    prob = linear_problem(a=a, drift_scale=20.0 if upwind else 1.0)
     n_t = required_time_steps(prob, n, mesh)
-    got = fd_solve(prob, n, mesh, n_t, upwind=upwind).values
+    got = fd_solve(prob, n, mesh, n_t).values
     assert np.max(np.abs(got - roll_solve(prob, n, mesh, n_t, upwind))) < 1e-12
+    # the other scheme is off by 0.012-0.5, so the comparison sees the choice
+    assert np.max(np.abs(got - roll_solve(prob, n, mesh, n_t, not upwind))) > 1e-2
 
 
 def test_fused_step_matches_roll_stencil_quadratic():

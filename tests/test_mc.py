@@ -10,9 +10,9 @@ from scipy.special import ndtr
 from mfrl import mc
 from mfrl.errors import InputDomainError
 from mfrl.fd import fd_solve, required_time_steps
-from mfrl.mc import McEstimate, hat_v, mc_path_values, mc_solve_linear, resample_tuples
+from mfrl.mc import McEstimate, mc_path_values, mc_solve_linear, resample_tuples
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext, seeded_generator
+from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, seeded_generator
 from mfrl.trig import TrigPoly, mean_field_eval
 
 CTX = TorusContext(1, 64)
@@ -106,13 +106,6 @@ def test_resample_tuples_shapes_and_support():
     tuples = resample_tuples(mu, 4, 10, seed=1)
     assert tuples.shape == (10, 4)
     assert np.all(np.isin(tuples, mu.atoms[:, 0]))
-
-
-def test_hat_v_constant_accessor():
-    dens = GridDensity(np.ones(64))
-    est = hat_v(lambda t, cfg: 1.25, 0.1, dens, 3, 32, seed=4)
-    assert est.mean == pytest.approx(1.25, abs=1e-14)
-    assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
 
 def _mean(x):

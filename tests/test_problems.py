@@ -3,8 +3,8 @@ import pytest
 
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity, TorusContext
-from mfrl.trig import TrigPoly, density_moments, harmonics
+from mfrl.torus import TWO_PI, GridDensity, TorusContext
+from mfrl.trig import TrigPoly, convolve, density_moments, harmonics
 
 
 def linear_ham():
@@ -28,13 +28,10 @@ def test_family_validation():
 
 def test_terminal_values_on_measures():
     term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0], [1.0]))
-    atoms = np.array([[0.0], [np.pi]])
-    mu = EmpiricalMeasure(atoms)
     # mean cos = 0, mean sin(2x) = 0
-    assert term.value_measure(mu) == pytest.approx(0.0, abs=1e-14)
-    single = EmpiricalMeasure(np.array([[0.5]]))
+    assert term.value_atoms(np.array([0.0, np.pi])) == pytest.approx(0.0, abs=1e-14)
     expected = np.cos(0.5) + np.sin(0.5) ** 2
-    assert term.value_measure(single) == pytest.approx(expected)
+    assert term.value_atoms(np.array([0.5])) == pytest.approx(expected)
 
 
 def test_terminal_grid_matches_empirical_limit():
@@ -43,7 +40,8 @@ def test_terminal_grid_matches_empirical_limit():
     nodes = np.arange(m) * (TWO_PI / m)
     dens = GridDensity(1.0 + 0.5 * np.cos(nodes))
     # int cos dmu = 0.25 for density (1 + 0.5 cos)/2pi
-    assert term.value_measure(dens) == pytest.approx(0.25 + 0.04, abs=1e-10)
+    value = term.value_moments(*density_moments(dens.values, term.degree))
+    assert value == pytest.approx(0.25 + 0.04, abs=1e-10)
 
 
 def test_terminal_batched_atoms():
@@ -72,8 +70,7 @@ def test_terminal_moments_match_quadrature_on_atoms():
     configs = np.random.default_rng(4).uniform(0, TWO_PI, (6, 5))
     direct = _poly(term.g, configs).mean(axis=1) + _poly(term.h, configs).mean(axis=1) ** 2
     assert np.max(np.abs(term.value_atoms(configs) - direct)) < 1e-13
-    mu = EmpiricalMeasure(configs[0][:, None])
-    assert term.value_measure(mu) == pytest.approx(direct[0], abs=1e-13)
+    assert term.value_atoms(configs[0]) == pytest.approx(direct[0], abs=1e-13)
 
 
 def test_terminal_moments_match_quadrature_on_densities():
@@ -87,7 +84,8 @@ def test_terminal_moments_match_quadrature_on_densities():
     batch = term.value_moments(*density_moments(rho, term.degree))
     assert np.max(np.abs(batch - direct)) < 1e-13
     for j in range(3):
-        assert term.value_measure(GridDensity(rho[:, j])) == pytest.approx(direct[j], abs=1e-13)
+        one = term.value_moments(*density_moments(GridDensity(rho[:, j]).values, term.degree))
+        assert one == pytest.approx(direct[j], abs=1e-13)
 
 
 @pytest.mark.parametrize("var", [0.05, 0.6, 3.0])
@@ -117,17 +115,21 @@ def test_problem_validation():
     with pytest.raises(InputDomainError):
         # cost kernel degree 2 exceeds truncation 1
         ProblemSpec(linear_ham(), TerminalSpec(), ctx=TorusContext(1, 1))
+    with pytest.raises(InputDomainError, match="d = 1"):
+        # every solver is d = 1 only
+        ProblemSpec(linear_ham(), TerminalSpec(), ctx=TorusContext(2, 4))
     ProblemSpec(linear_ham(), TerminalSpec(), ctx=ctx)  # degree 2 fits
 
 
 def test_drift_at_uses_mean_field_convolution():
-    prob = ProblemSpec(linear_ham(), TerminalSpec(), T=1.0)
+    # b(x, mu) = int K(x - y) mu(dy) at points x, from the harmonic means of mu
+    kernel = linear_ham().drift_kernel
     rng = np.random.default_rng(1)
-    mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (5, 1)))
+    atoms = rng.uniform(0, TWO_PI, 5)
     x = rng.uniform(0, TWO_PI, 4)
-    kernel = prob.hamiltonian.drift_kernel
-    direct = [np.mean(kernel(xi - mu.atoms[:, 0])) for xi in x]
-    assert np.allclose(prob.drift_at(x, mu), direct)
+    cm, sm = (h.mean(axis=-1)[:, None] for h in harmonics(atoms, kernel.degree))
+    direct = [np.mean(kernel(xi - atoms)) for xi in x]
+    assert np.allclose(convolve(kernel, cm, sm, *harmonics(x, kernel.degree)), direct)
 
 
 def test_problem_serialization_roundtrip():

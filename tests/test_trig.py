@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from mfrl.errors import InputDomainError
-from mfrl.torus import TWO_PI, EmpiricalMeasure, GridDensity
+from mfrl.torus import TWO_PI, GridDensity
 from mfrl.trig import (
     ZERO_POLY,
     TrigPoly,
     convolve,
+    density_moments,
     harmonics,
     mean_field_eval,
-    trig_moments,
 )
+
+
+def atom_moments(atoms, deg):
+    """The trig moments of the empirical measure of ``atoms``: harmonic means."""
+    c, s = harmonics(atoms, deg)
+    return c.mean(axis=-1), s.mean(axis=-1)
 
 
 def test_evaluation_matches_direct_sum():
@@ -45,8 +51,7 @@ def test_rejects_nonfinite_coefficients():
 
 
 def test_moments_of_point_mass():
-    mu = EmpiricalMeasure(np.full((3, 1), 1.0))
-    c, s = trig_moments(mu, 4)
+    c, s = atom_moments(np.full(3, 1.0), 4)
     k = np.arange(1, 5)
     assert np.allclose(c, np.cos(k))
     assert np.allclose(s, np.sin(k))
@@ -56,7 +61,7 @@ def test_moments_grid_vs_empirical():
     m = 1024
     nodes = np.arange(m) * (TWO_PI / m)
     dens = GridDensity(1.0 + 0.3 * np.cos(2 * nodes))
-    c, s = trig_moments(dens, 3)
+    c, s = density_moments(dens.values, 3)
     assert c[1] == pytest.approx(0.15, abs=1e-10)
     assert abs(c[0]) < 1e-10 and abs(s[1]) < 1e-10
 
@@ -64,10 +69,10 @@ def test_moments_grid_vs_empirical():
 def test_convolution_against_quadrature():
     kernel = TrigPoly(0.2, [0.7], [0.0, -0.4])
     rng = np.random.default_rng(3)
-    mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, (6, 1)))
-    c, s = trig_moments(mu, kernel.degree)
+    atoms = rng.uniform(0, TWO_PI, 6)
+    c, s = atom_moments(atoms, kernel.degree)
     for x in rng.uniform(0, TWO_PI, 5):
-        direct = np.mean(kernel(x - mu.atoms[:, 0]))
+        direct = np.mean(kernel(x - atoms))
         conv = convolve(kernel, c, s, *harmonics(np.array(x), kernel.degree))
         assert conv == pytest.approx(direct, abs=1e-12)
 
