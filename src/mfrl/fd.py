@@ -22,8 +22,10 @@ C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
 (+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
 the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through integer tables
 built once per solve, re-sorted through the map from lattice node to
-multiset.  The same map expands every time slice into the full-lattice
-value array with one gather, so every reader of ``values`` is unchanged.
+multiset.  The solution keeps one value per multiset and time slice, and so
+does the value file (version 2).  ``values``, the full-lattice array that
+every reader reads, is expanded from them with one gather per slice: by a
+solution on first read, and by ``load`` slice by slice as it reads the file.
 
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
@@ -41,7 +43,8 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from math import ceil, log2
+from functools import cached_property
+from math import ceil, comb, log2
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from .torus import TWO_PI, EmpiricalMeasure, seeded_generator, w1_circle
 from .trig import mean_field_eval
 
 _MAGIC = b"MFRL1"
-_VERSION = 1
+_VERSION = 2
 
 #: hard cap on the bytes of the value array of one solve, (n_t + 1) mesh^N doubles
 VALUE_BYTES_BUDGET = 1 << 30
@@ -64,27 +67,36 @@ _CFL_SAFETY = 0.9
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
 class GridValueFunction:
     """Backward-in-time solution on the periodic tensor grid.
 
     ``values[k]`` is the slice at ``t_k = k T / n_t``; the last slice is the
-    terminal condition G(mu^x) exactly.
+    terminal condition G(mu^x) exactly.  Built from a full-lattice array (as
+    ``load`` builds it), the object holds that array.  ``fd_solve`` returns
+    one that holds its multiset slices instead, shape
+    ``(n_t + 1, C(mesh + N - 1, N))``; ``values`` expands them on first read.
     """
 
-    N: int
-    mesh: int
-    n_t: int
-    T: float
-    values: np.ndarray  # shape (n_t + 1,) + (mesh,) * N
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = (self.n_t + 1,) + (self.mesh,) * self.N
+    def __init__(self, N: int, mesh: int, n_t: int, T: float, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        expected = (n_t + 1,) + (mesh,) * N
         if v.shape != expected:
             raise InputDomainError(f"value array shape {v.shape} != {expected}")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self.N, self.mesh, self.n_t, self.T = N, mesh, n_t, T
+        self.values = v  # fills the cached property below
+        self._slices = None
+
+    @classmethod
+    def _of_slices(cls, N: int, mesh: int, n_t: int, T: float, slices: np.ndarray):
+        vn = cls.__new__(cls)
+        slices.flags.writeable = False
+        vn.N, vn.mesh, vn.n_t, vn.T, vn._slices = N, mesh, n_t, T, slices
+        return vn
+
+    @cached_property
+    def values(self) -> np.ndarray:  # shape (n_t + 1,) + (mesh,) * N, read-only
+        return _expand(self.N, self.mesh, self.n_t, self._slices)
 
     @property
     def dx(self) -> float:
@@ -128,13 +140,37 @@ class GridValueFunction:
         return float(out[0]) if np.asarray(configs).ndim == 1 else out
 
     def save(self, path) -> None:
-        """Binary layout: magic, version u32, N, d, mesh, n_t u32, T f64, f64 LE values."""
+        """Binary layout: magic, version u32, N, d, mesh, n_t u32, T f64, then
+        n_t + 1 slices of C(mesh + N - 1, N) f64 LE values, one per multiset of
+        lattice indices, in ascending order of the flat lattice index of the
+        sorted index tuple that names it.
+
+        An object built from a full array gathers its slices here; the array
+        must be symmetric under permuting particles, NaN equal to NaN.
+        """
+        start = time.perf_counter()
+        slices = self._slices if self._slices is not None else self._gathered_slices()
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.N, 1, self.mesh, self.n_t, self.T))
-            np.ascontiguousarray(self.values, dtype="<f8").tofile(fh)
+            np.ascontiguousarray(slices, dtype="<f8").tofile(fh)
+            size = fh.tell()
+        _log_io("save", self, slices.shape[1], size, start)
+
+    def _gathered_slices(self) -> np.ndarray:
+        keys, multiset = _multisets(self.N, self.mesh)
+        flat = self.values.reshape(self.n_t + 1, -1)
+        slices = flat[:, keys]
+        for k in range(self.n_t + 1):
+            # one slice expanded back at a time: the check costs one slice
+            if not np.array_equal(slices[k, multiset], flat[k], equal_nan=True):
+                raise InputDomainError(
+                    f"value slice {k} is not symmetric under permuting particles"
+                )
+        return slices
 
     @classmethod
     def load(cls, path) -> "GridValueFunction":
+        start = time.perf_counter()
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             if len(head) < _HEADER.size:
@@ -142,20 +178,79 @@ class GridValueFunction:
             magic, version, n, d, mesh, n_t, t_horizon = _HEADER.unpack(head)
             if magic != _MAGIC:
                 raise InputDomainError(f"bad magic {magic!r}")
-            if version != _VERSION or d != 1:
-                raise InputDomainError("unsupported value-file version or dimension")
+            if version != _VERSION:
+                raise InputDomainError(
+                    f"value file version {version}; this reader reads version {_VERSION}"
+                )
+            if d != 1:
+                raise InputDomainError(f"value file of dimension {d}; only d = 1 is solved")
             # mesh^N of any real file is below 2^64; bounding it first keeps
-            # an absurd header from computing a huge power
+            # an absurd header from computing a huge power or binomial
             if min(n, mesh, n_t) < 1 or n * log2(mesh) > 64:
                 raise InputDomainError(f"bad value-file grid N={n} mesh={mesh} n_t={n_t}")
-            count = (n_t + 1) * mesh**n
-            size = os.fstat(fh.fileno()).st_size
-            if size != _HEADER.size + 8 * count:
-                raise InputDomainError(
-                    f"value file has {size} bytes; its header needs {_HEADER.size + 8 * count}"
-                )
-            data = np.fromfile(fh, dtype="<f8", count=count)
-        return cls(n, mesh, n_t, t_horizon, data.reshape((n_t + 1,) + (mesh,) * n))
+            # every check comes before anything is allocated
+            n_sorted = comb(mesh + n - 1, n)
+            size, needed = os.fstat(fh.fileno()).st_size, _HEADER.size + 8 * (n_t + 1) * n_sorted
+            if size != needed:
+                raise InputDomainError(f"value file has {size} bytes; its header needs {needed}")
+            _check_value_bytes(n, mesh, n_t)
+            values = _expand(n, mesh, n_t, _read_slices(fh, n_t + 1, n_sorted))
+        vn = cls(n, mesh, n_t, t_horizon, values)
+        _log_io("load", vn, n_sorted, size, start)
+        return vn
+
+
+def _check_value_bytes(N: int, mesh: int, n_t: int) -> None:
+    value_bytes = (n_t + 1) * mesh**N * 8
+    if value_bytes > VALUE_BYTES_BUDGET:
+        raise ResourceBudgetError(
+            f"value array of {value_bytes} bytes exceeds budget {VALUE_BYTES_BUDGET}"
+        )
+
+
+def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multisets of lattice indices, and the multiset of each lattice node.
+
+    Sorting an index tuple names its multiset.  Returns the flat lattice
+    index of each sorted tuple, ascending (C(mesh + N - 1, N) of them), and
+    for every flat lattice node the rank of its multiset among them.  int32
+    indices (mesh < 2^27 under the value budget) halve the set-up arrays.
+    """
+    shape = (mesh,) * N
+    index = np.sort(np.indices(shape, dtype=np.int32).reshape(N, -1), axis=0)
+    keys = np.ravel_multi_index(tuple(index), shape)
+    del index
+    return np.unique(keys, return_inverse=True)
+
+
+def _expand(N: int, mesh: int, n_t: int, slices) -> np.ndarray:
+    """Read-only full-lattice array, each multiset slice of ``slices`` (an
+    iterable of n_t + 1 rows) gathered into its time slice."""
+    multiset = _multisets(N, mesh)[1]
+    values = np.empty((n_t + 1,) + (mesh,) * N)
+    flat = values.reshape(n_t + 1, -1)  # a view: the gather writes into values
+    for k, row in enumerate(slices):
+        # every index is in range; any mode but "raise" lets take write to out unbuffered
+        np.take(row, multiset, out=flat[k], mode="wrap")
+    values.flags.writeable = False
+    return values
+
+
+def _read_slices(fh, count: int, n_sorted: int):
+    """The next ``count`` slices of ``n_sorted`` f64 LE values, read one at a
+    time into the same buffer."""
+    row = np.empty(n_sorted, dtype="<f8")
+    for _ in range(count):
+        if fh.readinto(row) != row.nbytes:
+            raise InputDomainError("value file ended before its last slice")
+        yield row
+
+
+def _log_io(what: str, vn: GridValueFunction, n_sorted: int, size: int, start: float) -> None:
+    log.info(
+        "fd %s: N %d, mesh %d, n_t %d, %d multisets per slice, %.1f MB, %.3f s",
+        what, vn.N, vn.mesh, vn.n_t, n_sorted, size / 1e6, time.perf_counter() - start,
+    )
 
 
 def _kernel_fields(problem: ProblemSpec, configs: np.ndarray):
@@ -218,11 +313,7 @@ def fd_solve(
     """
     if N < 1:
         raise InputDomainError("N must be >= 1")
-    value_bytes = (int(n_t) + 1) * int(mesh) ** int(N) * 8
-    if value_bytes > VALUE_BYTES_BUDGET:
-        raise ResourceBudgetError(
-            f"value array of {value_bytes} bytes exceeds budget {VALUE_BYTES_BUDGET}"
-        )
+    _check_value_bytes(int(N), int(mesh), int(n_t))
     n_req = required_time_steps(problem, N, mesh)
     if n_t < n_req:
         raise ConfigurationError(
@@ -237,35 +328,26 @@ def fd_solve(
     # dt (lam N / 2) ((v(+e_i) - v(-e_i)) / (2 dx))^2
     quad = dt * problem.hamiltonian.lam * N / (8.0 * dx**2)
     shape = (mesh,) * N
-    # one node per multiset of lattice indices: sorting an index tuple names
-    # its multiset, and full_to_sorted, the map from lattice node to multiset,
-    # is also the gather that expands a slice to the full lattice.  int32
-    # indices (mesh < 2^27 under the value budget) halve the set-up arrays.
-    index = np.sort(np.indices(shape, dtype=np.int32).reshape(N, -1), axis=0)
-    keys = np.ravel_multi_index(tuple(index), shape)
-    del index
-    keys, full_to_sorted = np.unique(keys, return_inverse=True)
+    # one node per multiset of lattice indices; multiset, the map from lattice
+    # node to multiset, re-sorts the neighbours of a sorted node
+    keys, multiset = _multisets(N, mesh)
     cells = np.stack(np.unravel_index(keys, shape), axis=-1)  # (n_sorted, N), rows ascending
     n_sorted = cells.shape[0]
     # rows of the neighbour table: +e_i, then -e_i, then the diagonal +-(1, ..., 1)
     unit = np.eye(N, dtype=int)
     steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
     table = np.stack([
-        full_to_sorted[np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)]
+        multiset[np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)]
         for step in steps
     ])
     configs = cells * dx
-    del keys, cells
+    del keys, multiset, cells
 
     drift_fields, cost_sum = _kernel_fields(problem, configs)
     b_max = max((float(np.max(np.abs(b))) for b in drift_fields or ()), default=0.0)
     upwind = b_max * dx / 2.0 > 1.0
-    values = np.empty((n_t + 1,) + shape)
-    flat = values.reshape(n_t + 1, -1)  # a view: the expansion writes into values
-    v, out = np.empty(n_sorted), np.empty(n_sorted)
-    v[:] = problem.terminal.value_atoms(configs)
-    # every index is in range; any mode but "raise" lets take write to out unbuffered
-    np.take(v, full_to_sorted, out=flat[n_t], mode="wrap")
+    slices = np.empty((n_t + 1, n_sorted))
+    slices[n_t] = problem.terminal.value_atoms(configs)
     del configs
     center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
     del drift_fields
@@ -276,6 +358,8 @@ def fd_solve(
     tmp = np.empty(n_sorted)
     finite = np.empty(n_sorted, dtype=bool)
     for k in range(n_t - 1, -1, -1):
+        v, out = slices[k + 1], slices[k]
+        # every index is in range; any mode but "raise" lets take write to out unbuffered
         np.take(v, table, out=nb, mode="wrap")
         np.multiply(center, v, out=out)
         for i in range(N):
@@ -291,13 +375,11 @@ def fd_solve(
             out += source
         if not np.isfinite(out, out=finite).all():
             raise DivergenceError(f"non-finite values at time step {k}")
-        np.take(out, full_to_sorted, out=flat[k], mode="wrap")
-        v, out = out, v
     log.debug(
         "fd solve: N %d, mesh %d, n_t %d (stability needs %d), %d of %d nodes, upwind %s, %.3f s",
         N, mesh, n_t, n_req, n_sorted, mesh**N, upwind, time.perf_counter() - start,
     )
-    return GridValueFunction(N, mesh, n_t, problem.T, values)
+    return GridValueFunction._of_slices(N, mesh, n_t, problem.T, slices)
 
 
 def _step_coefficients(drift_fields, N: int, a: float, dx: float, dt: float, upwind: bool):

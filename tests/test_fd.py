@@ -1,6 +1,8 @@
 import itertools
 import logging
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +201,92 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.values, vn.values)
 
 
-def _header(n, mesh, n_t):
-    return struct.pack("<5sIIIIId", b"MFRL1", 1, n, 1, mesh, n_t, 0.5)
+def _header(n, mesh, n_t, version=fd._VERSION):
+    return struct.pack("<5sIIIIId", b"MFRL1", version, n, 1, mesh, n_t, 0.5)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("n, mesh", [(1, 24), (2, 12), (3, 8)])
+def test_value_file_holds_one_value_per_multiset(tmp_path, n, mesh, a):
+    # a = 0.5 reads the diagonal neighbours that wrap across the seam
+    vn = solve(linear_problem(a=a), n, mesh)
+    path = tmp_path / "v.bin"
+    vn.save(path)
+    assert path.stat().st_size == fd._HEADER.size + 8 * (vn.n_t + 1) * math.comb(mesh + n - 1, n)
+    back = GridValueFunction.load(path)
+    assert back.values.tobytes() == vn.values.tobytes()
+    # a full array gathers the same slices as the solve kept
+    full = tmp_path / "full.bin"
+    GridValueFunction(n, mesh, vn.n_t, vn.T, vn.values).save(full)
+    assert full.read_bytes() == path.read_bytes()
+
+
+def test_solve_and_save_never_build_the_full_lattice(tmp_path):
+    prob = linear_problem(a=0.5)
+    n_t = required_time_steps(prob, 3, 24)
+    full_bytes = (n_t + 1) * 24**3 * 8
+    tracemalloc.start()
+    try:
+        vn = fd_solve(prob, 3, 24, n_t)
+        vn.save(tmp_path / "v.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes / 2
+    assert vn.values.nbytes == full_bytes and not vn.values.flags.writeable
+    assert vn.values is vn.values
+
+
+def test_save_refuses_an_asymmetric_array(tmp_path):
+    values = np.array(solve(linear_problem(), 2, 8).values)
+    values[:, 3, 5] = np.nan
+    values[2, 0, 1] = np.nan
+    path = tmp_path / "v.bin"
+    with pytest.raises(InputDomainError, match="symmetric"):
+        GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values.copy()).save(path)
+    assert not path.exists()
+    # with its mirror entries NaN too the array is symmetric: NaN equals NaN
+    values[:, 5, 3] = np.nan
+    values[2, 1, 0] = np.nan
+    GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values).save(path)
+    assert np.array_equal(GridValueFunction.load(path).values, values, equal_nan=True)
+
+
+def test_load_refuses_a_version_1_file(tmp_path):
+    path = tmp_path / "v.bin"
+    path.write_bytes(_header(2, 16, 4, version=1) + bytes(8 * 5 * 16**2))
+    with pytest.raises(InputDomainError, match="version 1"):
+        GridValueFunction.load(path)
+
+
+def test_load_refuses_an_expansion_over_the_budget(tmp_path):
+    # a 7.8 MB file of the right size whose 2 x 16^8 lattice is 68.7 GB
+    assert 2 * 16**8 * 8 > VALUE_BYTES_BUDGET
+    path = tmp_path / "v.bin"
+    path.write_bytes(_header(8, 16, 1))
+    with open(path, "r+b") as fh:
+        fh.truncate(fd._HEADER.size + 8 * 2 * math.comb(23, 8))
+    with pytest.raises(ResourceBudgetError):
+        GridValueFunction.load(path)
+    # header only: refused on its size, before anything is allocated
+    path.write_bytes(_header(8, 16, 1))
+    with pytest.raises(InputDomainError):
+        GridValueFunction.load(path)
+
+
+def test_info_log_reports_each_save_and_load(tmp_path, caplog):
+    vn = solve(linear_problem(a=0.5), 2, 12)
+    path = tmp_path / "v.bin"
+    with caplog.at_level(logging.INFO, logger="mfrl.fd"):
+        vn.save(path)
+        GridValueFunction.load(path)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.fd"]
+    mb = path.stat().st_size / 1e6
+    assert [line.rsplit(", ", 1)[0] for line in lines] == [
+        f"fd {what}: N 2, mesh 12, n_t {vn.n_t}, 78 multisets per slice, {mb:.1f} MB"
+        for what in ("save", "load")
+    ]
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_load_rejects_truncated_file(tmp_path):
