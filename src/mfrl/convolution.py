@@ -7,10 +7,12 @@ target (t, z, mu) is
         + ( |t - s|^2 + dist(z, w)^2 + rho_star^2(mu^x, mu) ) / (2 eps),
 
 taken here as an exact minimum over a finite search grid: time nodes on [0, T],
-a refined shift grid on the circle, and the full configuration lattice of the
-grid solution.  The scan exploits that shifting every particle by a mesh
-multiple is an index roll of the value array, so only the fractional part of
-the shift needs multilinear corner weights.
+a refined shift grid on the circle, and the configurations of the grid
+solution, one per multiset of lattice indices as ``GridValueFunction.slices``
+holds them (v^N and rho_star see only the multiset).  The multilinear corners
+of a point, and the point moved by a mesh multiple on every axis, are read
+through the rank tables of ``fd.neighbour_ranks``, so only the fractional
+part of the shift needs corner weights.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and
@@ -33,8 +35,8 @@ Shifts are bounded the same way.  At shift q the candidates are
 
     fl(fl(M[f, c + q] + z_pen[q, f]) + rho_term[c]),
 
-with M the time envelope and c + q the configuration c with every lattice
-index moved by q.  Rounded addition is monotone in each term, so none
+with M the time envelope and c + q the multiset c with every lattice index
+moved by q.  Rounded addition is monotone in each term, so none
 is below
 
     fl(fl(min M + min_f z_pen[q, f]) + min rho_term).
@@ -61,7 +63,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
-from .fd import GridValueFunction
+from .fd import GridValueFunction, neighbour_ranks
 from .metric import metric_weights
 from .torus import TWO_PI, Measure, TorusContext, circle_arc
 from .torus import fourier_coefficients, phase_table
@@ -96,27 +98,21 @@ class ArgminRecord:
 
 
 def _config_rho_sq(vn: GridValueFunction, mu: Measure, ctx: TorusContext) -> np.ndarray:
-    """rho_star^2(mu^x, mu) for every configuration x of the value lattice.
+    """rho_star^2(mu^x, mu) for every multiset x of the value lattice.
 
-    Returns a flat array of length mesh**N in C order of the lattice indices.
-    The per-config Fourier coefficients are the mean over particles of a
-    per-node coefficient table, accumulated axis by axis.
+    Returns a flat array in the rank order of ``vn.slices``.  The per-config
+    Fourier coefficients are the mean over particles of a per-node
+    coefficient table, gathered at the sorted cells axis by axis.
     """
     mw = metric_weights(ctx, ctx.k_star)
     nodes = np.arange(vn.mesh) * vn.dx
     table = phase_table(nodes[:, None], ctx)  # (n_modes, mesh)
-    n_modes = table.shape[0]
-    shape = (vn.mesh,) * vn.N
-    total = np.zeros((n_modes,) + shape, dtype=complex)
-    for axis in range(vn.N):
-        view = [None] * (vn.N + 1)
-        view[0] = slice(None)
-        view[axis + 1] = slice(None)
-        total += table[tuple(view)]
+    cells, _ = neighbour_ranks(vn.N, vn.mesh, ())
+    total = sum(table[:, col] for col in cells.T)
     # normalized as fourier_coefficients normalizes a mean, so a target on
     # the lattice (N <= 2) reads exactly 0 at its own configuration
     norm = TWO_PI ** (-0.5)
-    coeffs = norm * (total / vn.N).reshape(n_modes, -1)  # (n_modes, n_cfg)
+    coeffs = norm * (total / vn.N)  # (n_modes, n_sorted)
     target = fourier_coefficients(mu, ctx).coeffs
     diff = coeffs - target[:, None]
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
@@ -130,7 +126,7 @@ def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np
     """
     s_vals = np.linspace(0.0, vn.T, n_time)
     t_pen = inv * (t - s_vals) ** 2
-    v_lo, v_hi = vn.values.min(axis=0), vn.values.max(axis=0)
+    v_lo, v_hi = vn.slices.min(axis=0), vn.slices.max(axis=0)
     osc = float((v_hi - v_lo).max())
     v_abs = max(abs(float(v_lo.min())), abs(float(v_hi.max())))
     margin = 1e-12 * (1.0 + v_abs + float(t_pen.max()))
@@ -148,21 +144,21 @@ def inf_convolve(
     value v(s, y) and the time penalty depend on (s, y) only, so the minimum
     over s is taken once per refined-diagonal point y (a Moreau envelope in
     time), after which the (w, x) split only weighs the shift and measure
-    penalties.  Ties are broken toward the smallest (w, lexicographic x) with
-    the smallest minimizing s per physical point: time nodes are scanned in
+    penalties.  Ties are broken toward the smallest (w, sorted x) with the
+    smallest minimizing s per physical point: time nodes are scanned in
     ascending order with strict-less comparisons, and shifts under the bound
-    of the module docstring.  ``MFRL_LOG=debug`` prints one line per call:
-    the time nodes and the shifts it scanned.
+    of the module docstring.  A value array that is not symmetric under
+    permuting particles is refused with ``InputDomainError``.
+    ``MFRL_LOG=debug`` prints one line per call: the time nodes and the
+    shifts it scanned.
     """
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
-    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)  # (n_cfg,) C-order
-    n_cfg = rho_pen.size
+    slices = vn.slices
+    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)  # (n_sorted,) by rank
     mesh = vn.mesh
     refine = cfg.shift_refine
-    delta = vn.dx / refine
-    n_shift = mesh * refine
-    w_vals = np.arange(n_shift) * delta
+    w_vals = np.arange(mesh * refine) * (vn.dx / refine)
     z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)
     s_vals = _time_window(vn, t, inv, cfg.n_time)
 
@@ -174,68 +170,55 @@ def inf_convolve(
     for ci, e in enumerate(corners):
         ones = sum(e)
         corner_w[:, ci : ci + 1] = fracs**ones * (1.0 - fracs) ** (vn.N - ones)
+    # ranks of every sorted cell moved by each corner e and each shift (q, ..., q)
+    cells, table = neighbour_ranks(vn.N, mesh, corners + [(q,) * vn.N for q in range(mesh)])
+    corner_ranks, shift_ranks = table[: len(corners)], table[len(corners) :]
+    n_sorted = cells.shape[0]
 
     # time envelope per refined diagonal point: M[f, c] = min_s v(s, y) + t-pen.
-    # v(s) blends stored slices k and k + 1 with weight theta, and is written
-    # into a periodic halo one plane wider per axis, so corner e of the
-    # multilinear blend is the view starting at e
+    # v(s) blends stored slices k and k + 1 with weight theta; corner e of the
+    # multilinear blend is gathered through its rank table
     pos = np.clip(s_vals, 0.0, vn.T) / vn.dt
     ks = np.minimum(pos.astype(int), vn.n_t - 1)
     thetas = pos - ks
     t_pens = inv * (t - s_vals) ** 2
-    shape = (mesh,) * vn.N
-    halo = np.empty((mesh + 1,) * vn.N)
-    inner = halo[(slice(0, mesh),) * vn.N]
-    faces = [
-        ((slice(None),) * axis + (mesh,), (slice(None),) * axis + (0,)) for axis in range(vn.N)
-    ]
-    views = [halo[tuple(slice(b, b + mesh) for b in e)] for e in corners]
-    stack = np.empty((len(corners), n_cfg))
-    rows = stack.reshape((len(corners),) + shape)
-    tmp = np.empty(shape)
-    cand = np.empty((refine, n_cfg))
-    better = np.empty((refine, n_cfg), dtype=bool)
-    envelope = np.full((refine, n_cfg), np.inf)
-    env_s = np.zeros((refine, n_cfg))
+    blend, tmp = np.empty((2, n_sorted))
+    stack = np.empty((len(corners), n_sorted))
+    cand = np.empty((refine, n_sorted))
+    better = np.empty((refine, n_sorted), dtype=bool)
+    envelope = np.full((refine, n_sorted), np.inf)
+    env_s = np.zeros((refine, n_sorted))
     for s, k, theta, pen in zip(s_vals, ks, thetas, t_pens):
-        np.multiply(vn.values[k], 1.0 - theta, out=inner)
-        inner += np.multiply(vn.values[k + 1], theta, out=tmp)
-        for end, src in faces:
-            halo[end] = halo[src]
-        for row, view in zip(rows, views):
-            row[...] = view
+        np.multiply(slices[k], 1.0 - theta, out=blend)
+        blend += np.multiply(slices[k + 1], theta, out=tmp)
+        # every index is in range; any mode but "raise" lets take write to out unbuffered
+        np.take(blend, corner_ranks, out=stack, mode="wrap")
         np.matmul(corner_w, stack, out=cand)
         cand += pen
         np.less(cand, envelope, out=better)
         np.copyto(envelope, cand, where=better)
         np.copyto(env_s, s, where=better)
 
-    # w = (q + f/refine) dx shifts the lattice part by q on every axis: the
-    # envelope rolled by -q is the view at offset q of the envelope doubled
-    # along each lattice axis
-    doubled = np.tile(envelope.reshape((refine,) + shape), (1,) + (2,) * vn.N)
-    col = (refine,) + (1,) * vn.N
-    rho_term = (inv * rho_pen).reshape(shape)
-    obj = np.empty((refine,) + shape)
+    # w = (q + f/refine) dx moves the lattice part by q on every axis: the
+    # candidate at c reads the envelope at the multiset of c + (q, ..., q)
+    rho_term = inv * rho_pen
+    obj = np.empty((refine, n_sorted))
     flat = obj.reshape(-1)
     # the shift bound of the module docstring, nearest shifts to z first
     z_min = z_pen.min(axis=1)
     bounds = (envelope.min() + z_min) + rho_term.min()
-    best = np.inf
-    best_key = (0, 0, 0)
+    best, best_key = np.inf, (0, 0, 0)
     scanned = 0
     for q in np.argsort(z_min, kind="stable").tolist():
         if bounds[q] > best or (bounds[q] == best and q > best_key[0]):
             continue
         scanned += 1
-        rolled = doubled[(slice(None),) + (slice(q, q + mesh),) * vn.N]
-        np.add(rolled, z_pen[q].reshape(col), out=obj)
+        np.take(envelope, shift_ranks[q], axis=1, out=obj, mode="wrap")
+        obj += z_pen[q][:, None]
         obj += rho_term
         k = int(np.argmin(flat))
         if flat[k] < best or (flat[k] == best and q < best_key[0]):
-            best = float(flat[k])
-            f_idx, c_idx = divmod(k, n_cfg)
-            best_key = (q, f_idx, c_idx)
+            best, best_key = float(flat[k]), (q, *divmod(k, n_sorted))
     log.debug(
         "inf_convolve: %d of %d time nodes, %d of %d shifts",
         s_vals.size, cfg.n_time, scanned, mesh,
@@ -243,20 +226,12 @@ def inf_convolve(
 
     q0, f_idx, c_idx = best_key
     w0 = float(w_vals[q0 * refine + f_idx])
-    idx = np.unravel_index(c_idx, shape)
-    x0 = np.array(idx, dtype=float) * vn.dx
+    x0 = cells[c_idx] * vn.dx
     # env_s is indexed by the physical lattice point y = x + q dx
-    y_idx = tuple((i + q0) % mesh for i in idx)
-    s0 = float(env_s[(f_idx,) + (int(np.ravel_multi_index(y_idx, shape)),)])
+    s0 = float(env_s[f_idx, shift_ranks[q0, c_idx]])
     rho_gap = float(np.sqrt(max(rho_pen[c_idx], 0.0)))
-    rec = ArgminRecord(
-        s0=s0,
-        w0=w0,
-        x0=x0,
-        t_gap=abs(t - s0),
-        z_gap=float(circle_arc(z - w0)),
-        rho_gap=rho_gap,
-    )
+    rec = ArgminRecord(s0=s0, w0=w0, x0=x0, t_gap=abs(t - s0),
+                       z_gap=float(circle_arc(z - w0)), rho_gap=rho_gap)
     return best, rec
 
 

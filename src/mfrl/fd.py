@@ -20,12 +20,13 @@ treats every axis alike, is solved once per multiset of lattice indices:
 C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
 110,592 at N = 3, mesh 48).  Each step reads the neighbours of a sorted node
 (+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
-the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through integer tables
-built once per solve, re-sorted through the map from lattice node to
-multiset.  The solution keeps one value per multiset and time slice, and so
-does the value file (version 2).  ``values``, the full-lattice array that
-every reader reads, is expanded from them with one gather per slice: by a
-solution on first read, and by ``load`` slice by slice as it reads the file.
+the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through the integer rank
+tables of ``neighbour_ranks``, built once per solve; the inf-convolution
+reads its corners and shifts through the same tables.  The solution keeps
+one value per multiset and time slice, and so does the value file
+(version 2).  ``values``, the full-lattice array that interpolation and the
+probes read, is expanded from them with one gather per slice: by a solution
+on first read, and by ``load`` slice by slice as it reads the file.
 
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
@@ -71,10 +72,12 @@ class GridValueFunction:
     """Backward-in-time solution on the periodic tensor grid.
 
     ``values[k]`` is the slice at ``t_k = k T / n_t``; the last slice is the
-    terminal condition G(mu^x) exactly.  Built from a full-lattice array (as
-    ``load`` builds it), the object holds that array.  ``fd_solve`` returns
-    one that holds its multiset slices instead, shape
-    ``(n_t + 1, C(mesh + N - 1, N))``; ``values`` expands them on first read.
+    terminal condition G(mu^x) exactly.  ``slices[k]`` holds it once per
+    multiset of lattice indices, in the order of ``neighbour_ranks``.  Each
+    constructor fills one of the two, the other is derived on first read:
+    ``fd_solve`` fills ``slices``, and a full array (as ``load`` builds it)
+    ``values``, whose slices are gathered only if it is symmetric under
+    permuting particles, NaN equal to NaN.
     """
 
     def __init__(self, N: int, mesh: int, n_t: int, T: float, values: np.ndarray):
@@ -82,21 +85,35 @@ class GridValueFunction:
         expected = (n_t + 1,) + (mesh,) * N
         if v.shape != expected:
             raise InputDomainError(f"value array shape {v.shape} != {expected}")
+        v = v.view()  # read-only here, the caller's array stays writable
         v.flags.writeable = False
         self.N, self.mesh, self.n_t, self.T = N, mesh, n_t, T
         self.values = v  # fills the cached property below
-        self._slices = None
 
     @classmethod
     def _of_slices(cls, N: int, mesh: int, n_t: int, T: float, slices: np.ndarray):
         vn = cls.__new__(cls)
         slices.flags.writeable = False
-        vn.N, vn.mesh, vn.n_t, vn.T, vn._slices = N, mesh, n_t, T, slices
+        vn.N, vn.mesh, vn.n_t, vn.T, vn.slices = N, mesh, n_t, T, slices
         return vn
 
     @cached_property
     def values(self) -> np.ndarray:  # shape (n_t + 1,) + (mesh,) * N, read-only
-        return _expand(self.N, self.mesh, self.n_t, self._slices)
+        return _expand(self.N, self.mesh, self.n_t, self.slices)
+
+    @cached_property
+    def slices(self) -> np.ndarray:  # shape (n_t + 1, C(mesh + N - 1, N)), read-only
+        keys, multiset = _multisets(self.N, self.mesh)
+        flat = self.values.reshape(self.n_t + 1, -1)
+        slices = flat[:, keys]
+        for k in range(self.n_t + 1):
+            # one slice expanded back at a time: the check costs one slice
+            if not np.array_equal(slices[k, multiset], flat[k], equal_nan=True):
+                raise InputDomainError(
+                    f"value slice {k} is not symmetric under permuting particles"
+                )
+        slices.flags.writeable = False
+        return slices
 
     @property
     def dx(self) -> float:
@@ -141,32 +158,14 @@ class GridValueFunction:
 
     def save(self, path) -> None:
         """Binary layout: magic, version u32, N, d, mesh, n_t u32, T f64, then
-        n_t + 1 slices of C(mesh + N - 1, N) f64 LE values, one per multiset of
-        lattice indices, in ascending order of the flat lattice index of the
-        sorted index tuple that names it.
-
-        An object built from a full array gathers its slices here; the array
-        must be symmetric under permuting particles, NaN equal to NaN.
-        """
+        the n_t + 1 rows of ``slices``, C(mesh + N - 1, N) f64 LE values each."""
         start = time.perf_counter()
-        slices = self._slices if self._slices is not None else self._gathered_slices()
+        slices = self.slices
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.N, 1, self.mesh, self.n_t, self.T))
             np.ascontiguousarray(slices, dtype="<f8").tofile(fh)
             size = fh.tell()
         _log_io("save", self, slices.shape[1], size, start)
-
-    def _gathered_slices(self) -> np.ndarray:
-        keys, multiset = _multisets(self.N, self.mesh)
-        flat = self.values.reshape(self.n_t + 1, -1)
-        slices = flat[:, keys]
-        for k in range(self.n_t + 1):
-            # one slice expanded back at a time: the check costs one slice
-            if not np.array_equal(slices[k, multiset], flat[k], equal_nan=True):
-                raise InputDomainError(
-                    f"value slice {k} is not symmetric under permuting particles"
-                )
-        return slices
 
     @classmethod
     def load(cls, path) -> "GridValueFunction":
@@ -221,6 +220,24 @@ def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
     keys = np.ravel_multi_index(tuple(index), shape)
     del index
     return np.unique(keys, return_inverse=True)
+
+
+def neighbour_ranks(N: int, mesh: int, steps) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted cells, and the rank of every cell moved by each step.
+
+    Returns the sorted index tuples, shape (C(mesh + N - 1, N), N), ranked
+    by ascending flat lattice index (the order of ``slices`` and of the value
+    file), and a table whose row j holds the rank of the multiset of each
+    cell moved by ``steps[j]`` on the periodic lattice.
+    """
+    shape = (mesh,) * N
+    keys, multiset = _multisets(N, mesh)
+    cells = np.stack(np.unravel_index(keys, shape), axis=-1)
+    table = np.empty((len(steps), cells.shape[0]), dtype=multiset.dtype)
+    for row, step in zip(table, steps):
+        # the moved cell is unsorted in general: its flat node names its multiset
+        np.take(multiset, np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape), out=row)
+    return cells, table
 
 
 def _expand(N: int, mesh: int, n_t: int, slices) -> np.ndarray:
@@ -327,21 +344,14 @@ def fd_solve(
     diag = problem.a * dt / dx**2
     # dt (lam N / 2) ((v(+e_i) - v(-e_i)) / (2 dx))^2
     quad = dt * problem.hamiltonian.lam * N / (8.0 * dx**2)
-    shape = (mesh,) * N
-    # one node per multiset of lattice indices; multiset, the map from lattice
-    # node to multiset, re-sorts the neighbours of a sorted node
-    keys, multiset = _multisets(N, mesh)
-    cells = np.stack(np.unravel_index(keys, shape), axis=-1)  # (n_sorted, N), rows ascending
-    n_sorted = cells.shape[0]
-    # rows of the neighbour table: +e_i, then -e_i, then the diagonal +-(1, ..., 1)
+    # one node per multiset of lattice indices; rows of the neighbour table:
+    # +e_i, then -e_i, then the diagonal +-(1, ..., 1)
     unit = np.eye(N, dtype=int)
     steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
-    table = np.stack([
-        multiset[np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)]
-        for step in steps
-    ])
+    cells, table = neighbour_ranks(N, mesh, steps)
+    n_sorted = cells.shape[0]
     configs = cells * dx
-    del keys, multiset, cells
+    del cells
 
     drift_fields, cost_sum = _kernel_fields(problem, configs)
     b_max = max((float(np.max(np.abs(b))) for b in drift_fields or ()), default=0.0)

@@ -30,12 +30,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from math import log2
 
 import numpy as np
 
-from .errors import InputDomainError, UnsupportedDimensionError, check_fields, plan_float, plan_int
+from .errors import InputDomainError, ResourceBudgetError, UnsupportedDimensionError
+from .errors import check_fields, plan_float, plan_int
 
 TWO_PI = 2.0 * np.pi
+
+#: hard cap on the retained Fourier modes of one context, (2 trunc + 1)^d
+MODE_BUDGET = 1 << 18
 
 #: mesh refinement of ``w1_circle_density``: breakpoints every 1/8 grid cell
 DENSITY_REFINE = 8
@@ -70,7 +75,8 @@ class TorusContext:
 
     ``k_star = floor(d/2) + 3`` is the Sobolev order used by the
     Fourier-Wasserstein metric; ``trunc`` is the number L of retained
-    Fourier modes ``|l|_inf <= L``.
+    Fourier modes ``|l|_inf <= L``.  A context of more than ``MODE_BUDGET``
+    modes is refused before its mode lattice is built.
     """
 
     d: int
@@ -82,6 +88,9 @@ class TorusContext:
             raise InputDomainError("dimension d must be >= 1")
         if self.trunc < 1:
             raise InputDomainError("truncation level must be >= 1")
+        n_side = 2 * self.trunc + 1  # compared in logs: an absurd d computes no huge power
+        if self.d * log2(n_side) > log2(MODE_BUDGET):
+            raise ResourceBudgetError(f"{n_side}^{self.d} Fourier modes exceed {MODE_BUDGET}")
         object.__setattr__(self, "k_star", self.d // 2 + 3)
 
     @property

@@ -452,6 +452,17 @@ def test_metric_with_bad_trunc_or_order_exits_with_one_schema_error(tmp_path, op
     assert proc.stdout == ""
 
 
+def test_metric_over_the_mode_budget_exits_with_one_precondition_error(tmp_path):
+    # d = 4 at the default --trunc 64 would be 129^4 = 2.8e8 modes
+    path = write(tmp_path / "mu.json", {"kind": "empirical", "d": 4, "atoms": [[0.5] * 4]})
+    proc = run_cli("metric", path, path)
+    assert proc.returncode == EXIT_PRECONDITION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Fourier modes" in line
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["solve", "rate"])
 def test_plan_with_two_dimensional_problem_exits_with_one_schema_error(tmp_path, command):
     problem = {**problem_dict(), "d": 2}

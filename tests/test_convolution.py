@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mfrl import convolution
+from mfrl import convolution, fd
 from mfrl.convolution import (
     ArgminRecord,
     ConvolutionConfig,
@@ -47,13 +47,14 @@ def test_config_rho_penalty_matches_direct_metric():
     vn = solved(n=2, mesh=8)
     mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
     flat = _config_rho_sq(vn, mu, CTX)
-    assert flat.shape == (64,)
+    assert flat.shape == (36,)  # C(9, 2) multisets
+    rank = fd._multisets(2, 8)[1]
     order = MetricOrder(CTX.k_star)
     rng = np.random.default_rng(0)
     for _ in range(6):
         i, j = rng.integers(0, 8, size=2)
         atoms = EmpiricalMeasure(np.array([[i * vn.dx], [j * vn.dx]]))
-        assert flat[i * 8 + j] == pytest.approx(
+        assert flat[rank[i * 8 + j]] == pytest.approx(
             rho_sq(atoms, mu, order, CTX), abs=1e-12
         )
 
@@ -259,7 +260,7 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
     idx = np.array([3, 11])[:n]
     mu = EmpiricalMeasure((idx * vn.dx)[:, None])
     flat = _config_rho_sq(vn, mu, CTX)
-    assert flat[np.ravel_multi_index(tuple(idx), (16,) * n)] == 0.0
+    assert flat[fd._multisets(n, 16)[1][np.ravel_multi_index(tuple(idx), (16,) * n)]] == 0.0
 
 
 def roll_inf_convolve(vn, target, cfg):
@@ -268,7 +269,7 @@ def roll_inf_convolve(vn, target, cfg):
     and every shift q scanned in ascending order."""
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
-    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)
+    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)[fd._multisets(vn.N, vn.mesh)[1]]
     n_cfg, mesh, refine = rho_pen.size, vn.mesh, cfg.shift_refine
     w_vals = np.arange(mesh * refine) * (vn.dx / refine)
     z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)
@@ -369,13 +370,47 @@ def test_shift_bound_keeps_the_smallest_key_among_ties():
 
 def test_shift_bound_matches_the_full_scan_on_a_value_with_a_nan():
     values = np.array(solved(n=2, mesh=8).values)
-    values[:, 3, 5] = np.nan
-    values[2, 0, 1] = np.nan
+    values[:, [3, 5], [5, 3]] = np.nan
+    values[2, [0, 1], [1, 0]] = np.nan
     vn = GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values)
     mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
     for t, z in ((0.0, 0.0), (0.3, 1.9), (0.5, 5.0)):
         cfg = ConvolutionConfig(epsilon=0.1, n_time=17, shift_refine=2)
         assert_same_scan(inf_convolve(vn, (t, z, mu), cfg), roll_inf_convolve(vn, (t, z, mu), cfg))
+
+
+def test_inf_convolution_refuses_an_asymmetric_value_array():
+    values = np.array(solved(n=2, mesh=8).values)
+    values[2, 0, 1] += 1e-9
+    vn = GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values)
+    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
+    with pytest.raises(InputDomainError, match="symmetric"):
+        inf_convolve(vn, (0.3, 1.9, mu), ConvolutionConfig(epsilon=0.1, n_time=17))
+
+
+def test_multiset_scan_matches_the_roll_scan_for_three_particles():
+    # at N = 3 the full-lattice envelope is symmetric only up to rounding (a
+    # permuted point sums its corners in another order), so the roll scan may
+    # find an unsorted x0, or a minimum an ulp lower, at a permuted point
+    prob = two_particle_problem()
+    vn = fd_solve(prob, 3, 8, required_time_steps(prob, 3, 8))
+    unsorted = 0
+    for eps, n_time in ((0.05, vn.n_t + 1), (0.1, 33)):
+        cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=4)
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            kt, idx = int(rng.integers(0, vn.n_t + 1)), rng.integers(0, 8, 3)
+            atoms = EmpiricalMeasure((idx * vn.dx)[:, None])
+            target = (float(vn.times[kt]), float(rng.uniform(0.0, TWO_PI)), atoms)
+            (val, rec), (val_roll, rec_roll) = (
+                inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg)
+            )
+            assert val == pytest.approx(val_roll, abs=1e-14)
+            for name in ("s0", "w0", "t_gap", "z_gap", "rho_gap"):
+                assert getattr(rec, name) == getattr(rec_roll, name), name
+            assert np.array_equal(rec.x0, np.sort(rec_roll.x0))
+            unsorted += not np.array_equal(rec.x0, rec_roll.x0)
+    assert unsorted > 0  # the targets reach the rounding asymmetry
 
 
 def test_debug_log_reports_the_scanned_nodes_and_shifts(caplog):

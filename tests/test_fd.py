@@ -243,8 +243,9 @@ def test_save_refuses_an_asymmetric_array(tmp_path):
     values[2, 0, 1] = np.nan
     path = tmp_path / "v.bin"
     with pytest.raises(InputDomainError, match="symmetric"):
-        GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values.copy()).save(path)
+        GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values).save(path)
     assert not path.exists()
+    assert values.flags.writeable  # the object holds a read-only view, not the array
     # with its mirror entries NaN too the array is symmetric: NaN equals NaN
     values[:, 5, 3] = np.nan
     values[2, 1, 0] = np.nan

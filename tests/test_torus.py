@@ -97,6 +97,12 @@ def test_context_modes_and_kstar():
     assert TorusContext(2, 4).k_star == 4
 
 
+@pytest.mark.parametrize("d, trunc", [(4, 64), (3, 64), (1, 1 << 17), (10**6, 1), (1, 10**400)])
+def test_context_over_the_mode_budget_is_refused(d, trunc):
+    with pytest.raises(ResourceBudgetError, match="Fourier modes"):
+        TorusContext(d, trunc)
+
+
 def test_fourier_delta_at_origin():
     # all coefficients of a point mass at 0 equal (2 pi)^{-1/2}
     ctx = TorusContext(1, 16)
