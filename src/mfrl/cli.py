@@ -9,6 +9,7 @@ diagnostics go to stderr, gated by the MFRL_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -64,22 +65,25 @@ def _load_plan(path: str) -> dict:
     return doc
 
 
-_SOLVE_FIELDS = (
-    "version", "solver", "problem", "N", "mesh", "n_t", "t", "atoms", "n_paths", "n_steps",
-)
+#: the fields of a solve plan: those of every plan, then each solver's own
+_SOLVE_FIELDS = ("version", "solver", "problem", "N")
+_SOLVER_FIELDS = {"fd": ("mesh", "n_t"), "mc": ("t", "atoms", "n_paths", "n_steps")}
 
 
 def _read_solve_plan(doc: dict) -> tuple[str, ProblemSpec, dict]:
-    """Solver, problem and solver arguments of a solve plan, all parsed up front."""
-    check_fields(doc, _SOLVE_FIELDS, "solve plan")
-    problem = ProblemSpec.from_dict(doc.get("problem", {}))
+    """Solver, problem and solver arguments of a solve plan, all parsed up front.
+
+    A field of the other solver is refused, not ignored.
+    """
     solver = doc.get("solver", "fd")
+    if solver not in ("fd", "mc"):
+        raise InputDomainError(f"unknown solver {solver!r}")
+    check_fields(doc, _SOLVE_FIELDS + _SOLVER_FIELDS[solver], f"{solver} solve plan")
+    problem = ProblemSpec.from_dict(doc.get("problem", {}))
     n = plan_int("N", doc.get("N", 1))
     if solver == "fd":
         mesh, n_t = plan_int("mesh", doc.get("mesh", 64)), plan_int("n_t", doc.get("n_t", 0))
         return solver, problem, {"N": n, "mesh": mesh, "n_t": n_t}
-    if solver != "mc":
-        raise InputDomainError(f"unknown solver {solver!r}")
     t = plan_float("t", doc.get("t", 0.0))
     atoms = doc.get("atoms", [])
     if not isinstance(atoms, list) or len(atoms) != n:
@@ -131,7 +135,7 @@ def cmd_rate(args) -> int:
         check_fields(doc, ("version", "plan"), "rate plan")
         plan = ExperimentPlan.from_dict(doc.get("plan", {}))
         if args.seed is not None:
-            plan = ExperimentPlan.from_dict({**plan.to_dict(), "seed": args.seed})
+            plan = dataclasses.replace(plan, seed=args.seed)
     except InputDomainError as exc:
         raise SchemaError(str(exc)) from exc
     report = run_rate_experiment(plan)

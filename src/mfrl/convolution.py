@@ -55,9 +55,9 @@ known rates (2/3, 1, and an eps + alpha(N) mix respectively), which
 
 from __future__ import annotations
 
-import io
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -70,19 +70,21 @@ from .torus import fourier_coefficients, phase_table
 
 log = logging.getLogger(__name__)
 
+#: the context of the measure penalty rho_star^2(mu^x, mu)
+PENALTY_CTX = TorusContext(1, 64)
+
 
 @dataclass(frozen=True)
 class ConvolutionConfig:
-    """Search-grid resolution and metric context for the convolution scans."""
+    """Penalty scale and search-grid resolution of the convolution scans."""
 
     epsilon: float
     n_time: int = 33
     shift_refine: int = 8
-    ctx: TorusContext = field(default_factory=lambda: TorusContext(1, 64))
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InputDomainError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InputDomainError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.n_time < 2 or self.shift_refine < 1:
             raise ConfigurationError("search grid is empty or degenerate")
 
@@ -97,13 +99,15 @@ class ArgminRecord:
     rho_gap: float
 
 
-def _config_rho_sq(vn: GridValueFunction, mu: Measure, ctx: TorusContext) -> np.ndarray:
-    """rho_star^2(mu^x, mu) for every multiset x of the value lattice.
+def _config_rho_sq(vn: GridValueFunction, mu: Measure) -> np.ndarray:
+    """rho_star^2(mu^x, mu) at ``PENALTY_CTX`` for every multiset x of the
+    value lattice.
 
     Returns a flat array in the rank order of ``vn.slices``.  The per-config
     Fourier coefficients are the mean over particles of a per-node
     coefficient table, gathered at the sorted cells axis by axis.
     """
+    ctx = PENALTY_CTX
     mw = metric_weights(ctx, ctx.k_star)
     nodes = np.arange(vn.mesh) * vn.dx
     table = phase_table(nodes[:, None], ctx)  # (n_modes, mesh)
@@ -113,7 +117,7 @@ def _config_rho_sq(vn: GridValueFunction, mu: Measure, ctx: TorusContext) -> np.
     # the lattice (N <= 2) reads exactly 0 at its own configuration
     norm = TWO_PI ** (-0.5)
     coeffs = norm * (total / vn.N)  # (n_modes, n_sorted)
-    target = fourier_coefficients(mu, ctx).coeffs
+    target = fourier_coefficients(mu, ctx)
     diff = coeffs - target[:, None]
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
 
@@ -148,14 +152,16 @@ def inf_convolve(
     smallest minimizing s per physical point: time nodes are scanned in
     ascending order with strict-less comparisons, and shifts under the bound
     of the module docstring.  A value array that is not symmetric under
-    permuting particles is refused with ``InputDomainError``.
-    ``MFRL_LOG=debug`` prints one line per call: the time nodes and the
-    shifts it scanned.
+    permuting particles is refused with ``InputDomainError``, and so is a
+    target time or shift that is not finite.  ``MFRL_LOG=debug`` prints one
+    line per call: the time nodes and the shifts it scanned.
     """
     t, z, mu = target
+    if not (math.isfinite(t) and math.isfinite(z)):
+        raise InputDomainError(f"target time and shift must be finite, got {t!r}, {z!r}")
     inv = 1.0 / (2.0 * cfg.epsilon)
     slices = vn.slices
-    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)  # (n_sorted,) by rank
+    rho_pen = _config_rho_sq(vn, mu)  # (n_sorted,) by rank
     mesh = vn.mesh
     refine = cfg.shift_refine
     w_vals = np.arange(mesh * refine) * (vn.dx / refine)
@@ -251,17 +257,6 @@ class GapTable:
     t_cell: float
     z_cell: float
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epsilon,t_gap,z_gap,rho_gap,fit_slope\n")
-        for i, r in enumerate(self.rows):
-            slope = self.t_slope if i == 0 else ""
-            buf.write(
-                f"{r.epsilon:.12g},{r.t_gap:.12g},{r.z_gap:.12g},"
-                f"{r.rho_gap:.12g},{slope}\n"
-            )
-        return buf.getvalue()
-
 
 def _fit_slope(eps: np.ndarray, gaps: np.ndarray, floor: float) -> float:
     """Log-log slope of gap vs eps; zero gaps are clamped to half a grid cell."""
@@ -276,19 +271,13 @@ def gap_scaling_probe(
     eps_list: list[float],
     n_time: int = 33,
     shift_refine: int = 8,
-    ctx: TorusContext | None = None,
 ) -> GapTable:
     """Max argmin gaps per epsilon across targets, with fitted log-log slopes."""
     if len(eps_list) < 3:
         raise InputDomainError("slope fits require at least 3 epsilon values")
-    if ctx is None:
-        ctx = TorusContext(1, 64)
-    eps_sorted = sorted(eps_list, reverse=True)
     rows = []
-    for eps in eps_sorted:
-        cfg = ConvolutionConfig(
-            epsilon=eps, n_time=n_time, shift_refine=shift_refine, ctx=ctx
-        )
+    for eps in sorted(eps_list, reverse=True):
+        cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=shift_refine)
         t_gap = z_gap = rho_gap = 0.0
         for target in targets:
             _, rec = inf_convolve(vn, target, cfg)

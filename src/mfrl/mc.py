@@ -47,7 +47,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
 from .torus import EmpiricalMeasure, GridDensity, Measure, sample_iid, seeded_generator
 from .trig import mean_field_eval, particle_mean
@@ -143,6 +143,26 @@ def _row_chunks(n_rows: int, n_particles: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+#: hard cap on the bytes ``mc_path_values`` holds for its particle coordinates
+PATH_BYTES_BUDGET = 1 << 30
+
+#: bytes held per particle coordinate of a call: the float64 positions,
+#: increments and noise, the float32 copy of the positions and the float32
+#: uniforms of the normals
+_PATH_BYTES_PER_COORD = 8 + 8 + 8 + 4 + 4
+
+
+def check_path_budget(m_batch: int, n_paths: int, N: int) -> None:
+    """Refuse an ``mc_path_values`` call of ``m_batch`` configurations of
+    ``N`` particles and ``n_paths`` paths beyond ``PATH_BYTES_BUDGET``."""
+    need = int(m_batch) * int(n_paths) * int(N) * _PATH_BYTES_PER_COORD
+    if need > PATH_BYTES_BUDGET:
+        raise ResourceBudgetError(
+            f"Monte Carlo paths of {m_batch} configurations of {N} particles, "
+            f"{n_paths} paths each, need {need} bytes, over the budget of {PATH_BYTES_BUDGET}"
+        )
+
+
 #: how ``mc_path_values`` draws its normals; rate reports carry it
 NOISE = "philox-float32-box-muller"
 
@@ -197,7 +217,8 @@ def mc_path_values(
 
     ``starts`` has shape (M, N); the return value has shape (M, n_paths).
     All paths are advanced jointly; the per-path running cost uses the
-    trapezoid rule in time.
+    trapezoid rule in time.  A call beyond ``PATH_BYTES_BUDGET`` is refused
+    with ``ResourceBudgetError`` before anything is allocated.
     """
     _require_linear(problem)
     if n_paths < 1 or n_steps < 1:
@@ -207,6 +228,7 @@ def mc_path_values(
     start = time.perf_counter()
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     m_batch, n_particles = starts.shape
+    check_path_budget(m_batch, n_paths, n_particles)
     horizon = problem.T - t
 
     def done(values, particle_steps, n_chunks):

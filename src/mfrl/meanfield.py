@@ -59,7 +59,8 @@ MASS_TOLERANCE = 1e-10
 #: exact, it bounds the trapezoid error of the running-cost integral
 MIN_FLOW_STEPS = 64
 
-#: hard cap on the bytes of the (mesh, n_cols) float64 arrays one flow holds
+#: hard cap on the bytes of the float64 arrays one flow holds: its (mesh,
+#: n_cols) buffers and the (n_times, n_cols) values a reference reads off it
 FLOW_BYTES_BUDGET = 1 << 30
 
 #: (mesh, n_cols) float64 arrays alive at once in a flow, besides the two per
@@ -75,13 +76,15 @@ _MAX_EXPONENT = 700.0
 log = logging.getLogger(__name__)
 
 
-def check_flow_budget(problem: ProblemSpec, mesh: int, n_cols: int) -> None:
-    """Refuse a flow of ``n_cols`` densities on ``mesh`` nodes beyond the budget."""
-    need = mesh * n_cols * 8 * (_FLOW_BUFFERS + 2 * problem.hamiltonian.drift_kernel.degree)
+def check_flow_budget(problem: ProblemSpec, mesh: int, n_cols: int, n_times: int) -> None:
+    """Refuse a flow of ``n_cols`` densities on ``mesh`` nodes beyond the budget,
+    counting the (n_times, n_cols) values a reference reads off it."""
+    buffers = _FLOW_BUFFERS + 2 * problem.hamiltonian.drift_kernel.degree
+    need = (mesh * buffers + n_times) * n_cols * 8
     if need > FLOW_BYTES_BUDGET:
         raise ResourceBudgetError(
-            f"Fokker-Planck flow of {n_cols} densities on {mesh} nodes needs "
-            f"{need} bytes, over the budget of {FLOW_BYTES_BUDGET}"
+            f"Fokker-Planck flow of {n_cols} densities on {mesh} nodes, read at "
+            f"{n_times} times, needs {need} bytes, over the budget of {FLOW_BYTES_BUDGET}"
         )
 
 
@@ -157,7 +160,7 @@ def fokker_planck_flow_batch(
     if np.ndim(rho0) != 2:
         raise InputDomainError("rho0 must have shape (m, n_cols)")
     m, n_cols = np.shape(rho0)
-    check_flow_budget(problem, m, n_cols)
+    check_flow_budget(problem, m, n_cols, 0)
     rho = np.array(rho0, dtype=float)
     dx = TWO_PI / m
     running = np.zeros(n_cols)
@@ -320,6 +323,7 @@ def mean_field_reference_batch(
 
     term = problem.terminal
     shift_var = 2.0 * problem.a * horizons
+    check_flow_budget(problem, *rho0.shape, times.size)
     values = np.empty((times.size, rho0.shape[1]))
 
     def record(step: int, rho: np.ndarray, running: np.ndarray) -> None:

@@ -13,20 +13,14 @@ Cauchy-Schwarz bounds on them are implemented below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, InputDomainError, UnsupportedDimensionError
-from .torus import (
-    TWO_PI,
-    FourierVector,
-    Measure,
-    TorusContext,
-    fourier_coefficients,
-    phase_table,
-)
+from .torus import TWO_PI, Measure, TorusContext, fourier_coefficients, phase_table
 
 #: imaginary residue above this level signals a convention bug
 _IMAG_HARD_LIMIT = 1e-8
@@ -64,37 +58,17 @@ class MetricWeights:
     c1: float
     c2: float
 
-    @classmethod
-    def build(cls, ctx: TorusContext, k: int) -> "MetricWeights":
-        modes = ctx.modes
-        lsq = np.sum(modes * modes, axis=1)
-        weights = (1.0 + lsq) ** (-float(k))
-        wstar = (1.0 + lsq) ** (-float(ctx.k_star))
-        c1 = math.sqrt(float(np.sum(lsq * wstar)))
-        c2 = math.sqrt(float(np.sum(lsq * lsq * wstar)))
-        w = weights.copy()
-        w.flags.writeable = False
-        return cls(ctx=ctx, k=k, weights=w, c1=c1, c2=c2)
 
-
-_WEIGHTS_CACHE: dict[tuple[int, int, int], MetricWeights] = {}
-
-
+@functools.cache
 def metric_weights(ctx: TorusContext, k: int) -> MetricWeights:
-    key = (ctx.d, ctx.trunc, k)
-    if key not in _WEIGHTS_CACHE:
-        _WEIGHTS_CACHE[key] = MetricWeights.build(ctx, k)
-    return _WEIGHTS_CACHE[key]
-
-
-def _coeffs(mu: Measure | FourierVector, ctx: TorusContext) -> np.ndarray:
-    if isinstance(mu, FourierVector):
-        if mu.ctx != ctx:
-            raise InputDomainError("Fourier vector built on a different context")
-        return mu.coeffs
-    if getattr(mu, "d") != ctx.d:
-        raise InputDomainError("measure dimension does not match context")
-    return fourier_coefficients(mu, ctx).coeffs
+    """The weights of order k on the modes of ``ctx``, built once per (ctx, k)."""
+    lsq = np.sum(ctx.modes * ctx.modes, axis=1)
+    weights = (1.0 + lsq) ** (-float(k))
+    weights.flags.writeable = False
+    wstar = (1.0 + lsq) ** (-float(ctx.k_star))
+    c1 = math.sqrt(float(np.sum(lsq * wstar)))
+    c2 = math.sqrt(float(np.sum(lsq * lsq * wstar)))
+    return MetricWeights(ctx=ctx, k=k, weights=weights, c1=c1, c2=c2)
 
 
 def rho_sq_rows(diff: np.ndarray, order: MetricOrder, ctx: TorusContext) -> np.ndarray:
@@ -105,14 +79,10 @@ def rho_sq_rows(diff: np.ndarray, order: MetricOrder, ctx: TorusContext) -> np.n
     return np.sum(w * np.abs(diff) ** 2, axis=-1)
 
 
-def rho_sq(
-    mu: Measure | FourierVector,
-    nu: Measure | FourierVector,
-    order: MetricOrder,
-    ctx: TorusContext,
-) -> float:
+def rho_sq(mu: Measure, nu: Measure, order: MetricOrder, ctx: TorusContext) -> float:
     """Squared negative-Sobolev distance rho_{-k}^2(mu, nu)."""
-    return float(rho_sq_rows(_coeffs(mu, ctx) - _coeffs(nu, ctx), order, ctx))
+    diff = fourier_coefficients(mu, ctx) - fourier_coefficients(nu, ctx)
+    return float(rho_sq_rows(diff, order, ctx))
 
 
 def rho(mu, nu, order: MetricOrder, ctx: TorusContext) -> float:
@@ -135,12 +105,7 @@ def _real_with_residue_check(values: np.ndarray, scale: float) -> np.ndarray:
     return values.real
 
 
-def rho_sq_grad(
-    mu: Measure | FourierVector,
-    nu: Measure | FourierVector,
-    eval_points,
-    ctx: TorusContext,
-) -> np.ndarray:
+def rho_sq_grad(mu: Measure, nu: Measure, eval_points, ctx: TorusContext) -> np.ndarray:
     """First measure derivative of rho_star^2(mu, .) at nu, evaluated pointwise.
 
     Returns the vector field ``D_nu rho_star^2(mu, nu)(x)`` at each evaluation
@@ -148,7 +113,7 @@ def rho_sq_grad(
     empirical measure must apply the 1/N chain factor themselves.
     """
     mw = metric_weights(ctx, ctx.k_star)
-    diff = _coeffs(nu, ctx) - _coeffs(mu, ctx)  # F_l(nu - mu)
+    diff = fourier_coefficients(nu, ctx) - fourier_coefficients(mu, ctx)  # F_l(nu - mu)
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != ctx.d:
         raise InputDomainError("evaluation points do not match context dimension")
@@ -160,12 +125,7 @@ def rho_sq_grad(
     return _real_with_residue_check(total, scale)
 
 
-def rho_sq_hess(
-    mu: Measure | FourierVector,
-    nu: Measure | FourierVector,
-    eval_pairs,
-    ctx: TorusContext,
-) -> np.ndarray:
+def rho_sq_hess(mu: Measure, nu: Measure, eval_pairs, ctx: TorusContext) -> np.ndarray:
     """Two-point spectral series of rho_star^2 at pairs (x, y), as specified.
 
     Implements the closed-form series
@@ -194,7 +154,7 @@ def rho_sq_hess(
     the mixed finite difference and fails.
     """
     mw = metric_weights(ctx, ctx.k_star)
-    diff = _coeffs(nu, ctx) - _coeffs(mu, ctx)
+    diff = fourier_coefficients(nu, ctx) - fourier_coefficients(mu, ctx)
     pairs = np.asarray(eval_pairs, dtype=float)
     if pairs.ndim == 2 and ctx.d == 1 and pairs.shape[1] == 2:
         pairs = pairs[:, :, None]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDomainError, check_fields, plan_int
-from .mc import NOISE, _cpu_count, mc_path_values, runs_whole, worker_pool
+from .mc import NOISE, _cpu_count, check_path_budget, mc_path_values, runs_whole, worker_pool
 from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
 from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
@@ -131,20 +131,6 @@ class ExperimentPlan:
         if min(self.ref_steps, self.m_ref) < 0:
             raise InputDomainError("ref_steps and m_ref must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "n_list": list(self.n_list),
-            "n_time_points": self.n_time_points,
-            "n_configs": self.n_configs,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "ref_mesh": self.ref_mesh,
-            "ref_steps": self.ref_steps,
-            "m_ref": self.m_ref,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
         known = {"problem", "n_list", *_INT_FIELDS}
@@ -162,7 +148,7 @@ class RateRow:
     alpha_cbrt: float
     sup_error: float
     mc_std: float
-    notes: str = ""
+    notes: str
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,8 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     depend on which thread ran what.  If anything fails, the jobs not yet
     started are cancelled and the error is raised once the running ones have
     finished.  A plan whose reference flow would hold more than
-    ``meanfield.FLOW_BYTES_BUDGET`` is refused with ``ResourceBudgetError``
+    ``meanfield.FLOW_BYTES_BUDGET``, or whose largest Monte Carlo call more
+    than ``mc.PATH_BYTES_BUDGET``, is refused with ``ResourceBudgetError``
     before anything is drawn or allocated.  ``MFRL_LOG=info`` prints one
     line per sweep: its calls run whole and split, its particle-steps, the
     flow's seconds, the MC seconds after it, and ns per particle-step per
@@ -231,7 +218,9 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("rate experiment needs a linear-in-p family")
-    check_flow_budget(problem, plan.ref_mesh, len(plan.n_list) * plan.n_configs)
+    n_cols = len(plan.n_list) * plan.n_configs
+    check_flow_budget(problem, plan.ref_mesh, n_cols, plan.n_time_points)
+    check_path_budget(plan.n_configs, plan.n_paths, max(plan.n_list))
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
     draws = []
     for n in plan.n_list:
@@ -282,15 +271,11 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
                 ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
                 sup_error = max(sup_error, float(np.max(np.abs(vn_mean - ref))))
                 mc_std = max(mc_std, float(np.max(se)))
-            rows.append(
-                RateRow(
-                    N=n,
-                    alpha=alpha_rate(n, problem.ctx.d),
-                    alpha_cbrt=alpha_rate(n, problem.ctx.d) ** (1.0 / 3.0),
-                    sup_error=sup_error,
-                    mc_std=mc_std,
-                )
-            )
+            notes = ""
+            if rows and sup_error > rows[-1].sup_error + 3.0 * (mc_std + rows[-1].mc_std):
+                notes = "non-monotone"
+            alpha = alpha_rate(n, problem.ctx.d)
+            rows.append(RateRow(n, alpha, alpha ** (1.0 / 3.0), sup_error, mc_std, notes))
     finally:
         for job in jobs:
             job.cancel()
@@ -307,16 +292,7 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         mc_s * _cpu_count() * 1e9 / particle_steps, _cpu_count(),
     )
 
-    noted = []
-    for i, r in enumerate(rows):
-        notes = ""
-        if i > 0 and r.sup_error > rows[i - 1].sup_error + 3.0 * (
-            r.mc_std + rows[i - 1].mc_std
-        ):
-            notes = "non-monotone"
-        noted.append(RateRow(r.N, r.alpha, r.alpha_cbrt, r.sup_error, r.mc_std, notes))
-
-    beta, c_fit, residuals = fit_rate([(r.alpha, r.sup_error) for r in noted])
+    beta, c_fit, residuals = fit_rate([(r.alpha, r.sup_error) for r in rows])
     metadata = {
         "seed": plan.seed,
         "n_paths": plan.n_paths,
@@ -339,7 +315,7 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         ),
     }
     return RateReport(
-        rows=tuple(noted),
+        rows=tuple(rows),
         beta=beta,
         c_fit=c_fit,
         residuals=tuple(float(x) for x in residuals),
@@ -362,16 +338,6 @@ class ComplexityTable:
     w1_slope: float
     rho_slope: float
     max_rho_over_w1: float
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("N,w1_mean,w1_std_error,rho_mean,rho_std_error\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.N},{r.w1_mean:.12g},{r.w1_std_error:.12g},"
-                f"{r.rho_mean:.12g},{r.rho_std_error:.12g}\n"
-            )
-        return buf.getvalue()
 
 
 #: numbers held by the largest array of one block of complexity trials
@@ -408,7 +374,7 @@ def sample_complexity_experiment(
         raise InputDomainError("sample sizes must be >= 1")
     if ctx is None:
         ctx = TorusContext(1, 64)
-    target = fourier_coefficients(mu, ctx).coeffs
+    target = fourier_coefficients(mu, ctx)
     order = MetricOrder(ctx.k_star)
     rows = []
     max_ratio = 0.0

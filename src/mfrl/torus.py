@@ -27,6 +27,7 @@ so this choice does not affect any distance value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -96,36 +97,14 @@ class TorusContext:
     @property
     def modes(self):
         """Integer lattice of retained modes, shape (n_modes, d)."""
-        return _modes_cached(self.d, self.trunc)
+        return _modes(self.d, self.trunc)
 
 
-_MODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _modes_cached(d: int, trunc: int) -> np.ndarray:
-    key = (d, trunc)
-    if key not in _MODES_CACHE:
-        rng = range(-trunc, trunc + 1)
-        arr = np.array(list(itertools.product(rng, repeat=d)), dtype=float)
-        arr.flags.writeable = False
-        _MODES_CACHE[key] = arr
-    return _MODES_CACHE[key]
-
-
-@dataclass(frozen=True)
-class FourierVector:
-    """Truncated Fourier coefficients ``F_l`` aligned with ``ctx.modes``."""
-
-    ctx: TorusContext
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.ctx.modes.shape[0],):
-            raise InputDomainError("coefficient vector does not match mode lattice")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+@functools.cache
+def _modes(d: int, trunc: int) -> np.ndarray:
+    arr = np.array(list(itertools.product(range(-trunc, trunc + 1), repeat=d)), dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -255,8 +234,9 @@ def empirical_coefficients(atoms, ctx: TorusContext) -> np.ndarray:
     return np.ascontiguousarray((TWO_PI ** (-d / 2.0) * _mirror(means)).T)
 
 
-def fourier_coefficients(mu: Measure, ctx: TorusContext) -> FourierVector:
-    """Truncated Fourier coefficients F_l(mu), |l|_inf <= ctx.trunc.
+def fourier_coefficients(mu: Measure, ctx: TorusContext) -> np.ndarray:
+    """Truncated Fourier coefficients F_l(mu), |l|_inf <= ctx.trunc: a
+    complex array aligned with ``ctx.modes``.
 
     Empirical measures are summed exactly, as one row of
     ``empirical_coefficients``.  Grid densities use the rectangle rule, which
@@ -265,15 +245,13 @@ def fourier_coefficients(mu: Measure, ctx: TorusContext) -> FourierVector:
     if isinstance(mu, EmpiricalMeasure):
         if mu.d != ctx.d:
             raise InputDomainError("measure dimension does not match context")
-        coeffs = empirical_coefficients(mu.atoms[None], ctx)[0]
-    elif isinstance(mu, GridDensity):
+        return empirical_coefficients(mu.atoms[None], ctx)[0]
+    if isinstance(mu, GridDensity):
         if ctx.d != 1:
             raise InputDomainError("grid densities are d=1 only")
         norm = (TWO_PI) ** (-ctx.d / 2.0)
-        coeffs = norm * (phase_table(mu.nodes[:, None], ctx) @ mu.values) * (TWO_PI / mu.m)
-    else:
-        raise InputDomainError(f"unsupported measure type {type(mu)!r}")
-    return FourierVector(ctx, coeffs)
+        return norm * (phase_table(mu.nodes[:, None], ctx) @ mu.values) * (TWO_PI / mu.m)
+    raise InputDomainError(f"unsupported measure type {type(mu)!r}")
 
 
 def sample_rows(mu: GridDensity, n: int, seeds) -> np.ndarray:

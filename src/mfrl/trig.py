@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InputDomainError, check_fields, plan_float
 from .torus import TWO_PI
 
+#: points at which ``TrigPoly.sup_norm`` evaluates the polynomial
+_SUP_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class TrigPoly:
@@ -71,8 +74,9 @@ class TrigPoly:
         k = np.arange(1, self.degree + 1, dtype=float)
         return TrigPoly(0.0, k * self.sin_coeffs, -k * self.cos_coeffs)
 
-    def sup_norm(self, samples: int = 4096) -> float:
-        x = np.arange(samples) * (TWO_PI / samples)
+    def sup_norm(self) -> float:
+        """max |p| over ``_SUP_SAMPLES`` equally spaced points."""
+        x = np.arange(_SUP_SAMPLES) * (TWO_PI / _SUP_SAMPLES)
         return float(np.max(np.abs(self(x))))
 
     def to_dict(self) -> dict:

@@ -102,6 +102,11 @@ SOLVE_PLANS = {
         ("fd", "n_t", 32.5),
         ("mc", "n_paths", 200.5),
         ("mc", "n_steps", 20.0),
+        # a field of the other solver is refused, not ignored
+        ("fd", "n_paths", 200),
+        ("fd", "atoms", [0.5, 2.5]),
+        ("mc", "mesh", 16),
+        ("mc", "n_t", 32),
     ],
 )
 def test_solve_plan_with_non_integer_field_exits_with_schema_code(
@@ -355,6 +360,30 @@ def test_rate_plan_beyond_the_flow_budget_exits_before_allocating(tmp_path, caps
     assert code == EXIT_PRECONDITION
     assert "budget" in capsys.readouterr().err
     assert peak < 1 << 20  # one deposited density alone would be 16 GiB
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("rate", "n_paths"), ("rate", "n_time_points"), ("solve", "n_paths")],
+)
+def test_plan_with_a_huge_sampling_size_exits_before_allocating(tmp_path, capsys, command, field):
+    if command == "rate":
+        doc = {"version": 1, "plan": {"problem": problem_dict(), **RATE_PLAN, field: 2**62}}
+    else:
+        fields = {**SOLVE_PLANS["mc"], field: 2**62}
+        doc = {"version": 1, "solver": "mc", "problem": problem_dict(), **fields}
+    plan = write(tmp_path / "plan.json", doc)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--plan", plan, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PRECONDITION
+    assert "budget" in capsys.readouterr().err
+    assert peak < 1 << 20
     assert not out.exists()
 
 

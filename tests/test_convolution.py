@@ -35,18 +35,29 @@ def solved(n=2, mesh=16, T=0.5, g_amp=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(InputDomainError):
-        ConvolutionConfig(epsilon=0.0)
+    for eps in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputDomainError):
+            ConvolutionConfig(epsilon=eps)
     with pytest.raises(ConfigurationError):
         ConvolutionConfig(epsilon=0.1, n_time=1)
     with pytest.raises(ConfigurationError):
         ConvolutionConfig(epsilon=0.1, shift_refine=0)
 
 
+def test_non_finite_target_time_or_shift_is_refused():
+    vn = solved(n=1, mesh=8)
+    cfg = ConvolutionConfig(epsilon=0.1, n_time=9)
+    mu = EmpiricalMeasure(np.array([[1.0]]))
+    nan, inf = float("nan"), float("inf")
+    for t, z in ((nan, 0.0), (inf, 0.0), (0.1, nan), (0.1, -inf)):
+        with pytest.raises(InputDomainError):
+            inf_convolve(vn, (t, z, mu), cfg)
+
+
 def test_config_rho_penalty_matches_direct_metric():
     vn = solved(n=2, mesh=8)
     mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
-    flat = _config_rho_sq(vn, mu, CTX)
+    flat = _config_rho_sq(vn, mu)
     assert flat.shape == (36,)  # C(9, 2) multisets
     rank = fd._multisets(2, 8)[1]
     order = MetricOrder(CTX.k_star)
@@ -143,9 +154,7 @@ def test_gap_probe_rows_and_csv():
     # penalties tighten monotonically as eps shrinks
     t_gaps = [r.t_gap for r in table.rows]
     assert all(a >= b - 1e-12 for a, b in zip(t_gaps, t_gaps[1:]))
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "epsilon,t_gap,z_gap,rho_gap,fit_slope"
-    assert len(csv.splitlines()) == 4
+    assert np.isfinite(table.t_slope) and np.isfinite(table.z_slope)
 
 
 def test_gap_probe_requires_three_epsilons():
@@ -259,7 +268,7 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
     vn = solved(n=n, mesh=16)
     idx = np.array([3, 11])[:n]
     mu = EmpiricalMeasure((idx * vn.dx)[:, None])
-    flat = _config_rho_sq(vn, mu, CTX)
+    flat = _config_rho_sq(vn, mu)
     assert flat[fd._multisets(n, 16)[1][np.ravel_multi_index(tuple(idx), (16,) * n)]] == 0.0
 
 
@@ -269,7 +278,7 @@ def roll_inf_convolve(vn, target, cfg):
     and every shift q scanned in ascending order."""
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
-    rho_pen = _config_rho_sq(vn, mu, cfg.ctx)[fd._multisets(vn.N, vn.mesh)[1]]
+    rho_pen = _config_rho_sq(vn, mu)[fd._multisets(vn.N, vn.mesh)[1]]
     n_cfg, mesh, refine = rho_pen.size, vn.mesh, cfg.shift_refine
     w_vals = np.arange(mesh * refine) * (vn.dx / refine)
     z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)

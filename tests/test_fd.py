@@ -173,6 +173,13 @@ def test_value_interpolation_at_nodes_is_exact():
     assert vn.value(t, cfg)[0] == pytest.approx(vn.values[k][3, 7], abs=1e-12)
 
 
+def test_value_refuses_a_non_finite_time():
+    vn = solve(null_problem(T=0.5), 1, 8)
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputDomainError):
+            vn.value(t, [1.0])
+
+
 def test_extend_value_shift_identities():
     # the extended value V(t, z, x) = v(t, z + x), read on canonical points
     vn = solve(null_problem(T=0.5), 2, 24)

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from mfrl import mc
-from mfrl.errors import InputDomainError
+from mfrl.errors import InputDomainError, ResourceBudgetError
 from mfrl.fd import fd_solve, required_time_steps
 from mfrl.mc import McEstimate, mc_path_values, mc_solve_linear, resample_tuples
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
@@ -294,6 +294,15 @@ def test_time_outside_the_horizon_is_rejected(t):
     prob = linear_problem()  # T = 0.5
     with pytest.raises(InputDomainError):
         mc_path_values(prob, np.array([[0.5, 2.5]]), t, 10, 5, seed=0)
+
+
+def test_path_budget_admits_criterion_8_and_refuses_larger_calls():
+    mc.check_path_budget(48, 2000, 64)  # 6.1e6 coordinates, about 197 MB
+    for m_batch, n_paths, n in ((1, 2**25, 32), (48, 2000, 2**20), (1, 2**62, 2)):
+        with pytest.raises(ResourceBudgetError):
+            mc.check_path_budget(m_batch, n_paths, n)
+    with pytest.raises(ResourceBudgetError):
+        mc_path_values(linear_problem(), np.array([[0.5, 2.5]]), 0.1, 2**62, 5, seed=0)
 
 
 def test_call_on_a_pool_worker_takes_one_row_chunk(monkeypatch):
