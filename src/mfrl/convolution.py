@@ -12,24 +12,35 @@ solution, one per multiset of lattice indices as ``GridValueFunction.slices``
 holds them (v^N and rho_star see only the multiset).  The multilinear corners
 of a point, and the point moved by a mesh multiple on every axis, are read
 through the rank tables of ``fd.neighbour_ranks``, so only the fractional
-part of the shift needs corner weights.
+part of the shift needs corner weights.  The tables are built on the first
+scan of a value function and shared by its later scans.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and
-at each node blends two stored slices in time, so v(s, y) and v(s', y) differ
-by at most the largest temporal oscillation at one node,
+at each node blends the stored slices k(s) and k(s) + 1 around s.  Against
+the node s* nearest t, both v(s, y) and v(s*, y) are convex combinations of
+the values v_k[c] with k between
 
-    osc = max_c (max_k v_k[c] - min_k v_k[c]).
+    lo(s) = min(k(s), k(s*))  and  hi(s) = max(k(s), k(s*)) + 1,
+
+so they differ by at most the largest oscillation at one node over those
+slices,
+
+    osc(s) = max_c (max_k v_k[c] - min_k v_k[c]),  lo(s) <= k <= hi(s).
 
 A node s with
 
-    |t - s|^2 / (2 eps) > min_s' |t - s'|^2 / (2 eps) + osc + margin
+    |t - s|^2 / (2 eps) > |t - s*|^2 / (2 eps) + osc(s) + margin
 
-is beaten at every y by the node nearest t and can never hold a minimum.  The
-margin, 1e-12 (1 + max|v| + largest time penalty), covers the rounding of the
-corner weights and of the sums.  Dropping such nodes, and keeping the others
+is beaten at every y by s* and can never hold a minimum.  The margin,
+1e-12 (1 + max|v| + largest time penalty), covers the rounding of the
+corner weights and of the sums.  osc(s) grows as s moves away from s*, so
+it is kept as running max/min arrays widened one slice at a time outward
+from k(s*); only the slices of the wider window that the oscillation over
+all slices gives are visited.  Dropping such nodes, and keeping the others
 in ascending order, leaves the minimum and its argmin record bit for bit as
-the full scan gives them.
+the full scan gives them.  A value array with a non-finite entry keeps
+every node.
 
 Shifts are bounded the same way.  At shift q the candidates are
 
@@ -57,8 +68,10 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,27 +112,65 @@ class ArgminRecord:
     rho_gap: float
 
 
+class _Lattice(NamedTuple):
+    """Read-only tables of the lattice of one value function, shared by its scans."""
+
+    corners: list  # the multilinear corners {0, 1}^N
+    cells: np.ndarray  # the sorted cells of ``neighbour_ranks``, (n_sorted, N)
+    corner_ranks: np.ndarray  # rank of each cell moved by each corner
+    shift_ranks: np.ndarray  # rank of each cell moved by each shift (q, ..., q)
+    coeffs: np.ndarray  # Fourier coefficients of mu^x at ``PENALTY_CTX``, (n_modes, n_sorted)
+
+
+#: the tables of the last value function scanned, dropped with it
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _lattice(vn: GridValueFunction) -> _Lattice:
+    """The tables of the lattice of ``vn``, built on its first scan.
+
+    Only the tables of the last value function asked for are kept, and only
+    while it lives.  The coefficients of a cell are the mean over particles
+    of a per-node phase table, gathered at the sorted cells axis by axis.
+    """
+    tables = _TABLES.get(vn)
+    if tables is not None:
+        return tables
+    _TABLES.clear()
+    N, mesh = vn.N, vn.mesh
+    corners = list(product((0, 1), repeat=N))
+    cells, table = neighbour_ranks(N, mesh, corners + [(q,) * N for q in range(mesh)])
+    nodes = np.arange(mesh) * vn.dx
+    phases = phase_table(nodes[:, None], PENALTY_CTX)  # (n_modes, mesh)
+    total = sum(phases[:, col] for col in cells.T)
+    # normalized as fourier_coefficients normalizes a mean, so a target on
+    # the lattice (N <= 2) reads exactly 0 at its own configuration
+    coeffs = TWO_PI ** (-0.5) * (total / N)
+    for arr in (cells, table, coeffs):
+        arr.flags.writeable = False
+    tables = _TABLES[vn] = _Lattice(
+        corners, cells, table[: len(corners)], table[len(corners) :], coeffs
+    )
+    return tables
+
+
 def _config_rho_sq(vn: GridValueFunction, mu: Measure) -> np.ndarray:
     """rho_star^2(mu^x, mu) at ``PENALTY_CTX`` for every multiset x of the
     value lattice.
 
-    Returns a flat array in the rank order of ``vn.slices``.  The per-config
-    Fourier coefficients are the mean over particles of a per-node
-    coefficient table, gathered at the sorted cells axis by axis.
+    Returns a flat array in the rank order of ``vn.slices``.
     """
-    ctx = PENALTY_CTX
-    mw = metric_weights(ctx, ctx.k_star)
-    nodes = np.arange(vn.mesh) * vn.dx
-    table = phase_table(nodes[:, None], ctx)  # (n_modes, mesh)
-    cells, _ = neighbour_ranks(vn.N, vn.mesh, ())
-    total = sum(table[:, col] for col in cells.T)
-    # normalized as fourier_coefficients normalizes a mean, so a target on
-    # the lattice (N <= 2) reads exactly 0 at its own configuration
-    norm = TWO_PI ** (-0.5)
-    coeffs = norm * (total / vn.N)  # (n_modes, n_sorted)
-    target = fourier_coefficients(mu, ctx)
-    diff = coeffs - target[:, None]
+    mw = metric_weights(PENALTY_CTX, PENALTY_CTX.k_star)
+    target = fourier_coefficients(mu, PENALTY_CTX)
+    diff = _lattice(vn).coeffs - target[:, None]
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
+
+
+def _slice_positions(vn: GridValueFunction, s_vals: np.ndarray):
+    """The stored slice k below each time and the weight theta of slice k + 1."""
+    pos = np.clip(s_vals, 0.0, vn.T) / vn.dt
+    ks = np.minimum(pos.astype(int), vn.n_t - 1)
+    return ks, pos - ks
 
 
 def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np.ndarray:
@@ -130,11 +181,32 @@ def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np
     """
     s_vals = np.linspace(0.0, vn.T, n_time)
     t_pen = inv * (t - s_vals) ** 2
-    v_lo, v_hi = vn.slices.min(axis=0), vn.slices.max(axis=0)
+    slices = vn.slices
+    v_lo, v_hi = slices.min(axis=0), slices.max(axis=0)
     osc = float((v_hi - v_lo).max())
+    if not math.isfinite(osc):
+        return s_vals
     v_abs = max(abs(float(v_lo.min())), abs(float(v_hi.max())))
     margin = 1e-12 * (1.0 + v_abs + float(t_pen.max()))
-    return s_vals[~(t_pen > t_pen.min() + osc + margin)]
+    floor = t_pen.min()
+    ks = _slice_positions(vn, s_vals)[0]
+    wide = ks[~(t_pen > floor + osc + margin)]
+    k_near = int(ks[np.argmin(t_pen)])
+    # osc_at[k]: the oscillation over slices min(k, k_near) .. max(k, k_near) + 1,
+    # widened outward from k_near across the window of the global osc (later
+    # slices, then earlier ones); outside it the global osc drops every node
+    osc_at = np.full(vn.n_t, osc)
+    run_lo, run_hi, spread = np.empty((3, slices.shape[1]))
+    for first, outward, ahead in (
+        (k_near, range(k_near, int(wide.max()) + 1), 1),
+        (k_near + 1, range(k_near, int(wide.min()) - 1, -1), 0),
+    ):
+        run_lo[:] = run_hi[:] = slices[first]
+        for k in outward:
+            np.minimum(run_lo, slices[k + ahead], out=run_lo)
+            np.maximum(run_hi, slices[k + ahead], out=run_hi)
+            osc_at[k] = np.subtract(run_hi, run_lo, out=spread).max()
+    return s_vals[~(t_pen > floor + osc_at[ks] + margin)]
 
 
 def inf_convolve(
@@ -170,23 +242,18 @@ def inf_convolve(
 
     # multilinear blend of a lattice slice at uniform diagonal offset f*dx:
     # 2^N corners with weight f^{|e|} (1-f)^{N-|e|}
-    corners = list(product((0, 1), repeat=vn.N))
+    corners, cells, corner_ranks, shift_ranks, _ = _lattice(vn)
     fracs = (np.arange(refine) * (1.0 / refine))[:, None]
     corner_w = np.empty((refine, len(corners)))
     for ci, e in enumerate(corners):
         ones = sum(e)
         corner_w[:, ci : ci + 1] = fracs**ones * (1.0 - fracs) ** (vn.N - ones)
-    # ranks of every sorted cell moved by each corner e and each shift (q, ..., q)
-    cells, table = neighbour_ranks(vn.N, mesh, corners + [(q,) * vn.N for q in range(mesh)])
-    corner_ranks, shift_ranks = table[: len(corners)], table[len(corners) :]
     n_sorted = cells.shape[0]
 
     # time envelope per refined diagonal point: M[f, c] = min_s v(s, y) + t-pen.
     # v(s) blends stored slices k and k + 1 with weight theta; corner e of the
     # multilinear blend is gathered through its rank table
-    pos = np.clip(s_vals, 0.0, vn.T) / vn.dt
-    ks = np.minimum(pos.astype(int), vn.n_t - 1)
-    thetas = pos - ks
+    ks, thetas = _slice_positions(vn, s_vals)
     t_pens = inv * (t - s_vals) ** 2
     blend, tmp = np.empty((2, n_sorted))
     stack = np.empty((len(corners), n_sorted))

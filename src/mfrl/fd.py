@@ -133,11 +133,14 @@ class GridValueFunction:
     def value(self, t: float, configs) -> np.ndarray | float:
         """Multilinear-in-space, linear-in-time interpolation.
 
-        ``configs`` is one configuration (N,) or a stack (M, N).
+        ``configs`` is one configuration (N,) or a stack (M, N) of finite
+        coordinates.
         """
         x = np.atleast_2d(np.asarray(configs, dtype=float))
         if x.shape[1] != self.N:
             raise InputDomainError("configuration size does not match N")
+        if not np.isfinite(x).all():
+            raise InputDomainError("configuration coordinates must be finite")
         t = float(t)
         if not isfinite(t):
             raise InputDomainError(f"time {t} is not finite")

@@ -218,7 +218,8 @@ def mc_path_values(
     ``starts`` has shape (M, N); the return value has shape (M, n_paths).
     All paths are advanced jointly; the per-path running cost uses the
     trapezoid rule in time.  A call beyond ``PATH_BYTES_BUDGET`` is refused
-    with ``ResourceBudgetError`` before anything is allocated.
+    with ``ResourceBudgetError`` before anything is allocated, and so are
+    starts with a coordinate that is not finite, with ``InputDomainError``.
     """
     _require_linear(problem)
     if n_paths < 1 or n_steps < 1:
@@ -227,6 +228,8 @@ def mc_path_values(
         raise InputDomainError(f"evaluation time {t} is outside [0, T = {problem.T}]")
     start = time.perf_counter()
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    if not np.isfinite(starts).all():
+        raise InputDomainError("starting configurations must be finite")
     m_batch, n_particles = starts.shape
     check_path_budget(m_batch, n_paths, n_particles)
     horizon = problem.T - t

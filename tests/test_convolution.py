@@ -209,21 +209,57 @@ def test_time_window_keeps_the_scan_bit_identical_on_criterion_7_targets(monkeyp
 
 
 def test_time_window_is_narrower_than_the_global_value_range_on_criterion_7_targets():
-    # the window bounds v(s, y) - v(s', y) by the largest oscillation in time
-    # at one lattice node, not by the range of v over all nodes and times
+    # the window bounds v(s, y) - v(s*, y) by the oscillation over the slices
+    # between s and the node s* nearest t, not by the largest oscillation over
+    # all slices at one lattice node, nor by the range of v over all nodes
     vn = pinned()
     osc = np.max(np.ptp(vn.values, axis=0))
     assert osc < 0.25 * np.ptp(vn.values)
+    s_vals = np.linspace(0.0, vn.T, 1001)
+    kept = kept_global = 0
     for eps in (0.2, 0.1, 0.05, 0.025):
         inv = 1.0 / (2.0 * eps)
         for ti in (10, 22, 34, 46):
             t = ti / 64.0 * vn.T
-            s_vals = np.linspace(0.0, vn.T, 2001)
             t_pen = inv * (t - s_vals) ** 2
             margin = 1e-12 * (1.0 + np.max(np.abs(vn.values)) + t_pen.max())
             wide = s_vals[~(t_pen > t_pen.min() + np.ptp(vn.values) + margin)]
-            window = convolution._time_window(vn, t, inv, 2001)
-            assert np.all(np.isin(window, wide)) and window.size < wide.size
+            global_osc = s_vals[~(t_pen > t_pen.min() + osc + margin)]
+            window = convolution._time_window(vn, t, inv, 1001)
+            assert np.all(np.isin(window, global_osc)) and np.all(np.isin(global_osc, wide))
+            kept, kept_global = kept + window.size, kept_global + global_osc.size
+    assert 3 * kept < kept_global
+
+
+@pytest.mark.parametrize("t, dip, s_min", [(0.0, 3, 0.7), (1.0, 1, 0.3)])
+def test_time_window_counts_both_slices_a_node_blends(monkeypatch, t, dip, s_min):
+    # v is 0 but for a dip to -1 at one slice, after or before the target
+    # node s* = t.  The node s_min, 0.05 from the dip's slice, blends it with
+    # the slice on the side of s* and holds the minimum; the oscillation over
+    # the slices from s* up to that other slice alone is 0
+    values = np.zeros((5, 8))
+    values[dip] = -1.0
+    vn = GridValueFunction(1, 8, 4, 1.0, values)
+    cfg = ConvolutionConfig(epsilon=0.5, n_time=11, shift_refine=2)
+    target = (t, 0.0, EmpiricalMeasure(np.array([[0.0]])))
+    (val, rec), full = scan_both_ways(monkeypatch, vn, target, cfg)
+    assert_same_scan((val, rec), full)
+    assert rec.s0 == pytest.approx(s_min) and val == pytest.approx(-0.8 + 0.7**2)
+
+
+def test_time_window_keeps_every_node_of_a_value_with_a_nan_in_one_slice():
+    values = np.array(pinned().values)
+    vn = GridValueFunction(1, 64, values.shape[0] - 1, 0.5, values)
+    cfg = ConvolutionConfig(epsilon=0.025, n_time=201, shift_refine=4)
+    target = (10 / 64.0 * vn.T, 5 * vn.dx, EmpiricalMeasure(np.array([[5 * vn.dx]])))
+    inv = 1.0 / (2.0 * cfg.epsilon)
+    assert convolution._time_window(vn, target[0], inv, 201).size < 201
+    # far in time from the target, where the finite array's window never reaches
+    values[-3, 40] = np.nan
+    vn = GridValueFunction(1, 64, values.shape[0] - 1, 0.5, values)
+    window = convolution._time_window(vn, target[0], inv, 201)
+    assert np.array_equal(window, np.linspace(0.0, vn.T, 201))
+    assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
@@ -273,9 +309,9 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
 
 
 def roll_inf_convolve(vn, target, cfg):
-    """inf_convolve with its time envelope written out per time node (the
-    slice blended into a fresh array, corners by np.roll, masked updates)
-    and every shift q scanned in ascending order."""
+    """inf_convolve with its time envelope written out for every time node
+    (the slice blended into a fresh array, corners by np.roll, masked
+    updates) and every shift q scanned in ascending order."""
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
     rho_pen = _config_rho_sq(vn, mu)[fd._multisets(vn.N, vn.mesh)[1]]
@@ -289,7 +325,7 @@ def roll_inf_convolve(vn, target, cfg):
         corner_w[:, ci : ci + 1] = fracs ** sum(e) * (1.0 - fracs) ** (vn.N - sum(e))
     envelope = np.full((refine, n_cfg), np.inf)
     env_s = np.zeros((refine, n_cfg))
-    for s in convolution._time_window(vn, t, inv, cfg.n_time):
+    for s in np.linspace(0.0, vn.T, cfg.n_time):
         pos = np.clip(s, 0.0, vn.T) / vn.dt
         k = min(int(pos), vn.n_t - 1)
         grid = (1.0 - (pos - k)) * vn.values[k] + (pos - k) * vn.values[k + 1]
@@ -420,6 +456,29 @@ def test_multiset_scan_matches_the_roll_scan_for_three_particles():
             assert np.array_equal(rec.x0, np.sort(rec_roll.x0))
             unsorted += not np.array_equal(rec.x0, rec_roll.x0)
     assert unsorted > 0  # the targets reach the rounding asymmetry
+
+
+def test_lattice_tables_are_built_once_per_value_function_and_kept_read_only(monkeypatch):
+    built = []
+
+    def neighbour_ranks(N, mesh, steps):
+        built.append((N, mesh))
+        return fd.neighbour_ranks(N, mesh, steps)
+
+    monkeypatch.setattr(convolution, "neighbour_ranks", neighbour_ranks)
+    vn, single = solved(n=2, mesh=8), solved(n=1, mesh=8)
+    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
+    for t, eps in ((0.3, 0.1), (0.1, 0.05), (0.5, 0.2)):
+        inf_convolve(vn, (t, 1.9, mu), ConvolutionConfig(epsilon=eps, n_time=9))
+    assert built == [(2, 8)]
+    corners, *tables = convolution._lattice(vn)
+    assert corners == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert not any(arr.flags.writeable for arr in tables)
+    # the next value function's tables replace them, and go with it
+    inf_convolve(single, (0.3, 1.9, EmpiricalMeasure(np.array([[0.4]]))), ConvolutionConfig(0.1))
+    assert built == [(2, 8), (1, 8)] and list(convolution._TABLES) == [single]
+    del single
+    assert not convolution._TABLES
 
 
 def test_debug_log_reports_the_scanned_nodes_and_shifts(caplog):

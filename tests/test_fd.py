@@ -180,6 +180,13 @@ def test_value_refuses_a_non_finite_time():
             vn.value(t, [1.0])
 
 
+def test_value_refuses_a_non_finite_coordinate():
+    vn = solve(null_problem(T=0.5), 2, 8)
+    for bad in ([float("inf"), 1.0], [[0.5, 2.0], [1.0, float("nan")]], [-float("inf"), 0.0]):
+        with pytest.raises(InputDomainError, match="finite"):
+            vn.value(0.1, bad)
+
+
 def test_extend_value_shift_identities():
     # the extended value V(t, z, x) = v(t, z + x), read on canonical points
     vn = solve(null_problem(T=0.5), 2, 24)

@@ -296,6 +296,17 @@ def test_time_outside_the_horizon_is_rejected(t):
         mc_path_values(prob, np.array([[0.5, 2.5]]), t, 10, 5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_starts_are_rejected_before_the_paths_are_allocated(monkeypatch, bad):
+    # refused before the budget check, which comes before any path array
+    def budget(*args):
+        raise AssertionError("budget checked")
+
+    monkeypatch.setattr(mc, "check_path_budget", budget)
+    with pytest.raises(InputDomainError, match="finite"):
+        mc_path_values(linear_problem(), np.array([[bad, 1.0]]), 0.1, 4, 5, seed=0)
+
+
 def test_path_budget_admits_criterion_8_and_refuses_larger_calls():
     mc.check_path_budget(48, 2000, 64)  # 6.1e6 coordinates, about 197 MB
     for m_batch, n_paths, n in ((1, 2**25, 32), (48, 2000, 2**20), (1, 2**62, 2)):
