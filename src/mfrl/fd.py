@@ -21,12 +21,14 @@ C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
 110,592 at N = 3, mesh 48).  Each step reads the neighbours of a sorted node
 (+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
 the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through the integer rank
-tables of ``neighbour_ranks``, built once per solve; the inf-convolution
-reads its corners and shifts through the same tables.  The solution keeps
-one value per multiset and time slice, and so does the value file
-(version 2).  ``values``, the full-lattice array that interpolation and the
-probes read, is expanded from them with one gather per slice: by a solution
-on first read, and by ``load`` slice by slice as it reads the file.
+tables of ``neighbour_ranks``, built once per solve without a sort (the
+sorted cells are the nodes whose index tuple does not decrease); the
+inf-convolution and ``lipschitz_probe`` read through the same tables.  The
+solution keeps one value per multiset and time slice, and so does the value
+file (version 2).  ``values``, the full-lattice array that interpolation
+reads, is expanded from them with one gather per slice: by a solution on
+first read, and by ``load`` as it reads the file.  ``slice_at`` and
+``lipschitz_probe`` gather only the slices they read.
 
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
@@ -51,7 +53,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputDomainError, ResourceBudgetError
 from .problems import ProblemSpec
-from .torus import TWO_PI, EmpiricalMeasure, seeded_generator, w1_circle
+from .torus import TWO_PI, seeded_generator, w1_circle_rows
+from .torus import w1_circle  # noqa: F401  (the benchmark times fd's W1 under this name)
 from .trig import mean_field_eval
 
 _MAGIC = b"MFRL1"
@@ -75,10 +78,13 @@ class GridValueFunction:
     terminal condition G(mu^x) exactly.  ``slices[k]`` holds it once per
     multiset of lattice indices, in the order of ``neighbour_ranks``.  Each
     constructor fills one of the two, the other is derived on first read:
-    ``fd_solve`` fills ``slices``, and a full array (as ``load`` builds it)
-    ``values``, whose slices are gathered only if it is symmetric under
-    permuting particles, NaN equal to NaN.
+    ``fd_solve`` fills ``slices``, and a full array ``values``, whose slices
+    are gathered only if it is symmetric under permuting particles, NaN
+    equal to NaN; the array ``load`` expands from a file is so by
+    construction and is not checked.
     """
+
+    _symmetric = False  # set by ``load``
 
     def __init__(self, N: int, mesh: int, n_t: int, T: float, values: np.ndarray):
         v = np.asarray(values, dtype=float)
@@ -103,17 +109,28 @@ class GridValueFunction:
 
     @cached_property
     def slices(self) -> np.ndarray:  # shape (n_t + 1, C(mesh + N - 1, N)), read-only
+        slices = self._gather(np.arange(self.n_t + 1))
+        slices.flags.writeable = False
+        return slices
+
+    def _gather(self, ks: np.ndarray) -> np.ndarray:
+        """Slices ``ks`` of ``values``, one value per multiset; unless loaded,
+        each is checked to be symmetric under permuting particles."""
         keys, multiset = _multisets(self.N, self.mesh)
         flat = self.values.reshape(self.n_t + 1, -1)
-        slices = flat[:, keys]
-        for k in range(self.n_t + 1):
-            # one slice expanded back at a time: the check costs one slice
-            if not np.array_equal(slices[k, multiset], flat[k], equal_nan=True):
+        rows = np.empty((len(ks), keys.size))
+        for k, row in zip(ks, rows):
+            np.take(flat[k], keys, out=row)
+            if self._symmetric:
+                continue
+            # one slice expanded back at a time; NaN equals NaN, but the plain
+            # comparison goes first, as the NaN-aware one is 3x slower
+            back, full = row[multiset], flat[k]
+            if not (np.array_equal(back, full) or np.array_equal(back, full, equal_nan=True)):
                 raise InputDomainError(
                     f"value slice {k} is not symmetric under permuting particles"
                 )
-        slices.flags.writeable = False
-        return slices
+        return rows
 
     @property
     def dx(self) -> float:
@@ -128,7 +145,11 @@ class GridValueFunction:
         return np.arange(self.n_t + 1) * self.dt
 
     def slice_at(self, k: int) -> np.ndarray:
-        return self.values[k]
+        """Time slice k on the full lattice; without ``values`` only this
+        slice is gathered from ``slices``."""
+        if "values" in vars(self):
+            return self.values[k]
+        return self.slices[k][_multisets(self.N, self.mesh)[1]].reshape((self.mesh,) * self.N)
 
     def value(self, t: float, configs) -> np.ndarray | float:
         """Multilinear-in-space, linear-in-time interpolation.
@@ -201,6 +222,7 @@ class GridValueFunction:
             _check_value_bytes(n, mesh, n_t)
             values = _expand(n, mesh, n_t, _read_slices(fh, n_t + 1, n_sorted))
         vn = cls(n, mesh, n_t, t_horizon, values)
+        vn._symmetric = True
         _log_io("load", vn, n_sorted, size, start)
         return vn
 
@@ -217,15 +239,21 @@ def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
     """The multisets of lattice indices, and the multiset of each lattice node.
 
     Sorting an index tuple names its multiset.  Returns the flat lattice
-    index of each sorted tuple, ascending (C(mesh + N - 1, N) of them), and
-    for every flat lattice node the rank of its multiset among them.  int32
+    index of each node whose index tuple does not decrease, ascending
+    (C(mesh + N - 1, N) of them), and for every flat lattice node the rank
+    of its multiset among them: the rank, in a dense mesh^N array, of its
+    tuple sorted by a network of N (N - 1) / 2 min/max exchanges.  int32
     indices (mesh < 2^27 under the value budget) halve the set-up arrays.
     """
     shape = (mesh,) * N
-    index = np.sort(np.indices(shape, dtype=np.int32).reshape(N, -1), axis=0)
-    keys = np.ravel_multi_index(tuple(index), shape)
-    del index
-    return np.unique(keys, return_inverse=True)
+    index = np.indices(shape, dtype=np.int32).reshape(N, -1)
+    keys = np.flatnonzero((index[1:] >= index[:-1]).all(axis=0))
+    for top in range(N - 1, 0, -1):
+        for i in range(top):  # compare-exchange rows i and i + 1
+            index[i : i + 2] = np.minimum(index[i], index[i + 1]), np.maximum(index[i], index[i + 1])
+    rank = np.zeros(mesh**N, dtype=np.intp)
+    rank[keys] = np.arange(keys.size)
+    return keys, rank[np.ravel_multi_index(tuple(index), shape)]
 
 
 def neighbour_ranks(N: int, mesh: int, steps) -> tuple[np.ndarray, np.ndarray]:
@@ -438,44 +466,34 @@ _W1_PAIRS = 200
 
 
 def lipschitz_probe(vn: GridValueFunction, seed: int = 0) -> LipschitzReport:
-    dx = vn.dx
-    m = vn.mesh
-    slice_ids = sorted(set(np.linspace(0, vn.n_t, 17).astype(int)))
-    diff = np.empty((m,) * vn.N)
-
-    def at(j):
-        return slice(j % m, j % m + 1)
-
-    grad_max = 0.0
-    for k in slice_ids:
-        for i in range(vn.N):
-            # v(+e_i) - v(-e_i) on the periodic lattice, from slices along axis i
-            u, d = np.moveaxis(vn.values[k], i, 0), np.moveaxis(diff, i, 0)
-            np.subtract(u[2:], u[:-2], out=d[1:-1])
-            np.subtract(u[at(1)], u[at(-1)], out=d[at(0)])
-            np.subtract(u[at(0)], u[at(-2)], out=d[at(-1)])
-            g = np.max(np.abs(diff, out=diff)) / (2.0 * dx)
-            grad_max = max(grad_max, vn.N * float(g))
-
-    hoelder = 0.0
-    for ka in slice_ids:
-        for kb in slice_ids:
-            if kb > ka:
-                gap = (kb - ka) * vn.dt
-                np.subtract(vn.values[kb], vn.values[ka], out=diff)
-                hoelder = max(hoelder, float(np.max(np.abs(diff, out=diff))) / np.sqrt(gap))
+    """The constants of ``LipschitzReport`` on 17 time slices (the W1 ratio
+    on the first and the middle one), read once per multiset: from
+    ``slices`` when ``vn`` holds them, else gathered from ``values``.  By
+    symmetry the differences at the sorted cells are those at every node.
+    A NaN makes NaN the constants it enters.
+    """
+    N, m = vn.N, vn.mesh
+    ids = np.array(sorted(set(np.linspace(0, vn.n_t, 17).astype(int))))
+    rows = vn.slices[ids] if "slices" in vars(vn) else vn._gather(ids)
+    unit = np.eye(N, dtype=int)
+    cells, table = neighbour_ranks(N, m, [*unit, *(-unit)])
+    steep = np.max([np.max(np.abs(row[table[:N]] - row[table[N:]])) for row in rows])
+    diff = np.empty((len(ids) - 1, rows.shape[1]))  # diff[a:] holds the pairs of slice a
+    hoelder = np.max(np.concatenate([
+        np.max(np.abs(np.subtract(rows[a + 1 :], rows[a], out=diff[a:]), out=diff[a:]), axis=1)
+        / np.sqrt((ids[a + 1 :] - ids[a]) * vn.dt)
+        for a in range(len(ids) - 1)
+    ]))
 
     rng = seeded_generator(seed)
-    w1_lip = 0.0
-    nodes = np.arange(vn.mesh) * dx
-    for _ in range(_W1_PAIRS):
-        ia = rng.integers(0, vn.mesh, size=vn.N)
-        ib = rng.integers(0, vn.mesh, size=vn.N)
-        xa, xb = nodes[ia], nodes[ib]
-        w1 = w1_circle(EmpiricalMeasure(xa[:, None]), EmpiricalMeasure(xb[:, None]))
-        if w1 < 1e-12:
-            continue
-        for k in (0, vn.n_t // 2):
-            diff = abs(float(vn.values[k][tuple(ia)] - vn.values[k][tuple(ib)]))
-            w1_lip = max(w1_lip, diff / w1)
-    return LipschitzReport(grad_max, hoelder, w1_lip)
+    # one draw per tuple: a single draw of all of them would give other pairs
+    pairs = np.array([[rng.integers(0, m, size=N) for _ in "ab"] for _ in range(_W1_PAIRS)])
+    nodes = np.arange(m) * vn.dx
+    w1 = w1_circle_rows(nodes[pairs[:, 0]], nodes[pairs[:, 1]])
+    far = w1 >= 1e-12
+    shape = (m,) * N
+    sorted_pairs = np.ravel_multi_index(tuple(np.sort(pairs[far], axis=2).T), shape)
+    ranks = np.searchsorted(np.ravel_multi_index(tuple(cells.T), shape), sorted_pairs)
+    at = rows[np.searchsorted(ids, [0, vn.n_t // 2])]  # n_t // 2 is the linspace's midpoint
+    w1_lip = np.max(np.abs(at[:, ranks[0]] - at[:, ranks[1]]) / w1[far], initial=0.0)
+    return LipschitzReport(float(N * (steep / (2.0 * vn.dx))), float(hoelder), float(w1_lip))

@@ -11,11 +11,12 @@ On top of the representations the module implements Fourier coefficients with
 respect to the orthonormal basis ``e_l(x) = (2 pi)^{-d/2} exp(i l.x)``, i.i.d.
 sampling from grid densities, a seeded counter-based generator, and
 1-Wasserstein distances on the circle (d = 1).  Sampling, the empirical
-Fourier mean and W1 against a density run on rows, one empirical measure per
-row, and keep every sort, sum and search within a row; the one-measure
-functions are their one-row case.  Both W1 entry points share
-one formula, ``W1 = min_t integral |F_mu - F_nu - t| dx`` over [0, 2 pi)
-(Rabin, Delon & Gousseau 2011): the CDF gap is read at the midpoints of the
+Fourier mean and both W1 distances run on rows, one empirical measure (or
+pair of them) per row, and keep every sort, sum and search within a row;
+the one-measure functions are their one-row case.  W1 between two empirical
+measures and W1 against a density share one formula,
+``W1 = min_t integral |F_mu - F_nu - t| dx`` over [0, 2 pi) (Rabin, Delon &
+Gousseau 2011): the CDF gap is read at the midpoints of the
 intervals between its breakpoints and t is its length-weighted median.
 
 Convention: for a measure ``eta`` we use the conjugated pairing
@@ -283,25 +284,42 @@ def sample_iid(mu: GridDensity, n: int, seed: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(sample_rows(mu, n, [seed])[0][:, None])
 
 
-def _circle_w1(grid, cdf_gap) -> np.ndarray:
-    """min_t integral_0^{2 pi} |g(x) - t| dx for CDF gaps g = F_mu - F_nu,
-    one per row.
+def _circle_w1(merged, below, cdf_gap) -> np.ndarray:
+    """min_t integral_0^{2 pi} |g(x) - t| dx for CDF gaps g = F_mu - F_nu, one per row.
 
-    Each row of ``grid`` holds 0, every point of [0, 2 pi) where its g is not
-    linear, in ascending order, and 2 pi last; ``cdf_gap`` evaluates the rows
-    of g at the interval midpoints, which is exact where g is constant on
-    each interval.  The minimizing t is the length-weighted median of the
-    midpoint values.  Every step sorts, sums or searches within a row, so a
-    row's result does not depend on the other rows.
+    A row of ``merged`` holds 0 and every point of [0, 2 pi) where its g is
+    not linear, ascending, maybe repeated; each array of ``below`` counts per
+    row the atoms at or below each point, closed by the total at 2 pi.  Rows
+    keep the last of each run of equal points and are measured in groups of
+    equal distinct count, each on exactly its distinct breakpoints.
+    ``cdf_gap(mids, *counts)`` gives g at the interval midpoints from the
+    counts at or before each interval (at its right end when the rounded
+    midpoint lands on it), exact where g is constant on each interval; t is
+    the length-weighted median of those values.  Every step sorts, sums or
+    searches within a row, so a row's result does not depend on the others.
     """
-    lens = np.diff(grid, axis=1)
-    g = cdf_gap(0.5 * (grid[:, :-1] + grid[:, 1:]))
-    order = np.argsort(g, axis=1)
-    w = np.cumsum(np.take_along_axis(lens, order, axis=1), axis=1)
-    # the first sorted interval whose cumulative length reaches half the total
-    median = np.sum(w < 0.5 * w[:, -1:], axis=1, keepdims=True)
-    t = np.take_along_axis(g, np.take_along_axis(order, median, axis=1), axis=1)
-    return np.sum(np.abs(g - t) * lens, axis=1)
+    R, B = merged.shape
+    last = np.ones((R, B + 1), dtype=bool)
+    np.not_equal(merged[:, 1:], merged[:, :-1], out=last[:, : B - 1])
+    size = last.sum(axis=1)
+    out = np.empty(R)
+    for K in np.unique(size):
+        rows = np.flatnonzero(size == K)
+        keep = last[rows]
+        grid = np.full((rows.size, K), TWO_PI)
+        grid[:, :-1] = merged[rows][keep[:, :-1]].reshape(rows.size, K - 1)
+        mids = 0.5 * (grid[:, :-1] + grid[:, 1:])
+        at_end = mids == grid[:, 1:]
+        counts = (c[rows][keep].reshape(rows.size, K) for c in below)
+        g = cdf_gap(mids, *(np.where(at_end, c[:, 1:], c[:, :-1]) for c in counts))
+        lens = np.diff(grid, axis=1)
+        order = np.argsort(g, axis=1)
+        w = np.cumsum(np.take_along_axis(lens, order, axis=1), axis=1)
+        # the first sorted interval whose cumulative length reaches half the total
+        median = np.sum(w < 0.5 * w[:, -1:], axis=1, keepdims=True)
+        t = np.take_along_axis(g, np.take_along_axis(order, median, axis=1), axis=1)
+        out[rows] = np.sum(np.abs(g - t) * lens, axis=1)
+    return out
 
 
 def _sorted_circle_atoms(mu: EmpiricalMeasure, name: str) -> np.ndarray:
@@ -310,23 +328,30 @@ def _sorted_circle_atoms(mu: EmpiricalMeasure, name: str) -> np.ndarray:
     return np.sort(mu.atoms[:, 0])
 
 
-def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact 1-Wasserstein distance on the circle of circumference 2 pi.
+def w1_circle_rows(xs, ys) -> np.ndarray:
+    """W1 between the empirical measures whose atoms are the rows of an
+    (R, n) and an (R, m) array of canonical coordinates, in any order.
 
-    Any atom counts.  Both CDFs are step functions that jump only at atoms,
-    so the gap is constant between consecutive atoms and the formula is
-    exact; equal multisets give exactly 0.
+    Both CDFs jump only at atoms, so the gap is constant between breakpoints
+    (0 and both rows' atoms): exact, and exactly 0 for equal multisets.
     """
+    (R, n), m = xs.shape, ys.shape[1]
+    atoms = np.concatenate((np.zeros((R, 1)), xs, ys), axis=1)
+    order = np.argsort(atoms, axis=1)
+    # the closing column holds index 0, no atom, so each count ends at its total
+    source = np.pad(order, ((0, 0), (0, 1)))
+    below = [np.cumsum((source > lo) & (source <= hi), axis=1) for lo, hi in ((0, n), (n, n + m))]
+    return _circle_w1(
+        np.take_along_axis(atoms, order, axis=1), below, lambda mids, cx, cy: cx / n - cy / m
+    )
+
+
+def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Exact 1-Wasserstein distance on the circle of circumference 2 pi:
+    the one row of ``w1_circle_rows``.  Any atom counts."""
     xs = _sorted_circle_atoms(mu, "w1_circle")
     ys = _sorted_circle_atoms(nu, "w1_circle")
-    grid = np.append(np.unique(np.concatenate(([0.0], xs, ys))), TWO_PI)
-    return float(
-        _circle_w1(
-            grid[None],
-            lambda mids: np.searchsorted(xs, mids, side="right") / xs.size
-            - np.searchsorted(ys, mids, side="right") / ys.size,
-        )[0]
-    )
+    return float(w1_circle_rows(xs[None], ys[None])[0])
 
 
 def w1_density_rows(atoms, rho: GridDensity) -> np.ndarray:
@@ -337,10 +362,7 @@ def w1_density_rows(atoms, rho: GridDensity) -> np.ndarray:
     refined ``DENSITY_REFINE`` times (each atom after the mesh points equal
     to it); the density's CDF is linear between them and the gap is read at
     the midpoints, where the empirical CDF counts the atoms merged at or
-    before the interval (and the atom at its right end when the rounded
-    midpoint lands on it).  A row whose breakpoints coincide keeps the last
-    of each run of equal ones and is measured on its own, so every row sees
-    exactly its distinct breakpoints.
+    before the interval.
     """
     R, n = atoms.shape
     fine = rho.m * DENSITY_REFINE
@@ -358,26 +380,11 @@ def w1_density_rows(atoms, rho: GridDensity) -> np.ndarray:
     dx = TWO_PI / rho.m
     cum = np.concatenate(([0.0], np.cumsum(rho.values * dx)))
 
-    def measure(breaks, below):
-        grid = np.concatenate((breaks, np.full((breaks.shape[0], 1), TWO_PI)), axis=1)
+    def cdf_gap(mids, counts):
+        j = np.minimum((mids / dx).astype(int), rho.m - 1)
+        return counts / n - (cum[j] + rho.values[j] * (mids - j * dx))
 
-        def cdf_gap(mids):
-            j = np.minimum((mids / dx).astype(int), rho.m - 1)
-            f_rho = cum[j] + rho.values[j] * (mids - j * dx)
-            counts = np.where(mids == grid[:, 1:], below[:, 1:], below[:, :-1])
-            return counts / n - f_rho
-
-        return _circle_w1(grid, cdf_gap)
-
-    last = np.ones((R, fine + n + 1), dtype=bool)
-    np.not_equal(merged[:, 1:], merged[:, :-1], out=last[:, : fine + n - 1])
-    distinct = last.all(axis=1)
-    out = np.empty(R)
-    out[distinct] = measure(merged[distinct], below[distinct])
-    for r in np.flatnonzero(~distinct):
-        keep = last[r]
-        out[r] = measure(merged[r, keep[:-1]][None], below[r, keep][None])[0]
-    return out
+    return _circle_w1(merged, [below], cdf_gap)
 
 
 def w1_circle_density(mu: EmpiricalMeasure, rho: GridDensity) -> float:

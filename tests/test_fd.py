@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -18,7 +19,8 @@ from mfrl.fd import (
     required_time_steps,
 )
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
-from mfrl.torus import TWO_PI, TorusContext, canonicalize
+from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, seeded_generator
+from mfrl.torus import w1_circle
 from mfrl.trig import TrigPoly
 
 CTX = TorusContext(1, 64)
@@ -429,8 +431,82 @@ def test_lipschitz_probe_matches_roll_differences():
             if kb > k:
                 diff = float(np.max(np.abs(vn.values[kb] - vn.values[k])))
                 hoelder = max(hoelder, diff / np.sqrt((kb - k) * vn.dt))
+    # the W1 ratio pair by pair, one w1_circle call each, as the rows formula must give it
+    rng, w1_lip = seeded_generator(0), 0.0
+    for _ in range(fd._W1_PAIRS):
+        ia, ib = rng.integers(0, 12, size=2), rng.integers(0, 12, size=2)
+        w1 = w1_circle(EmpiricalMeasure(ia[:, None] * vn.dx), EmpiricalMeasure(ib[:, None] * vn.dx))
+        if w1 >= 1e-12:
+            for k in (0, vn.n_t // 2):
+                diff = abs(float(vn.values[k][tuple(ia)] - vn.values[k][tuple(ib)]))
+                w1_lip = max(w1_lip, diff / w1)
     rep = lipschitz_probe(vn)
-    assert (rep.max_scaled_gradient, rep.time_hoelder) == (grad, hoelder)
+    assert (rep.max_scaled_gradient, rep.time_hoelder, rep.w1_lipschitz) == (grad, hoelder, w1_lip)
+
+
+def multisets_by_sorting(n, mesh):
+    """The multiset tables by sorting every index tuple and ``np.unique``."""
+    shape = (mesh,) * n
+    index = np.sort(np.indices(shape).reshape(n, -1), axis=0)
+    return np.unique(np.ravel_multi_index(tuple(index), shape), return_inverse=True)
+
+
+@pytest.mark.parametrize("n, mesh", [
+    (n, mesh) for n in (1, 2, 3, 4) for mesh in (1, 2, 8, 48) if mesh**n <= 48**3
+])
+def test_multisets_equal_the_sorting_construction(n, mesh):
+    keys, multiset = fd._multisets(n, mesh)
+    want_keys, want_multiset = multisets_by_sorting(n, mesh)
+    assert keys.dtype == want_keys.dtype and multiset.dtype == want_multiset.dtype
+    assert np.array_equal(keys, want_keys) and np.array_equal(multiset, want_multiset)
+    assert keys.size == math.comb(mesh + n - 1, n)
+
+
+def test_slice_at_gathers_one_slice_without_expanding_the_rest():
+    vn = solve(linear_problem(a=0.5), 3, 8)
+    ks = (0, 1, vn.n_t // 2, vn.n_t, -1)
+    got = [vn.slice_at(k) for k in ks]
+    assert "values" not in vars(vn)
+    for k, s in zip(ks, got):
+        assert s.shape == (8, 8, 8) and np.array_equal(s, vn.values[k])
+        assert np.array_equal(vn.slice_at(k), s)  # read from values once they exist
+
+
+def test_lipschitz_probe_reads_slices_once_per_multiset(tmp_path):
+    vn = solve(linear_problem(a=0.5), 3, 12)
+    rep = lipschitz_probe(vn, seed=4)
+    assert "values" not in vars(vn)
+    vn.save(tmp_path / "v.bin")
+    back = GridValueFunction.load(tmp_path / "v.bin")
+    assert lipschitz_probe(back, seed=4) == rep
+    assert "slices" not in vars(back)  # a loaded function gathers only the probed slices
+    assert all(type(x) is float for x in dataclasses.astuple(rep))
+
+
+def test_lipschitz_probe_refuses_an_asymmetric_array():
+    values = np.array(solve(linear_problem(), 2, 8).values)
+    values[0, 3, 5] += 1.0
+    with pytest.raises(InputDomainError, match="symmetric"):
+        lipschitz_probe(GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values))
+
+
+def test_lipschitz_probe_propagates_nan():
+    vn = solve(linear_problem(a=0.5), 2, 12)
+    values = np.array(vn.values)
+    values[0, 4, 4] = np.nan  # one node of slice 0, symmetric
+    rep = lipschitz_probe(GridValueFunction(2, 12, vn.n_t, vn.T, values))
+    assert math.isnan(rep.max_scaled_gradient) and math.isnan(rep.time_hoelder)
+    assert type(rep.time_hoelder) is float
+    # slice 0 wholly NaN reaches the W1 ratio too
+    values[0] = np.nan
+    rep = lipschitz_probe(GridValueFunction(2, 12, vn.n_t, vn.T, values))
+    assert all(math.isnan(x) for x in dataclasses.astuple(rep))
+    # a NaN in a slice the probe does not read changes nothing (n_t 43 > 16 here)
+    vn = solve(linear_problem(a=0.5), 2, 24)
+    values = np.array(vn.values)
+    unread = next(k for k in range(vn.n_t + 1) if k not in np.linspace(0, vn.n_t, 17).astype(int))
+    values[unread, 4, 4] = np.nan
+    assert lipschitz_probe(GridValueFunction(2, 24, vn.n_t, vn.T, values)) == lipschitz_probe(vn)
 
 
 

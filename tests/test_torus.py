@@ -24,6 +24,7 @@ from mfrl.torus import (
     sample_iid,
     w1_circle,
     w1_circle_density,
+    w1_circle_rows,
     w1_density_rows,
 )
 
@@ -282,6 +283,49 @@ def test_w1_density_rows_equal_the_formula_on_distinct_breakpoints():
         assert w1_density_rows(atoms, rho).tolist() == want
         for a, w in zip(atoms, want):
             assert w1_circle_density(EmpiricalMeasure(a[::-1, None]), rho) == w
+
+
+def w1_circle_on_distinct_breaks(xs: np.ndarray, ys: np.ndarray) -> float:
+    """w1_circle from ``np.unique`` of 0 and both atom sets, every step on one
+    1-d array, and both empirical CDFs by ``searchsorted``."""
+    xs, ys = np.sort(xs), np.sort(ys)
+    grid = np.append(np.unique(np.concatenate(([0.0], xs, ys))), TWO_PI)
+    lens = np.diff(grid)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    g = (np.searchsorted(xs, mids, side="right") / xs.size
+         - np.searchsorted(ys, mids, side="right") / ys.size)
+    order = np.argsort(g)
+    w = np.cumsum(lens[order])
+    t = g[order][np.searchsorted(w, 0.5 * w[-1])]
+    return float(np.sum(np.abs(g - t) * lens))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (1, 4), (5, 2)])
+def test_w1_circle_rows_equal_the_formula_pair_by_pair(n, m):
+    rng = np.random.default_rng(23 + n + m)
+    lattice = TWO_PI / 8
+    blocks = [  # lattice atoms, shared nodes included
+        (rng.integers(0, 8, (40, n)) * lattice, rng.integers(0, 8, (40, m)) * lattice),
+        (np.zeros((4, n)), rng.integers(0, 8, (4, m)) * lattice),  # atoms at 0
+        (rng.uniform(0.0, TWO_PI, (10, n)), rng.uniform(0.0, TWO_PI, (10, m))),
+        (rng.uniform(0.0, TWO_PI, (10, n)), rng.integers(0, 8, (10, m)) * lattice),
+    ]
+    xs, ys = (np.concatenate(side) for side in zip(*blocks))
+    # adjacent doubles whose rounded midpoint lands on the right one
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert 0.5 * (a + b) == b
+    xs[-4:, 0], ys[-4:, 0] = a, b
+    # a row may be the same multiset on both sides: W1 exactly 0
+    xs[-1], ys[-1] = xs[-1, 0], xs[-1, 0]
+    got = w1_circle_rows(xs, ys)
+    want = [w1_circle_on_distinct_breaks(x, y) for x, y in zip(xs, ys)]
+    assert got.tolist() == want
+    assert got[-1] == 0.0 and np.all(got[:-1] >= 0.0)
+    for x, y, w in zip(xs, ys, want):
+        assert w1_circle(EmpiricalMeasure(x[:, None]), EmpiricalMeasure(y[::-1, None])) == w
+    # breakpoints shared within a row: more than one distinct count among the rows
+    assert len({np.unique(np.concatenate(([0.0], x, y))).size for x, y in zip(xs, ys)}) > 1
 
 
 def test_w1_density_dimension_guard():
