@@ -31,19 +31,24 @@ Muller 1958) in float32 and stored in the float64 noise buffer (``BoxMuller``):
 about 6 ns a normal on one AVX-512 core, against 17 ns for numpy's
 ``standard_normal``.  The uniforms are multiples of 2^-24, so every normal
 lies within sqrt(48 log 2) ~ 5.77: the tail cut off has mass 8e-9 per draw
-and lowers the variance by 3e-7.  Every particle mean of a step goes through
-``trig.particle_mean``, whose rows do not depend on the chunking.
+and lowers the variance by 3e-7.
+
+A call is one serial loop over its steps.  Calls run side by side in the
+worker processes of ``worker_pool``, not threads: each step is a few dozen
+short numpy calls that each hand over the interpreter lock.  A call's paths
+depend on its Philox key alone, not on the process that ran it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import pi, sqrt
+from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,17 +75,7 @@ def _require_linear(problem: ProblemSpec):
         )
 
 
-#: particle coordinates per step below which a step stays on the calling
-#: thread, where handing chunks to the pool costs more than it saves
-_SPLIT_MIN = 8_192
-
-#: particle coordinates per step up to which a call of a sweep runs whole on
-#: one pool worker (``runs_whole``); larger calls split their rows instead,
-#: which keeps one big call's buffers alive at a time
-_WHOLE_MAX = 2**18
-
-_POOL: ThreadPoolExecutor | None = None
-_WORKER = threading.local()
+_POOL: ProcessPoolExecutor | None = None
 
 
 def _cpu_count() -> int:
@@ -90,57 +85,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _WORKER.active = True
+def worker_pool() -> ProcessPoolExecutor:
+    """The one pool of MC worker processes, one per CPU, forked on first use.
 
-
-def _on_worker() -> bool:
-    return getattr(_WORKER, "active", False)
-
-
-def worker_pool() -> ThreadPoolExecutor:
-    """The one pool of MC worker threads, one per CPU.
-
-    A job on it never waits on another job: code running on a worker takes
-    its steps in one row chunk (``_row_chunks``), so no worker can end up
-    waiting on work queued behind itself.
+    A worker starts as a fork of this process, with numpy and mfrl already
+    imported (a spawned one would import them again, about 0.2 s).  The
+    workers are forked at the first submission, before the pool starts its
+    own manager thread; mfrl starts no other thread.  Their jobs are whole
+    ``path_job`` calls, serial loops that never touch the pool, so no worker
+    waits on another or forks a pool of its own.
     """
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(
-            _cpu_count(), thread_name_prefix="mfrl-mc", initializer=_mark_worker
-        )
+        _POOL = ProcessPoolExecutor(_cpu_count(), mp_context=get_context("fork"))
     return _POOL
 
 
-def _drop_pool() -> None:
+def drop_pool() -> None:
+    """Forget the pool (a forked child's copy, without its processes, or one
+    that a dead worker broke): the next ``worker_pool`` forks a new one."""
     global _POOL
-    _POOL = None  # a forked child inherits the pool object but not its threads
+    _POOL = None
 
 
-os.register_at_fork(after_in_child=_drop_pool)
-
-
-def runs_whole(starts_shape, n_paths: int) -> bool:
-    """Whether a sweep runs an ``mc_path_values`` call whole on one worker.
-
-    Independent calls that each fit in ``_WHOLE_MAX`` particle coordinates
-    per step use the cores best one call per core: no step waits for one
-    thread to draw all the noise or pays for two thread hand-offs.
-    """
-    return int(np.prod(starts_shape)) * n_paths <= _WHOLE_MAX
-
-
-def _row_chunks(n_rows: int, n_particles: int) -> list[slice]:
-    """One contiguous block of path rows per CPU, or all rows for small steps.
-
-    A call running on a pool worker always takes one chunk.  Of a split
-    step, the calling thread evaluates the first chunk and the pool the rest.
-    """
-    split = n_rows * n_particles >= _SPLIT_MIN and not _on_worker()
-    n = max(1, min(_cpu_count() if split else 1, n_rows))
-    bounds = [n_rows * i // n for i in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+os.register_at_fork(after_in_child=drop_pool)
 
 
 #: hard cap on the bytes ``mc_path_values`` holds for its particle coordinates
@@ -152,15 +120,17 @@ PATH_BYTES_BUDGET = 1 << 30
 _PATH_BYTES_PER_COORD = 8 + 8 + 8 + 4 + 4
 
 
-def check_path_budget(m_batch: int, n_paths: int, N: int) -> None:
-    """Refuse an ``mc_path_values`` call of ``m_batch`` configurations of
-    ``N`` particles and ``n_paths`` paths beyond ``PATH_BYTES_BUDGET``."""
+def check_path_budget(m_batch: int, n_paths: int, N: int) -> int:
+    """The bytes of an ``mc_path_values`` call of ``m_batch`` configurations
+    of ``N`` particles and ``n_paths`` paths; beyond ``PATH_BYTES_BUDGET``
+    the call is refused."""
     need = int(m_batch) * int(n_paths) * int(N) * _PATH_BYTES_PER_COORD
     if need > PATH_BYTES_BUDGET:
         raise ResourceBudgetError(
             f"Monte Carlo paths of {m_batch} configurations of {N} particles, "
             f"{n_paths} paths each, need {need} bytes, over the budget of {PATH_BYTES_BUDGET}"
         )
+    return need
 
 
 #: how ``mc_path_values`` draws its normals; rate reports carry it
@@ -205,6 +175,23 @@ class BoxMuller:
         sines *= r[:rest]
 
 
+class PathCall(NamedTuple):
+    """One call's debug-line numbers and ``time.perf_counter`` stamps, which
+    read CLOCK_MONOTONIC on Linux and so compare across forked workers."""
+
+    n_particles: int
+    t: float
+    particle_steps: int
+    start: float
+    end: float
+
+    def log(self) -> None:
+        log.debug(
+            "mc paths: N %d, t %.6g, %d particle-steps, %.3f s",
+            self.n_particles, self.t, self.particle_steps, self.end - self.start,
+        )
+
+
 def mc_path_values(
     problem: ProblemSpec,
     starts: np.ndarray,
@@ -220,6 +207,18 @@ def mc_path_values(
     trapezoid rule in time.  A call beyond ``PATH_BYTES_BUDGET`` is refused
     with ``ResourceBudgetError`` before anything is allocated, and so are
     starts with a coordinate that is not finite, with ``InputDomainError``.
+    ``MFRL_LOG=debug`` prints one line per call (``PathCall.log``).
+    """
+    values, call = path_job(problem, starts, t, n_paths, n_steps, seed)
+    call.log()
+    return values
+
+
+def path_job(problem, starts, t, n_paths, n_steps, seed) -> tuple[np.ndarray, PathCall]:
+    """``mc_path_values`` without its log line, and its ``PathCall``.
+
+    This is the job a worker process runs: a worker's log records would
+    bypass the caller's handlers, so the caller logs the ``PathCall``.
     """
     _require_linear(problem)
     if n_paths < 1 or n_steps < 1:
@@ -234,14 +233,8 @@ def mc_path_values(
     check_path_budget(m_batch, n_paths, n_particles)
     horizon = problem.T - t
 
-    def done(values, particle_steps, n_chunks):
-        log.debug(
-            "mc paths: N %d, t %.6g, %d particle-steps, %s, %.3f s",
-            n_particles, t, particle_steps,
-            "whole" if n_chunks == 1 else f"split into {n_chunks} row chunks",
-            time.perf_counter() - start,
-        )
-        return values
+    def done(values, particle_steps):
+        return values, PathCall(n_particles, t, particle_steps, start, time.perf_counter())
 
     rng = seeded_generator(seed)
     x = np.broadcast_to(starts[:, None, :], (m_batch, n_paths, n_particles)).copy()
@@ -254,16 +247,11 @@ def mc_path_values(
     running = np.zeros((m_batch, n_paths))
     if horizon == 0.0:
         values = problem.terminal.value_atoms(starts)[:, None]
-        return done(np.broadcast_to(values, (m_batch, n_paths)).copy(), 0, 1)
+        return done(np.broadcast_to(values, (m_batch, n_paths)).copy(), 0)
     dt = horizon / n_steps
     sig_w = sqrt(2.0 * dt)
     sig_b = sqrt(2.0 * problem.a * dt) if problem.a > 0 else 0.0
 
-    # Every path row evolves on its own, so the rows are split into chunks
-    # whose fields are evaluated on worker threads while this thread draws
-    # the step's noise from the one generator, in the same order as a
-    # serial loop, and then evaluates the first chunk: the result does not
-    # depend on the chunking.
     rows = x.reshape(m_batch * n_paths, n_particles)
     run_rows = running.reshape(-1)
     incr = np.empty_like(rows)
@@ -272,32 +260,22 @@ def mc_path_values(
     common = draws[rows.size :].reshape(-1, 1)
     normals = BoxMuller(draws.size)
     cost_mean = np.empty(rows.shape[0])
+    # the fields are evaluated on a float32 copy of the positions (see the
+    # module docstring); the products with dt are float64
     rows32 = np.empty(rows.shape, dtype=np.float32)
-    chunks = _row_chunks(rows.shape[0], n_particles)
 
-    def fields(part, with_drift):
-        # the fields are evaluated on a float32 copy of the positions (see
-        # the module docstring); the products with dt are float64
-        rows32[part] = rows[part]
-        if with_drift and drift is not None:
-            np.multiply(mean_field_eval(drift, rows32[part]), dt, out=incr[part], dtype=float)
-        if cost is not None:
-            cost_mean[part] = particle_mean(mean_field_eval(cost, rows32[part]))
-
-    def step_fields(with_drift):
-        """The fields of every chunk, and the step's noise if ``with_drift``."""
-        jobs = [worker_pool().submit(fields, part, with_drift) for part in chunks[1:]]
-        if with_drift:
-            normals.fill(rng, draws)
-        fields(chunks[0], with_drift)
-        for job in jobs:
-            job.result()
+    def cost_term(weight):
+        """The running cost's trapezoid term at the positions in ``rows32``."""
+        cost_mean[:] = particle_mean(mean_field_eval(cost, rows32))
+        return weight * dt * cost_mean
 
     for step in range(n_steps):
-        step_fields(True)
+        rows32[...] = rows
         if cost is not None:
-            run_rows += (0.5 if step == 0 else 1.0) * dt * cost_mean
+            run_rows += cost_term(0.5 if step == 0 else 1.0)
+        normals.fill(rng, draws)
         if drift is not None:
+            np.multiply(mean_field_eval(drift, rows32), dt, out=incr, dtype=float)
             noise *= sig_w
             incr += noise
         else:
@@ -307,10 +285,10 @@ def mc_path_values(
             incr += common
         rows += incr
     if cost is not None:
-        step_fields(False)
-        run_rows += 0.5 * dt * cost_mean
+        rows32[...] = rows
+        run_rows += cost_term(0.5)
     values = running + problem.terminal.value_atoms(x)
-    return done(values, rows.size * n_steps, len(chunks))
+    return done(values, rows.size * n_steps)
 
 
 def mc_solve_linear(

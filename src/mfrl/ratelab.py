@@ -7,10 +7,10 @@ common-noise intensity a: one a = 0 flow and a Gaussian shift average of G,
 see ``meanfield``), and fits the observed sup-differences against the
 sample-complexity scale alpha(N) in log-log space.
 The target law is sup |v^N - v| <= C alpha(N)^{1/3}; only the exponent is
-asserted downstream since the constant is problem-dependent.  The sweep runs
-its one reference flow first and then its Monte Carlo calls on the MC
-worker pool; the report's metadata names what produced the paths (the
-noise, ``mc.NOISE``, and numpy's version).
+asserted downstream since the constant is problem-dependent.  The sweep hands
+its Monte Carlo calls to the MC worker processes and computes its one
+reference flow while they run; the report's metadata names what produced
+the paths (the noise, ``mc.NOISE``, and numpy's version).
 
 ``sample_complexity_experiment`` measures E[W1] and E[rho_star] between a
 density and its N-sample empirical measures, the quantities that drive the
@@ -20,18 +20,19 @@ sampling, the empirical Fourier mean and W1 each run once per block.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import logging
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, check_fields, plan_int
-from .mc import NOISE, _cpu_count, check_path_budget, mc_path_values, runs_whole, worker_pool
+from .errors import InputDomainError, ResourceBudgetError, check_fields, plan_int
+from .mc import NOISE, PATH_BYTES_BUDGET, _cpu_count, check_path_budget, drop_pool
+from .mc import path_job, worker_pool
 from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
 from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
@@ -48,8 +49,10 @@ from .torus import (
     w1_density_rows,
 )
 
-# The one-row forms of the complexity trial, still bound here by name:
-# perfbench/tracing.py wraps these three attributes of this module.
+# The one-row forms of the complexity trial and the one-call form of the MC
+# job, still bound here by name: perfbench/tracing.py wraps these four
+# attributes of this module.
+from .mc import mc_path_values  # noqa: F401
 from .metric import rho_star  # noqa: F401
 from .torus import sample_iid, w1_circle_density  # noqa: F401
 
@@ -199,28 +202,29 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
 
     Every configuration of every N is deposited as one column of a single
     density batch, and one Fokker-Planck flow gives the mean-field value of
-    every column at every time.  The flow runs first, alone: beside the MC
-    workers it took 4-8x longer, slowed through the GIL.  Then every Monte
-    Carlo call small enough to run whole (``runs_whole``) is an independent
-    job on the MC worker pool; larger calls run here, one at a time, their
-    steps split over the pool and this thread.  Each call has its own
-    seed and draws its noise in its own fixed order, so the report does not
-    depend on which thread ran what.  If anything fails, the jobs not yet
-    started are cancelled and the error is raised once the running ones have
-    finished.  A plan whose reference flow would hold more than
-    ``meanfield.FLOW_BYTES_BUDGET``, or whose largest Monte Carlo call more
-    than ``mc.PATH_BYTES_BUDGET``, is refused with ``ResourceBudgetError``
-    before anything is drawn or allocated.  ``MFRL_LOG=info`` prints one
-    line per sweep: its calls run whole and split, its particle-steps, the
-    flow's seconds, the MC seconds after it, and ns per particle-step per
-    core.
+    every column at every time.  Each (N, t) Monte Carlo call is one
+    ``mc.path_job`` on the MC worker processes, submitted before the flow
+    starts, so the flow runs here while the workers run the paths; at most
+    ``PATH_BYTES_BUDGET`` over the largest call's bytes calls (at least one)
+    are in flight.  Each call has its own seed and noise
+    order, so the report does not depend on which process ran what.  If
+    anything fails, the jobs not yet started are cancelled and the error is
+    raised, with its type, once the running ones have finished; a worker
+    that dies breaks the pool, which is dropped, and the sweep raises
+    ``ResourceBudgetError``.  So is a plan whose reference flow would hold
+    more than ``meanfield.FLOW_BYTES_BUDGET``, or whose largest Monte Carlo
+    call more than ``mc.PATH_BYTES_BUDGET``, before anything is drawn or
+    allocated.  ``MFRL_LOG=info`` prints one line per sweep: its calls,
+    workers and particle-steps, the flow's seconds, the MC wall time and
+    how much of it ran beside the flow, and ns per particle-step per core
+    from the seconds the workers measured.
     """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("rate experiment needs a linear-in-p family")
     n_cols = len(plan.n_list) * plan.n_configs
     check_flow_budget(problem, plan.ref_mesh, n_cols, plan.n_time_points)
-    check_path_budget(plan.n_configs, plan.n_paths, max(plan.n_list))
+    largest = check_path_budget(plan.n_configs, plan.n_paths, max(plan.n_list))
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
     draws = []
     for n in plan.n_list:
@@ -234,62 +238,67 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         ],
         axis=1,
     )
-    start = time.perf_counter()
-    refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
-        problem, t_points, densities, n_t=plan.ref_steps
-    )
-    flow_end = time.perf_counter()
+    n_calls = len(draws) * len(t_points)
+    in_flight = min(n_calls, max(1, PATH_BYTES_BUDGET // largest))
     pool = worker_pool()
     jobs = []
 
-    def mc_call(n, configs, ti, t):
-        """The call for (N, t_i): a job submitted now, or a call to make here."""
-        call = functools.partial(
-            mc_path_values,
-            problem,
-            configs,
-            float(t),
-            n_paths=plan.n_paths,
-            n_steps=plan.n_steps,
-            seed=_derived_seed(plan.seed, n, ti + 1),
-        )
-        if runs_whole(configs.shape, plan.n_paths):
-            call = pool.submit(call)
-            jobs.append(call)
-        return call
+    def submit():
+        i, ti = divmod(len(jobs), len(t_points))
+        n, configs = draws[i]
+        args = (configs, float(t_points[ti]), plan.n_paths, plan.n_steps)
+        jobs.append(pool.submit(path_job, problem, *args, _derived_seed(plan.seed, n, ti + 1)))
 
-    rows = []
+    gaps = np.empty((len(draws), len(t_points)))
+    ses = np.empty_like(gaps)
+    busy_s = 0.0
+    start = time.perf_counter()
     try:
-        calls = [[mc_call(n, c, ti, t) for ti, t in enumerate(t_points)] for n, c in draws]
-        for i, (n, _) in enumerate(draws):
-            sup_error = 0.0
-            mc_std = 0.0
-            for ti, call in enumerate(calls[i]):
-                vals = call.result() if isinstance(call, Future) else call()
-                vn_mean = vals.mean(axis=1)
-                se = vals.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
-                ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
-                sup_error = max(sup_error, float(np.max(np.abs(vn_mean - ref))))
-                mc_std = max(mc_std, float(np.max(se)))
-            notes = ""
-            if rows and sup_error > rows[-1].sup_error + 3.0 * (mc_std + rows[-1].mc_std):
-                notes = "non-monotone"
-            alpha = alpha_rate(n, problem.ctx.d)
-            rows.append(RateRow(n, alpha, alpha ** (1.0 / 3.0), sup_error, mc_std, notes))
+        while len(jobs) < in_flight:
+            submit()
+        flow_start = time.perf_counter()
+        refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
+            problem, t_points, densities, n_t=plan.ref_steps
+        )
+        flow_end = mc_end = time.perf_counter()
+        for k in range(n_calls):
+            i, ti = divmod(k, len(t_points))
+            vals, call = jobs[k].result()
+            if len(jobs) < n_calls:
+                submit()
+            call.log()
+            busy_s += call.end - call.start
+            mc_end = max(mc_end, call.end)
+            ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
+            gaps[i, ti] = np.max(np.abs(vals.mean(axis=1) - ref))
+            ses[i, ti] = np.max(vals.std(axis=1, ddof=1)) / np.sqrt(plan.n_paths)
+    except BrokenProcessPool as exc:
+        drop_pool()
+        raise ResourceBudgetError(
+            "a Monte Carlo worker process died (out of memory?); the sweep is abandoned"
+        ) from exc
     finally:
         for job in jobs:
             job.cancel()
         wait(jobs)
-    mc_s = time.perf_counter() - flow_end
-    n_calls = len(plan.n_list) * plan.n_time_points
+    rows = []
+    sup_errors, mc_stds = gaps.max(axis=1).tolist(), ses.max(axis=1).tolist()
+    for (n, _), sup_error, mc_std in zip(draws, sup_errors, mc_stds):
+        notes = ""
+        if rows and sup_error > rows[-1].sup_error + 3.0 * (mc_std + rows[-1].mc_std):
+            notes = "non-monotone"
+        alpha = alpha_rate(n, problem.ctx.d)
+        rows.append(RateRow(n, alpha, alpha ** (1.0 / 3.0), sup_error, mc_std, notes))
     particle_steps = (
         plan.n_configs * sum(plan.n_list) * plan.n_time_points * plan.n_paths * plan.n_steps
     )
     log.info(
-        "rate sweep: %d MC calls whole, %d split, %d particle-steps; flow %.3f s, "
-        "then MC %.3f s, %.1f ns per particle-step per core (%d cores)",
-        len(jobs), n_calls - len(jobs), particle_steps, flow_end - start, mc_s,
-        mc_s * _cpu_count() * 1e9 / particle_steps, _cpu_count(),
+        "rate sweep: %d MC calls on %d worker processes, at most %d in flight, "
+        "%d particle-steps; flow %.3f s; MC %.3f s wall, %.3f s of it beside the flow, "
+        "%.1f ns per particle-step per core",
+        n_calls, _cpu_count(), in_flight, particle_steps, flow_end - flow_start,
+        mc_end - start, max(0.0, min(mc_end, flow_end) - flow_start),
+        busy_s * 1e9 / particle_steps,
     )
 
     beta, c_fit, residuals = fit_rate([(r.alpha, r.sup_error) for r in rows])

@@ -168,10 +168,9 @@ def particle_mean(x: np.ndarray) -> np.ndarray:
     """(1/N) sum_j x_j over the last (particle) axis, in the dtype of ``x``.
 
     Each row's mean depends on that row alone, not on how many rows come
-    with it, so a step evaluated in row chunks equals the whole step bit for
-    bit (a BLAS product ``x @ w`` need not be: its blocking follows the
-    shape and the core count).  Over the few particles of a row, the row-wise
-    ``einsum`` is 2-3x cheaper than ``x.mean(axis=-1)``.
+    with it (a BLAS product ``x @ w`` need not: its blocking follows the
+    shape and the core count).  Over the few particles of a row, the
+    row-wise ``einsum`` is 2-3x cheaper than ``x.mean(axis=-1)``.
     """
     return np.einsum("...j->...", x) / x.shape[-1]
 

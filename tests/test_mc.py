@@ -1,6 +1,5 @@
 import os
 import signal
-import threading
 from math import log, sqrt
 
 import numpy as np
@@ -223,13 +222,12 @@ def test_box_muller_fills_every_size_and_repeats_with_its_key(size):
 @pytest.mark.parametrize("cpus", [None, 3])
 @pytest.mark.parametrize("shape", [(2, 40, 5), (3, 1500, 11)])
 def test_paths_bit_identical_to_serial_loop(shape, cpus, monkeypatch):
+    # ``cpus`` sizes the worker pool (None: one worker per CPU); a call
+    # equals the serial loop both in this process and on a worker
     m_batch, n_paths, n_particles = shape
     if cpus is not None:
+        monkeypatch.setattr(mc, "_POOL", None)
         monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
-    n_chunks = len(mc._row_chunks(m_batch * n_paths, n_particles))
-    assert (n_chunks > 1) == (
-        m_batch * n_paths * n_particles >= mc._SPLIT_MIN and mc._cpu_count() > 1
-    )
     ham = HamiltonianSpec(
         "linear",
         drift_kernel=TrigPoly(0.0, [0.0], [0.6]),
@@ -238,9 +236,17 @@ def test_paths_bit_identical_to_serial_loop(shape, cpus, monkeypatch):
     term = TerminalSpec(g=TrigPoly(0.0, [1.0]), h=TrigPoly(0.0, [0.0, 0.5]))
     prob = ProblemSpec(ham, term, a=0.5, T=0.5, ctx=CTX)
     starts = np.random.default_rng(9).uniform(0.0, TWO_PI, (m_batch, n_particles))
+    pool = mc.worker_pool()
+    assert pool._max_workers == (cpus or mc._cpu_count())
+    try:
+        there, _ = pool.submit(mc.path_job, prob, starts, 0.1, n_paths, 12, 21).result()
+    finally:
+        if cpus is not None:
+            pool.shutdown(wait=True)
     got = mc_path_values(prob, starts, 0.1, n_paths, 12, seed=21)
     want = _serial_paths(prob, starts, 0.1, n_paths, 12, seed=21)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(there.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n_particles", [4, 32])
@@ -270,20 +276,27 @@ def test_mean_field_eval_keeps_float32_and_float64_apart():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_runs_split_steps(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+def test_forked_child_runs_split_steps():
+    # The name predates the worker processes: the child inherits the
+    # parent's pool object but none of its processes, and its calls, in
+    # the child and on a pool of two workers of its own, equal the parent's.
     prob = linear_problem()
     starts = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, 16))
     want = mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
+    mc.worker_pool()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.alarm(20)
-            got = mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
-            code = 0 if np.array_equal(got, want) else 1
+            assert mc._POOL is None
+            mc._cpu_count = lambda: 2
+            here = mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
+            there, _ = mc.worker_pool().submit(mc.path_job, prob, starts, 0.1, 500, 5, 3).result()
+            code = 0 if np.array_equal(here, want) and np.array_equal(there, want) else 1
         finally:
+            if mc._POOL is not None:
+                mc._POOL.shutdown(wait=True)
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
@@ -316,74 +329,37 @@ def test_path_budget_admits_criterion_8_and_refuses_larger_calls():
         mc_path_values(linear_problem(), np.array([[0.5, 2.5]]), 0.1, 2**62, 5, seed=0)
 
 
-def test_call_on_a_pool_worker_takes_one_row_chunk(monkeypatch):
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-    counts = []
-    row_chunks = mc._row_chunks
-
-    def counted(n_rows, n_particles):
-        chunks = row_chunks(n_rows, n_particles)
-        counts.append(len(chunks))
-        return chunks
-
-    monkeypatch.setattr(mc, "_row_chunks", counted)
-    prob = linear_problem()
-    starts = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, 16))
-    assert 4 * 500 * 16 >= mc._SPLIT_MIN
-    here = mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
-    there = mc.worker_pool().submit(mc_path_values, prob, starts, 0.1, 500, 5, 3).result()
-    assert counts == [2, 1]
-    assert np.array_equal(here.view(np.int64), there.view(np.int64))
-
-
-def test_split_step_evaluates_one_chunk_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-    evaluated = []  # (thread, rows) of every field evaluation
-    field = mc.mean_field_eval
-
-    def recorded(poly, x):
-        evaluated.append((threading.get_ident(), x.shape[0]))
-        return field(poly, x)
-
-    monkeypatch.setattr(mc, "mean_field_eval", recorded)
-    prob = linear_problem()
-    starts = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, 16))
-    mc_path_values(prob, starts, 0.1, 500, 5, seed=3)
-    here = [rows for thread, rows in evaluated if thread == threading.get_ident()]
-    there = [rows for thread, rows in evaluated if thread != threading.get_ident()]
-    # drift and cost per step, and the cost at the end, for each of 2 chunks
-    assert here == [1000] * 11 and there == [1000] * 11
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_sweep_on_a_one_worker_pool_finishes():
-    # The child builds a one-worker pool and then sees two CPUs, so every
-    # step above _SPLIT_MIN would fan out: a whole call that did so on the
-    # worker would wait on chunks queued behind itself for ever.
+    # A forked child inherits the parent's pool object but none of its
+    # processes: it forks a pool of its own, here of one worker, whose
+    # sweep must equal the parent's.
     from mfrl.ratelab import ExperimentPlan, run_rate_experiment
 
     plan = ExperimentPlan(
         problem=linear_problem(),
         n_list=(2, 4, 16),
-        n_time_points=1,
+        n_time_points=2,
         n_configs=8,
-        n_paths=2100,
+        n_paths=300,
         n_steps=3,
         seed=2,
     )
-    assert 8 * 2 * 2100 >= mc._SPLIT_MIN and mc.runs_whole((8, 2), 2100)
-    assert not mc.runs_whole((8, 16), 2100)
+    want = run_rate_experiment(plan).to_json()
+    parent_pool = mc.worker_pool()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.alarm(60)
+            assert mc._POOL is None
             mc._cpu_count = lambda: 1
-            assert mc.worker_pool()._max_workers == 1
-            mc._cpu_count = lambda: 2
-            run_rate_experiment(plan)
-            code = 0
+            got = run_rate_experiment(plan).to_json()
+            assert mc._POOL is not parent_pool and len(mc._POOL._processes) == 1
+            code = 0 if got == want else 1
         finally:
+            if mc._POOL is not None:
+                mc._POOL.shutdown(wait=True)
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0

@@ -1,7 +1,14 @@
+import contextlib
 import dataclasses
+import functools
+import json
 import logging
+import os
 import re
-import threading
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +18,8 @@ import pytest
 import mfrl.meanfield
 import mfrl.ratelab
 from mfrl import mc
-from mfrl.errors import DivergenceError, InputDomainError
+from mfrl.cli import EXIT_PRECONDITION, main
+from mfrl.errors import DivergenceError, InputDomainError, ResourceBudgetError
 from mfrl.mc import mc_path_values
 from mfrl.meanfield import deposit_empirical, mean_field_reference_batch
 from mfrl.metric import rho_star
@@ -214,51 +222,153 @@ def serial_sweep(plan):
     return out
 
 
-@pytest.mark.parametrize("whole_max", [None, 8 * 400 * 4], ids=["all-whole", "mixed"])
-def test_concurrent_sweep_matches_serial_loop_bit_for_bit(whole_max, monkeypatch):
-    if whole_max is not None:  # N = 8 runs on this thread, split over the pool
-        monkeypatch.setattr(mc, "_WHOLE_MAX", whole_max)
+@contextlib.contextmanager
+def own_pool(monkeypatch, workers):
+    """A pool of ``workers`` processes for the block, shut down at its end.
+
+    Workers are forked when the block first submits a job, so they see what
+    the block patched before that, and no later test sees it.
+    """
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_cpu_count", lambda: workers)
+        m.setattr(mc, "_POOL", None)
+        try:
+            yield m
+        finally:
+            if mc._POOL is not None:
+                mc._POOL.shutdown(wait=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["1-worker", "2-workers", "3-workers"])
+def test_concurrent_sweep_matches_serial_loop_bit_for_bit(workers, monkeypatch):
     plan = small_plan(problem=interaction_problem(0.5), n_time_points=3)
-    report = run_rate_experiment(plan)
+    with own_pool(monkeypatch, workers):
+        report = run_rate_experiment(plan)
     want = serial_sweep(plan)
     assert [(r.sup_error, r.mc_std) for r in report.rows] == want
 
 
-def test_failing_call_cancels_pending_jobs_and_propagates(monkeypatch):
+def test_sweep_ignores_a_wrapped_mc_path_values(monkeypatch):
+    # perfbench/tracing.py replaces this attribute with a closure, which a
+    # worker process could not unpickle; the sweep submits mc.path_job
+    plan = small_plan(problem=interaction_problem(0.5), n_time_points=2)
+    original = mfrl.ratelab.mc_path_values
+    seen = []
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mfrl.ratelab, "mc_path_values", wrapper)
+    report = run_rate_experiment(plan)
+    assert [(r.sup_error, r.mc_std) for r in report.rows] == serial_sweep(plan)
+    assert seen == []
+
+
+def held_job(tmp, problem, starts, t, n_paths, n_steps, seed):
+    """``mc.path_job``, but the N = 2, t = 0 call fails and every other call
+    waits (10 s at most) for the file ``release`` in ``tmp``; each marks its
+    start and end there with a file named after its seed."""
+    if starts.shape[1] == 2 and t == 0.0:
+        raise DivergenceError("injected")
+    (tmp / f"started-{seed}").touch()
+    deadline = time.monotonic() + 10.0
+    while not (tmp / "release").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    out = mc.path_job(problem, starts, t, n_paths, n_steps, seed)
+    (tmp / f"finished-{seed}").touch()
+    return out
+
+
+def test_failing_call_cancels_pending_jobs_and_propagates(monkeypatch, tmp_path):
     plan = small_plan(n_list=(2, 4, 8, 16), n_time_points=3)
     want = run_rate_experiment(plan).to_json()
-    started, finished = [], []
-    original = mfrl.ratelab.mc_path_values
-    release = threading.Event()  # holds every started call until the sweep gives up
     wait = mfrl.ratelab.wait
 
-    def failing(problem, starts, t, n_paths, n_steps, seed):
-        if starts.shape[1] == 2 and t == 0.0:
-            raise DivergenceError("injected")
-        started.append(seed)
-        release.wait(timeout=10)
-        out = original(problem, starts, t, n_paths, n_steps, seed)
-        finished.append(seed)
-        return out
-
     def release_then_wait(jobs):  # runs after the pending jobs were cancelled
-        release.set()
+        (tmp_path / "release").touch()
         return wait(jobs)
 
-    with monkeypatch.context() as m:
-        m.setattr(mc, "_cpu_count", lambda: 2)
-        m.setattr(mc, "_POOL", None)  # a two-worker pool of its own
-        m.setattr(mfrl.ratelab, "mc_path_values", failing)
+    def marked(what):
+        return sorted(p.name.split("-", 1)[1] for p in tmp_path.glob(f"{what}-*"))
+
+    with own_pool(monkeypatch, 2) as m:
+        m.setattr(mfrl.ratelab, "path_job", functools.partial(held_job, tmp_path))
         m.setattr(mfrl.ratelab, "wait", release_then_wait)
         with pytest.raises(DivergenceError, match="injected") as info:
             run_rate_experiment(plan)
         assert type(info.value) is DivergenceError
-        # one held call per worker had started; the other 9 of the 11 were
-        # cancelled, and the started ones had finished before the error came
-        assert len(started) <= 2 and sorted(finished) == sorted(started)
+        # the failing call is submitted first; of the 11 held ones, one per
+        # worker started and the pool had moved at most three more into its
+        # call queue, where they count as running: the rest were cancelled,
+        # and every started call had finished
+        started = marked("started")
+        assert 1 <= len(started) <= 5 and marked("finished") == started
         mc.worker_pool().shutdown(wait=True)
-        assert len(started) <= 2
+        assert marked("started") == started
     assert run_rate_experiment(plan).to_json() == want
+
+
+def killed_job(*args):
+    """``mc.path_job``'s stand-in that kills the worker process running it."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_dead_worker_ends_the_sweep_with_a_budget_error(monkeypatch, tmp_path, capsys):
+    plan = small_plan(n_time_points=2)
+    want = run_rate_experiment(plan).to_json()
+    doc = {
+        "version": 1,
+        "plan": {
+            "problem": plan.problem.to_dict(),
+            "n_list": list(plan.n_list),
+            **{k: getattr(plan, k) for k in ("n_time_points", "n_configs", "n_paths", "n_steps")},
+        },
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with monkeypatch.context() as m:
+        m.setattr(mfrl.ratelab, "path_job", killed_job)
+        with pytest.raises(ResourceBudgetError, match="worker process died"):
+            run_rate_experiment(plan)
+        assert mc._POOL is None  # the broken pool was dropped
+        capsys.readouterr()
+        assert main(["rate", "--plan", str(path), "--out", str(tmp_path / "r.json")]) == (
+            EXIT_PRECONDITION
+        )
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert run_rate_experiment(plan).to_json() == want
+
+
+def test_sweep_in_a_fresh_interpreter_leaves_no_worker_behind():
+    code = """
+import mfrl.mc as mc
+from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
+from mfrl.ratelab import ExperimentPlan, run_rate_experiment
+from mfrl.torus import TorusContext
+from mfrl.trig import TrigPoly
+
+problem = ProblemSpec(
+    HamiltonianSpec("zero"), TerminalSpec(g=TrigPoly(0.0, [1.0])), a=0.0, T=0.5,
+    ctx=TorusContext(1, 64),
+)
+plan = ExperimentPlan(problem, (2, 4, 8), n_time_points=2, n_configs=4, n_paths=50, n_steps=5)
+run_rate_experiment(plan)
+print(*sorted(mc.worker_pool()._processes))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == mc._cpu_count()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_debug_log_reports_every_mc_call(caplog):
@@ -266,48 +376,49 @@ def test_debug_log_reports_every_mc_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="mfrl.mc"):
         run_rate_experiment(plan)
     lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.mc"]
-    pattern = re.compile(
-        r"mc paths: N (\d+), t (\S+), (\d+) particle-steps, (whole|split into \d+ row chunks), "
-        r"\d+\.\d{3} s"
-    )
+    pattern = re.compile(r"mc paths: N (\d+), t (\S+), (\d+) particle-steps, \d+\.\d{3} s")
     seen = []
     for line in lines:
         match = pattern.fullmatch(line)
         assert match, line
-        n, t, steps, how = match.groups()
+        n, t, steps = match.groups()
         assert int(steps) == plan.n_configs * plan.n_paths * int(n) * plan.n_steps
-        assert how == "whole"  # every call of this sweep is small
         seen.append((int(n), float(t)))
-    assert sorted(seen) == [(n, t) for n in plan.n_list for t in (0.0, 0.25)]
+    # once per call, from this process, in sweep order
+    assert seen == [(n, t) for n in plan.n_list for t in (0.0, 0.25)]
 
 
-@pytest.mark.parametrize("whole_max", [None, 8 * 400 * 4], ids=["all-whole", "mixed"])
-def test_info_log_sums_up_the_sweep_and_leaves_the_report_alone(whole_max, caplog, monkeypatch):
-    if whole_max is not None:  # N = 8 runs on this thread, split over the pool
-        monkeypatch.setattr(mc, "_WHOLE_MAX", whole_max)
+@pytest.mark.parametrize("one_in_flight", [False, True], ids=["all-in-flight", "one-in-flight"])
+def test_info_log_sums_up_the_sweep_and_leaves_the_report_alone(
+    one_in_flight, caplog, monkeypatch
+):
     plan = small_plan(problem=interaction_problem(0.0), n_time_points=2)
     quiet = run_rate_experiment(plan).to_json()
+    if one_in_flight:  # the budget holds the largest call once and no more
+        monkeypatch.setattr(
+            mfrl.ratelab, "PATH_BYTES_BUDGET", 2 * plan.n_configs * plan.n_paths * 8 * 32 - 1
+        )
     with caplog.at_level(logging.INFO, logger="mfrl.ratelab"):
         report = run_rate_experiment(plan)
     assert report.to_json() == quiet
     lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.ratelab"]
     assert len(lines) == 1, lines
     match = re.fullmatch(
-        r"rate sweep: (\d+) MC calls whole, (\d+) split, (\d+) particle-steps; "
-        r"flow (\d+\.\d{3}) s, then MC (\d+\.\d{3}) s, (\d+\.\d) ns per particle-step "
-        r"per core \((\d+) cores\)",
+        r"rate sweep: (\d+) MC calls on (\d+) worker processes, at most (\d+) in flight, "
+        r"(\d+) particle-steps; flow (\d+\.\d{3}) s; MC (\d+\.\d{3}) s wall, "
+        r"(\d+\.\d{3}) s of it beside the flow, (\d+\.\d) ns per particle-step per core",
         lines[0],
     )
     assert match, lines[0]
-    whole, split, steps, flow_s, mc_s, ns, cores = match.groups()
-    assert (int(whole), int(split)) == ((6, 0) if whole_max is None else (4, 2))
+    calls, workers, in_flight, steps, flow_s, wall_s, beside_s, ns = match.groups()
+    assert (int(calls), int(workers)) == (6, mc._cpu_count())
+    assert int(in_flight) == (1 if one_in_flight else 6)
     assert int(steps) == plan.n_configs * (2 + 4 + 8) * 2 * plan.n_paths * plan.n_steps
-    assert float(flow_s) > 0.0 and float(mc_s) > 0.0
-    assert int(cores) == mc._cpu_count()
-    # the MC seconds are printed to 1 ms, the ns to 0.1 ns
-    per_s = int(cores) * 1e9 / int(steps)
-    low, high = (float(mc_s) - 5e-4) * per_s, (float(mc_s) + 5e-4) * per_s
-    assert low - 0.05 <= float(ns) <= high + 0.05
+    assert float(flow_s) > 0.0 and float(wall_s) > 0.0
+    assert float(beside_s) <= min(float(flow_s), float(wall_s)) + 1e-3
+    # the cost per core comes from the seconds the calls took, summed: at most
+    # the MC wall time on every worker
+    assert 0.0 < float(ns) * int(steps) * 1e-9 <= (float(wall_s) + 5e-4) * int(workers) + 1e-4
     assert report.metadata["mc_noise"] == mc.NOISE
     assert report.metadata["numpy"] == np.__version__
 
