@@ -24,15 +24,14 @@ import io
 import json
 import logging
 import time
-from concurrent.futures import wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, ResourceBudgetError, check_fields, plan_int
-from .mc import NOISE, PATH_BYTES_BUDGET, _cpu_count, check_path_budget, drop_pool
-from .mc import path_job, worker_pool
+from .errors import InputDomainError, check_fields, plan_int
+from .mc import NOISE, PATH_BYTES_BUDGET, _cpu_count, check_path_budget, path_job
+from .mc import pool_jobs, worker_pool
 from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
 from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
@@ -78,6 +77,11 @@ def fit_rate(points) -> tuple[float, float, np.ndarray]:
     return beta, float(np.exp(log_c)), residuals
 
 
+#: tags per particle count of ``_derived_seed``: tags 0 .. SEED_TAGS - 1
+#: give distinct seeds, a larger one the seed of a tag of the next count
+SEED_TAGS = 8_191
+
+
 #: the plan's integer fields besides n_list
 _INT_FIELDS = (
     "n_time_points",
@@ -101,7 +105,10 @@ class ExperimentPlan:
     sweep falls on a step (0 means ``default_flow_steps``: the drift's CFL
     bound, at least ``MIN_FLOW_STEPS``).  ``m_ref`` is accepted, checked to be an integer
     >= 0 and ignored: plans of version 1 may set it, but the reference needs
-    no particle surrogate at any a.
+    no particle surrogate at any a.  A plan whose reference flow would hold
+    more than ``meanfield.FLOW_BYTES_BUDGET`` is refused with
+    ``ResourceBudgetError``, and then one of ``SEED_TAGS`` time points or
+    more with ``InputDomainError``.
     """
 
     problem: ProblemSpec
@@ -133,6 +140,11 @@ class ExperimentPlan:
             raise InputDomainError("ref_mesh must be >= 2")
         if min(self.ref_steps, self.m_ref) < 0:
             raise InputDomainError("ref_steps and m_ref must be >= 0")
+        # a plan too large to run is refused as such before the tag limit
+        n_cols = len(ns) * self.n_configs
+        check_flow_budget(self.problem, self.ref_mesh, n_cols, self.n_time_points)
+        if self.n_time_points >= SEED_TAGS:  # time ti draws with tag ti + 1
+            raise InputDomainError(f"n_time_points must be < {SEED_TAGS}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentPlan":
@@ -194,7 +206,7 @@ class RateReport:
 
 
 def _derived_seed(seed: int, n: int, tag: int) -> int:
-    return (int(seed) * 1_000_003 + n * 8_191 + tag) % (2**63)
+    return (int(seed) * 1_000_003 + n * SEED_TAGS + tag) % (2**63)
 
 
 def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
@@ -202,28 +214,27 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
 
     Every configuration of every N is deposited as one column of a single
     density batch, and one Fokker-Planck flow gives the mean-field value of
-    every column at every time.  Each (N, t) Monte Carlo call is one
-    ``mc.path_job`` on the MC worker processes, submitted before the flow
-    starts, so the flow runs here while the workers run the paths; at most
-    ``PATH_BYTES_BUDGET`` over the largest call's bytes calls (at least one)
-    are in flight.  Each call has its own seed and noise
-    order, so the report does not depend on which process ran what.  If
-    anything fails, the jobs not yet started are cancelled and the error is
-    raised, with its type, once the running ones have finished; a worker
-    that dies breaks the pool, which is dropped, and the sweep raises
-    ``ResourceBudgetError``.  So is a plan whose reference flow would hold
-    more than ``meanfield.FLOW_BYTES_BUDGET``, or whose largest Monte Carlo
-    call more than ``mc.PATH_BYTES_BUDGET``, before anything is drawn or
-    allocated.  ``MFRL_LOG=info`` prints one line per sweep: its calls,
-    workers and particle-steps, the flow's seconds, the MC wall time and
-    how much of it ran beside the flow, and ns per particle-step per core
-    from the seconds the workers measured.
+    every column at every time.  Each (N, t) Monte Carlo call is one whole
+    ``mc.path_job`` on the MC worker processes.  The calls are submitted
+    longest first, by particle-steps, so that the last to finish is a short
+    one (Graham 1969), and before the flow starts, so the flow runs here
+    while the workers run the paths; at most ``PATH_BYTES_BUDGET`` over the
+    largest call's bytes calls (at least one) are in flight.  They are read
+    back as they finish.  Each call has its own seed and noise order, so the
+    report does not depend on which process ran what or when.  An error,
+    or a worker that dies, ends the sweep as ``mc.pool_jobs`` says.  A plan
+    whose largest Monte Carlo call would hold more than
+    ``mc.PATH_BYTES_BUDGET`` is refused with ``ResourceBudgetError`` before
+    anything is drawn or allocated (and one over the flow's budget when it
+    is built).  ``MFRL_LOG=debug`` prints each call's line, in sweep order,
+    once all have finished; ``MFRL_LOG=info`` prints one line per sweep:
+    its calls, workers and particle-steps, the flow's seconds, the MC wall
+    time and how much of it ran beside the flow, and ns per particle-step
+    per core from the seconds the workers measured.
     """
     problem = plan.problem
     if not problem.hamiltonian.is_linear:
         raise InputDomainError("rate experiment needs a linear-in-p family")
-    n_cols = len(plan.n_list) * plan.n_configs
-    check_flow_budget(problem, plan.ref_mesh, n_cols, plan.n_time_points)
     largest = check_path_budget(plan.n_configs, plan.n_paths, max(plan.n_list))
     t_points = np.linspace(0.0, problem.T, plan.n_time_points, endpoint=False)
     draws = []
@@ -238,49 +249,51 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         ],
         axis=1,
     )
-    n_calls = len(draws) * len(t_points)
+    # (-coordinates, draw, time) of each call: the longest first, and equal
+    # ones in sweep order
+    order = sorted(
+        (-configs.size, i, ti)
+        for i, (_, configs) in enumerate(draws)
+        for ti in range(len(t_points))
+    )
+    n_calls = len(order)
     in_flight = min(n_calls, max(1, PATH_BYTES_BUDGET // largest))
     pool = worker_pool()
-    jobs = []
-
-    def submit():
-        i, ti = divmod(len(jobs), len(t_points))
-        n, configs = draws[i]
-        args = (configs, float(t_points[ti]), plan.n_paths, plan.n_steps)
-        jobs.append(pool.submit(path_job, problem, *args, _derived_seed(plan.seed, n, ti + 1)))
-
+    calls = {}
     gaps = np.empty((len(draws), len(t_points)))
     ses = np.empty_like(gaps)
-    busy_s = 0.0
     start = time.perf_counter()
-    try:
+    with pool_jobs("the sweep") as jobs:
+        running = {}
+
+        def submit():
+            _, i, ti = order[len(jobs)]
+            n, configs = draws[i]
+            args = (configs, float(t_points[ti]), plan.n_paths, plan.n_steps)
+            jobs.append(pool.submit(path_job, problem, *args, _derived_seed(plan.seed, n, ti + 1)))
+            running[jobs[-1]] = (i, ti)
+
         while len(jobs) < in_flight:
             submit()
         flow_start = time.perf_counter()
         refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
             problem, t_points, densities, n_t=plan.ref_steps
         )
-        flow_end = mc_end = time.perf_counter()
-        for k in range(n_calls):
-            i, ti = divmod(k, len(t_points))
-            vals, call = jobs[k].result()
-            if len(jobs) < n_calls:
-                submit()
-            call.log()
-            busy_s += call.end - call.start
-            mc_end = max(mc_end, call.end)
-            ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
-            gaps[i, ti] = np.max(np.abs(vals.mean(axis=1) - ref))
-            ses[i, ti] = np.max(vals.std(axis=1, ddof=1)) / np.sqrt(plan.n_paths)
-    except BrokenProcessPool as exc:
-        drop_pool()
-        raise ResourceBudgetError(
-            "a Monte Carlo worker process died (out of memory?); the sweep is abandoned"
-        ) from exc
-    finally:
-        for job in jobs:
-            job.cancel()
-        wait(jobs)
+        flow_end = time.perf_counter()
+        while running:
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for job in finished:
+                i, ti = running.pop(job)
+                vals, calls[i, ti] = job.result()
+                if len(jobs) < n_calls:
+                    submit()
+                ref = refs[ti, i * plan.n_configs : (i + 1) * plan.n_configs]
+                gaps[i, ti] = np.max(np.abs(vals.mean(axis=1) - ref))
+                ses[i, ti] = np.max(vals.std(axis=1, ddof=1)) / np.sqrt(plan.n_paths)
+    for key in sorted(calls):
+        calls[key].log()
+    busy_s = sum(call.end - call.start for call in calls.values())
+    mc_end = max([flow_end, *(call.end for call in calls.values())])
     rows = []
     sup_errors, mc_stds = gaps.max(axis=1).tolist(), ses.max(axis=1).tolist()
     for (n, _), sup_error, mc_std in zip(draws, sup_errors, mc_stds):
@@ -349,8 +362,15 @@ class ComplexityTable:
     max_rho_over_w1: float
 
 
-#: numbers held by the largest array of one block of complexity trials
+#: numbers held by the largest array of one block of complexity trials,
+#: counted in entries of the complex phase table of the Fourier mean
 _BLOCK_NUMBERS = 2**18
+
+#: phase-table entries as large as the arrays ``w1_density_rows`` holds per
+#: breakpoint: about a dozen float64 and index arrays of the breakpoints'
+#: shape, 93-105 bytes per breakpoint at its peak (tracemalloc, 3 to 168
+#: rows of 16 to 1024 atoms), against 16.5 bytes per phase-table entry
+_W1_NUMBERS_PER_BREAKPOINT = 6
 
 
 def sample_complexity_experiment(
@@ -363,19 +383,21 @@ def sample_complexity_experiment(
     """Monte Carlo means of W1 and rho_star between mu and its N-samples.
 
     Trial k of sample size N draws from its own Philox key,
-    ``_derived_seed(seed, N, k)``.  The trials of one N run as the rows of
-    blocks that hold at most ``_BLOCK_NUMBERS`` numbers per array (the phase
-    table of the Fourier mean, or the breakpoints of W1): ``sample_rows``,
-    ``empirical_coefficients`` with ``rho_sq_rows``, and ``w1_density_rows``
-    each run once per block.  Each row is bit for bit the trial that
+    ``_derived_seed(seed, N, k)``, so at most ``SEED_TAGS`` trials are
+    allowed.  The trials of one N run as the rows of blocks, each stage in
+    blocks of its own that hold at most ``_BLOCK_NUMBERS`` numbers:
+    ``sample_rows`` and ``w1_density_rows`` by the arrays of W1's
+    breakpoints, ``empirical_coefficients`` with ``rho_sq_rows`` by the
+    phase table of the Fourier mean.  Each row is bit for bit the trial that
     ``sample_iid``, ``rho_star`` and ``w1_circle_density`` give, so the table
-    does not depend on the block size.  The slopes are log-log fits over the
+    does not depend on the block sizes.  The slopes are log-log fits over the
     sample sizes, so at least two distinct sizes are required; the input is
     checked before anything is drawn.  ``MFRL_LOG=debug`` prints one line
-    per N: its trials, blocks and seconds.
+    per N: its trials, the blocks of the stage that runs in the most, and
+    seconds.
     """
-    if n_trials < 2:
-        raise InputDomainError("n_trials must be >= 2")
+    if not 2 <= n_trials <= SEED_TAGS:
+        raise InputDomainError(f"n_trials must be in [2, {SEED_TAGS}]")
     n_list = sorted(int(n) for n in n_list)
     if len(set(n_list)) < 2:
         raise InputDomainError("slope fits need at least 2 distinct sample sizes")
@@ -389,21 +411,29 @@ def sample_complexity_experiment(
     max_ratio = 0.0
     for n in n_list:
         start = time.perf_counter()
-        per_row = max((ctx.trunc + 1) * n, DENSITY_REFINE * mu.m + n + 1)
-        block = max(1, _BLOCK_NUMBERS // per_row)
+        breakpoints = DENSITY_REFINE * mu.m + n + 1
+        w1_block = max(1, _BLOCK_NUMBERS // (_W1_NUMBERS_PER_BREAKPOINT * breakpoints))
+        phase_block = max(1, _BLOCK_NUMBERS // ((ctx.trunc + 1) * n))
+        # the finer stage's blocks tile the coarser one's
+        fine = min(w1_block, phase_block)
+        block = max(w1_block, phase_block) // fine * fine
         w1s = np.empty(n_trials)
         rhos = np.empty(n_trials)
         for lo in range(0, n_trials, block):
             hi = min(lo + block, n_trials)
             atoms = sample_rows(mu, n, [_derived_seed(seed, n, k) for k in range(lo, hi)])
-            coeffs = empirical_coefficients(atoms[:, :, None], ctx)
-            rhos[lo:hi] = np.sqrt(np.maximum(rho_sq_rows(coeffs - target, order, ctx), 0.0))
-            w1s[lo:hi] = w1_density_rows(np.sort(atoms, axis=1), mu)
+            for a in range(lo, hi, phase_block):
+                b = min(a + phase_block, hi)
+                coeffs = empirical_coefficients(atoms[a - lo : b - lo, :, None], ctx)
+                rhos[a:b] = np.sqrt(np.maximum(rho_sq_rows(coeffs - target, order, ctx), 0.0))
+            for a in range(lo, hi, w1_block):
+                b = min(a + w1_block, hi)
+                w1s[a:b] = w1_density_rows(np.sort(atoms[a - lo : b - lo], axis=1), mu)
         positive = w1s > 0
         max_ratio = max([max_ratio, *(rhos[positive] / w1s[positive])])
         log.debug(
             "sample complexity N=%d: %d trials in %d blocks, %.3f s",
-            n, n_trials, -(-n_trials // block), time.perf_counter() - start,
+            n, n_trials, -(-n_trials // fine), time.perf_counter() - start,
         )
         rows.append(
             ComplexityRow(

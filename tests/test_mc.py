@@ -182,7 +182,7 @@ Z_BOUND = sqrt(48.0 * log(2.0))
 def test_box_muller_draws_are_standard_normal():
     n = 10**6
     z = np.empty(n)
-    mc.BoxMuller(n).fill(seeded_generator(2024), z)
+    mc.BoxMuller(n).fill(mc.UniformStream(2024), 0, z)
     # Kolmogorov-Smirnov distance to Phi, against its 1% critical value
     ks = np.max(np.abs(ndtr(np.sort(z)) - (np.arange(n) + 0.5) / n)) + 0.5 / n
     assert ks < 1.628 / sqrt(n)
@@ -200,23 +200,40 @@ def test_box_muller_extreme_uniform_stays_inside_the_bound():
     normals.uniforms[0] = np.float32(1.0 - 2.0**-24)  # 1 - u1 = 2^-24
     normals.uniforms[1] = [0.0, 0.25, 0.5, 0.75]
     z = np.empty(8)
-    normals.transform(z)
+    normals.transform(z[:4], z[4:])
     assert np.max(np.abs(z)) <= Z_BOUND
     assert np.max(np.abs(z)) == pytest.approx(Z_BOUND, rel=1e-6)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 7, 1001])
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 1001])
 def test_box_muller_fills_every_size_and_repeats_with_its_key(size):
     draws = []
     for key in (5, 5, 6):
         z = np.full(size + 1, np.nan)
-        mc.BoxMuller(size).fill(seeded_generator(key), z[:size])
+        mc.BoxMuller(size).fill(mc.UniformStream(key), 0, z[:size])
         assert np.all(np.isfinite(z[:size])) and np.isnan(z[size])
         draws.append(z[:size])
     assert np.array_equal(draws[0], draws[1])
     assert not np.array_equal(draws[0], draws[2])
-    # the layout: cosines first, then sines, one uniform pair per two draws
-    assert np.array_equal(draws[0], _normals(seeded_generator(5), size))
+    # the layout: cosines first, then sines, one uniform pair per two draws;
+    # consecutive steps read on where the last one stopped, inside a Philox
+    # block of four words when the step's word count is not a multiple of 4
+    normals, stream, oracle = mc.BoxMuller(size), mc.UniformStream(5), seeded_generator(5)
+    for step in range(3):
+        z = np.empty(size)
+        normals.fill(stream, step, z)
+        assert np.array_equal(z.view(np.int64), _normals(oracle, size).view(np.int64))
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 7, 8, 9, 13, 100_001])
+def test_uniform_stream_reads_from_any_index(first):
+    # any stretch of the stream equals numpy's float32 draw at that place
+    want = seeded_generator(3).random(first + 70_000, dtype=np.float32)[first:]
+    stream = mc.UniformStream(3)
+    for lo, hi in ((0, 5), (5, 6), (6, 70_000), (2, 9), (0, 70_000)):
+        got = np.empty(hi - lo, dtype=np.float32)
+        stream.read(first + lo, got)
+        assert np.array_equal(got, want[lo:hi])
 
 
 @pytest.mark.parametrize("cpus", [None, 3])
@@ -247,6 +264,76 @@ def test_paths_bit_identical_to_serial_loop(shape, cpus, monkeypatch):
     want = _serial_paths(prob, starts, 0.1, n_paths, 12, seed=21)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(there.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("shape", [(3, 7, 5), (3, 7, 4), (2, 41, 3), (4, 500, 8)])
+def test_row_ranges_concatenate_to_the_whole_call(shape, a, ranges):
+    # linear_problem has a drift and a running cost; (3, 7, 5) at a = 0 and
+    # (3, 7, 4) at a = 0.5 draw an odd count of normals per step, so a range
+    # can end in the middle of a pair or of a 64-bit word
+    m_batch, n_paths, n_particles = shape
+    prob = linear_problem(a)
+    starts = np.random.default_rng(4).uniform(0.0, TWO_PI, (m_batch, n_particles))
+    whole, _ = mc.path_job(prob, starts, 0.1, n_paths, 7, 19)
+    n_rows = m_batch * n_paths
+    bounds = [n_rows * k // ranges for k in range(ranges + 1)]
+    jobs = [(prob, starts, 0.1, n_paths, 7, 19, rows) for rows in zip(bounds, bounds[1:])]
+    here = np.concatenate([mc.path_job(*job)[0] for job in jobs])
+    pool = mc.worker_pool()
+    futures = [pool.submit(mc.path_job, *job) for job in jobs]
+    there = np.concatenate([f.result()[0] for f in futures])
+    assert whole.shape == (m_batch, n_paths)
+    assert np.array_equal(here.view(np.int64), whole.reshape(-1).view(np.int64))
+    assert np.array_equal(there.view(np.int64), whole.reshape(-1).view(np.int64))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_large_direct_call_is_split_over_the_pool(cpus, monkeypatch, caplog):
+    prob = linear_problem(0.5)
+    starts = np.random.default_rng(6).uniform(0.0, TWO_PI, (3, 5))
+    want = _serial_paths(prob, starts, 0.1, 41, 6, seed=8)
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_POOL", None)
+        m.setattr(mc, "_cpu_count", lambda: cpus)
+        try:
+            # below the threshold the call runs here and forks no pool
+            m.setattr(mc, "_SPLIT_MIN", 3 * 41 * 5 * 6 + 1)
+            small = mc_path_values(prob, starts, 0.1, 41, 6, seed=8)
+            assert mc._POOL is None
+            m.setattr(mc, "_SPLIT_MIN", 3 * 41 * 5 * 6)
+            with caplog.at_level("DEBUG", logger="mfrl.mc"):
+                split = mc_path_values(prob, starts, 0.1, 41, 6, seed=8)
+            assert mc._POOL is not None and len(mc._POOL._processes) == cpus
+        finally:
+            if mc._POOL is not None:
+                mc._POOL.shutdown(wait=True)
+    assert np.array_equal(small.view(np.int64), want.view(np.int64))
+    assert np.array_equal(split.view(np.int64), want.view(np.int64))
+    # one line for the call, not one per range
+    lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.mc"]
+    assert len(lines) == 1 and lines[0].startswith("mc paths: N 5, t 0.1, 3690 particle-steps, ")
+
+
+def killed_job(*args, **kwargs):
+    """``mc.path_job``'s stand-in that kills the worker process running it."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_dead_worker_ends_a_split_call_with_a_budget_error(monkeypatch):
+    prob = linear_problem()
+    starts = np.random.default_rng(6).uniform(0.0, TWO_PI, (2, 4))
+    want = mc_path_values(prob, starts, 0.1, 30, 5, seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_POOL", None)
+        m.setattr(mc, "_cpu_count", lambda: 2)
+        m.setattr(mc, "_SPLIT_MIN", 1)
+        m.setattr(mc, "path_job", killed_job)
+        with pytest.raises(ResourceBudgetError, match="worker process died"):
+            mc_path_values(prob, starts, 0.1, 30, 5, seed=2)
+        assert mc._POOL is None  # the broken pool was dropped
+    assert np.array_equal(mc_path_values(prob, starts, 0.1, 30, 5, seed=2), want)
 
 
 @pytest.mark.parametrize("n_particles", [4, 32])

@@ -25,6 +25,7 @@ from mfrl.meanfield import deposit_empirical, mean_field_reference_batch
 from mfrl.metric import rho_star
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
+    SEED_TAGS,
     ComplexityRow,
     ComplexityTable,
     ExperimentPlan,
@@ -108,6 +109,37 @@ def test_plan_validation_and_roundtrip():
     for bad in (dict(n_configs=True), dict(seed=1.0), dict(n_list=(0, 2, 4))):
         with pytest.raises(InputDomainError):
             small_plan(**bad)
+
+
+def test_seed_tags_bound_the_time_points_and_the_trials(monkeypatch, tmp_path, capsys):
+    # _derived_seed gives tags SEED_TAGS apart of consecutive N one seed
+    assert _derived_seed(7, 4, SEED_TAGS) == _derived_seed(7, 5, 0)
+    # a sweep draws with tags 0 .. n_time_points, a complexity table with
+    # tags 0 .. n_trials - 1: both refused before anything is drawn, and a
+    # plan after its flow budget (test_cli.py's huge n_time_points)
+    assert small_plan(n_time_points=SEED_TAGS - 1).n_time_points == SEED_TAGS - 1
+    with pytest.raises(InputDomainError, match="n_time_points"):
+        small_plan(n_time_points=SEED_TAGS)
+    plan = small_plan()
+    doc = {"version": 1, "plan": {"problem": plan.problem.to_dict(), "n_list": [2, 4, 8]}}
+    doc["plan"]["n_time_points"] = SEED_TAGS
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rate", "--plan", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "n_time_points" in capsys.readouterr().err
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(mfrl.ratelab, "sample_rows", drawn)
+    mu = GridDensity(np.full(64, 1.0 / TWO_PI))
+    with pytest.raises(InputDomainError, match="n_trials"):
+        sample_complexity_experiment(mu, [4, 8], n_trials=SEED_TAGS + 1, seed=0)
+    with pytest.raises(Drawn):
+        sample_complexity_experiment(mu, [4, 8], n_trials=SEED_TAGS, seed=0)
 
 
 def test_run_rate_experiment_deterministic_and_well_formed():
@@ -239,10 +271,18 @@ def own_pool(monkeypatch, workers):
                 mc._POOL.shutdown(wait=True)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3], ids=["1-worker", "2-workers", "3-workers"])
-def test_concurrent_sweep_matches_serial_loop_bit_for_bit(workers, monkeypatch):
+@pytest.mark.parametrize(
+    "workers, one_in_flight",
+    [(1, False), (2, False), (3, False), (2, True)],
+    ids=["1-worker", "2-workers", "3-workers", "one-in-flight"],
+)
+def test_concurrent_sweep_matches_serial_loop_bit_for_bit(workers, one_in_flight, monkeypatch):
+    # the sweep submits its calls longest first and reads them as they finish
     plan = small_plan(problem=interaction_problem(0.5), n_time_points=3)
-    with own_pool(monkeypatch, workers):
+    with own_pool(monkeypatch, workers) as m:
+        if one_in_flight:  # the budget holds the largest call once and no more
+            budget = 2 * plan.n_configs * plan.n_paths * 8 * 32 - 1
+            m.setattr(mfrl.ratelab, "PATH_BYTES_BUDGET", budget)
         report = run_rate_experiment(plan)
     want = serial_sweep(plan)
     assert [(r.sup_error, r.mc_std) for r in report.rows] == want
@@ -267,10 +307,10 @@ def test_sweep_ignores_a_wrapped_mc_path_values(monkeypatch):
 
 
 def held_job(tmp, problem, starts, t, n_paths, n_steps, seed):
-    """``mc.path_job``, but the N = 2, t = 0 call fails and every other call
+    """``mc.path_job``, but the N = 16, t = 0 call fails and every other call
     waits (10 s at most) for the file ``release`` in ``tmp``; each marks its
     start and end there with a file named after its seed."""
-    if starts.shape[1] == 2 and t == 0.0:
+    if starts.shape[1] == 16 and t == 0.0:
         raise DivergenceError("injected")
     (tmp / f"started-{seed}").touch()
     deadline = time.monotonic() + 10.0
@@ -284,7 +324,7 @@ def held_job(tmp, problem, starts, t, n_paths, n_steps, seed):
 def test_failing_call_cancels_pending_jobs_and_propagates(monkeypatch, tmp_path):
     plan = small_plan(n_list=(2, 4, 8, 16), n_time_points=3)
     want = run_rate_experiment(plan).to_json()
-    wait = mfrl.ratelab.wait
+    wait = mc.wait
 
     def release_then_wait(jobs):  # runs after the pending jobs were cancelled
         (tmp_path / "release").touch()
@@ -295,14 +335,14 @@ def test_failing_call_cancels_pending_jobs_and_propagates(monkeypatch, tmp_path)
 
     with own_pool(monkeypatch, 2) as m:
         m.setattr(mfrl.ratelab, "path_job", functools.partial(held_job, tmp_path))
-        m.setattr(mfrl.ratelab, "wait", release_then_wait)
+        m.setattr(mc, "wait", release_then_wait)
         with pytest.raises(DivergenceError, match="injected") as info:
             run_rate_experiment(plan)
         assert type(info.value) is DivergenceError
-        # the failing call is submitted first; of the 11 held ones, one per
-        # worker started and the pool had moved at most three more into its
-        # call queue, where they count as running: the rest were cancelled,
-        # and every started call had finished
+        # the failing call, the longest, is submitted first; of the 11 held
+        # ones, one per worker started and the pool had moved at most three
+        # more into its call queue, where they count as running: the rest
+        # were cancelled, and every started call had finished
         started = marked("started")
         assert 1 <= len(started) <= 5 and marked("finished") == started
         mc.worker_pool().shutdown(wait=True)
@@ -528,8 +568,9 @@ def test_batched_complexity_trials_equal_the_per_trial_loop_for_one_atom():
 
 @pytest.mark.parametrize("numbers", [1, 3000, 2**22])
 def test_complexity_rows_do_not_depend_on_the_block_size(numbers, monkeypatch):
-    # 1: a block per trial; 3000: blocks of 7, 2 and 1 rows, the last ones
-    # ragged; 2**22: every N in one block
+    # 1: a block per trial; 3000: the Fourier mean in blocks of 46, 2 and 1
+    # rows and W1 in blocks of 1, some of them ragged; 2**22: every N in one
+    # block
     want = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
     monkeypatch.setattr(mfrl.ratelab, "_BLOCK_NUMBERS", numbers)
     got = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
