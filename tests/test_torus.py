@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -153,13 +154,15 @@ def test_phase_table_rows_of_opposite_modes_are_conjugate():
 
 
 def test_grid_fourier_coefficients_match_direct_exponential_sum():
+    # the density meshes of the benchmark, criterion 6 and the FP reference
     ctx = TorusContext(1, 64)
     rng = np.random.default_rng(3)
-    dens = GridDensity(rng.uniform(0.1, 1.0, 64))
-    phases = np.exp(-1j * np.outer(ctx.modes[:, 0], dens.nodes))
-    direct = TWO_PI**-0.5 * (phases @ dens.values) * (TWO_PI / dens.m)
-    got = fourier_coefficients(dens, ctx)
-    assert np.max(np.abs(got - direct)) < 1e-13
+    for m in (64, 256, 1024):
+        dens = GridDensity(rng.uniform(0.1, 1.0, m))
+        phases = np.exp(-1j * np.outer(ctx.modes[:, 0], dens.nodes))
+        direct = TWO_PI**-0.5 * (phases * dens.values).sum(axis=1) * (TWO_PI / dens.m)
+        got = fourier_coefficients(dens, ctx)
+        assert np.max(np.abs(got - direct)) < 1e-13, m
 
 
 def test_grid_density_normalizes_mass():
@@ -346,6 +349,57 @@ def test_package_imports_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: CPU time the process burns while it sleeps right after a call, in ms
+_SPIN_PROBE = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from mfrl.metric import rho_star
+from mfrl.ratelab import sample_complexity_experiment
+from mfrl.torus import EmpiricalMeasure, GridDensity, TorusContext, fourier_coefficients, phase_table
+
+def spin(call):
+    time.sleep(0.5)
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    time.sleep(0.3)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return 1e3 * (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+
+ctx = TorusContext(1, 64)
+mu = GridDensity(np.random.default_rng(0).uniform(0.1, 1.0, 64))
+nu = EmpiricalMeasure(np.array([[0.5], [2.0]]))
+table = phase_table(mu.nodes[:, None], ctx)
+print(json.dumps({
+    "control": spin(lambda: table @ mu.values),
+    "fourier_coefficients": spin(lambda: fourier_coefficients(mu, ctx)),
+    "rho_star": spin(lambda: rho_star(nu, mu, ctx)),
+    "sample_complexity_experiment": spin(
+        lambda: sample_complexity_experiment(mu, [4, 8], n_trials=4, seed=0)
+    ),
+}))
+"""
+
+
+def test_grid_density_calls_leave_no_blas_thread_spinning():
+    # OpenBLAS hands a complex (129 x 64) table times a vector to a second
+    # thread, which then spin-waits for about 0.12 s of CPU time; the
+    # control shows that this BLAS does so here, the calls must not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPIN_PROBE, src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    spin_ms = json.loads(proc.stdout)
+    if spin_ms.pop("control") <= 60.0:
+        pytest.skip("this BLAS does not spin a second thread on the control product")
+    assert all(ms < 30.0 for ms in spin_ms.values()), spin_ms
 
 
 def test_measure_json_roundtrip():
