@@ -2,7 +2,8 @@
 
 ``run_rate_experiment`` sweeps particle counts N, estimates the particle value
 v^N(t, x) by the Feynman-Kac solver at sampled (t, x) pairs, evaluates the
-mean-field value v(t, mu^x) by the Fokker-Planck reference (exact for every
+mean-field value v(t, mu^x) by the Fokker-Planck reference (the flow of the
+Fourier moments of mu^x, started from their exact values; exact for every
 common-noise intensity a: one a = 0 flow and a Gaussian shift average of G,
 see ``meanfield``), and fits the observed sup-differences against the
 sample-complexity scale alpha(N) in log-log space.
@@ -32,13 +33,12 @@ import numpy as np
 from .errors import InputDomainError, check_fields, plan_int
 from .mc import NOISE, PATH_BYTES_BUDGET, _cpu_count, check_path_budget, path_job
 from .mc import pool_jobs, worker_pool
-from .meanfield import check_flow_budget, deposit_empirical, mean_field_reference_batch
+from .meanfield import check_flow_budget, empirical_moments, mean_field_reference_batch
 from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
 from .torus import (
     DENSITY_REFINE,
     TWO_PI,
-    EmpiricalMeasure,
     GridDensity,
     TorusContext,
     empirical_coefficients,
@@ -48,10 +48,11 @@ from .torus import (
     w1_density_rows,
 )
 
-# The one-row forms of the complexity trial and the one-call form of the MC
-# job, still bound here by name: perfbench/tracing.py wraps these four
-# attributes of this module.
+# The one-row forms of the complexity trial, the one-call form of the MC job
+# and the grid deposit the reference once started from, still bound here by
+# name: perfbench/tracing.py wraps these five attributes of this module.
 from .mc import mc_path_values  # noqa: F401
+from .meanfield import deposit_empirical  # noqa: F401
 from .metric import rho_star  # noqa: F401
 from .torus import sample_iid, w1_circle_density  # noqa: F401
 
@@ -99,14 +100,16 @@ _INT_FIELDS = (
 class ExperimentPlan:
     """Budgets and seeds for one rate sweep.
 
-    ``ref_mesh`` is the node count of the Fokker-Planck reference grid and
-    ``ref_steps`` the step count of its second-order split flow over the
-    longest horizon, from t = 0 to T, rounded up so that every time of the
-    sweep falls on a step (0 means ``default_flow_steps``: the drift's CFL
-    bound, at least ``MIN_FLOW_STEPS``).  ``m_ref`` is accepted, checked to be an integer
+    The Fokker-Planck reference keeps the Fourier modes 0..``ref_mesh`` // 2
+    (the name is that of the grid it once ran on), and ``ref_steps`` is the
+    step count of its Lawson RK4 flow over the longest horizon, from t = 0
+    to T, rounded up so that every time of the sweep falls on a step (0
+    means ``default_flow_steps``: the drift's RK4 bound, at least
+    ``MIN_FLOW_STEPS``).  ``m_ref`` is accepted, checked to be an integer
     >= 0 and ignored: plans of version 1 may set it, but the reference needs
-    no particle surrogate at any a.  A plan whose reference flow would hold
-    more than ``meanfield.FLOW_BYTES_BUDGET`` is refused with
+    no particle surrogate at any a.  A plan whose modes cannot hold the
+    problem's kernel degree is refused with ``InputDomainError``, one whose
+    reference flow would hold more than ``meanfield.FLOW_BYTES_BUDGET`` with
     ``ResourceBudgetError``, and then one of ``SEED_TAGS`` time points or
     more with ``InputDomainError``.
     """
@@ -142,7 +145,7 @@ class ExperimentPlan:
             raise InputDomainError("ref_steps and m_ref must be >= 0")
         # a plan too large to run is refused as such before the tag limit
         n_cols = len(ns) * self.n_configs
-        check_flow_budget(self.problem, self.ref_mesh, n_cols, self.n_time_points)
+        check_flow_budget(self.problem, self.ref_mesh // 2, n_cols, self.n_time_points)
         if self.n_time_points >= SEED_TAGS:  # time ti draws with tag ti + 1
             raise InputDomainError(f"n_time_points must be < {SEED_TAGS}")
 
@@ -212,10 +215,12 @@ def _derived_seed(seed: int, n: int, tag: int) -> int:
 def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     """Sweep N, record sup |v^N - v| over sampled (t, x), fit the rate.
 
-    Every configuration of every N is deposited as one column of a single
-    density batch, and one Fokker-Planck flow gives the mean-field value of
-    every column at every time.  Each (N, t) Monte Carlo call is one whole
-    ``mc.path_job`` on the MC worker processes.  The calls are submitted
+    The exact Fourier moments of every configuration of every N make one
+    column of a single batch, and one Fokker-Planck flow gives the
+    mean-field value of every column at every time; the report's metadata
+    carries what the flow did (``fp_modes``, ``fp_steps``,
+    ``fp_step_bound``, ``fp_mode_tail``).  Each (N, t) Monte Carlo call is
+    one whole ``mc.path_job`` on the MC worker processes.  The calls are submitted
     longest first, by particle-steps, so that the last to finish is a short
     one (Graham 1969), and before the flow starts, so the flow runs here
     while the workers run the paths; at most ``PATH_BYTES_BUDGET`` over the
@@ -241,13 +246,8 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
     for n in plan.n_list:
         rng = seeded_generator(_derived_seed(plan.seed, n, 0))
         draws.append((n, rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))))
-    densities = np.stack(
-        [
-            deposit_empirical(EmpiricalMeasure(c[:, None]), plan.ref_mesh).values
-            for _, configs in draws
-            for c in configs
-        ],
-        axis=1,
+    moments = np.concatenate(
+        [empirical_moments(configs, plan.ref_mesh // 2) for _, configs in draws], axis=1
     )
     # (-coordinates, draw, time) of each call: the longest first, and equal
     # ones in sweep order
@@ -276,9 +276,7 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         while len(jobs) < in_flight:
             submit()
         flow_start = time.perf_counter()
-        refs, fp_steps, fp_mass_drift = mean_field_reference_batch(
-            problem, t_points, densities, n_t=plan.ref_steps
-        )
+        refs, flow = mean_field_reference_batch(problem, t_points, moments, n_t=plan.ref_steps)
         flow_end = time.perf_counter()
         while running:
             finished, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -324,11 +322,10 @@ def run_rate_experiment(plan: ExperimentPlan) -> RateReport:
         "ref_mesh": plan.ref_mesh,
         "ref_steps": plan.ref_steps,
         "m_ref": plan.m_ref,
-        "fp_steps": fp_steps,
         "mc_noise": NOISE,
         "numpy": np.__version__,
-        "fp_mass_drift": fp_mass_drift,
-        "reference": "exact-fp" if problem.a == 0.0 else "exact-fp-shift",
+        **flow,
+        "reference": "spectral-fp" if problem.a == 0.0 else "spectral-fp-shift",
         # no particle surrogate, so no bias budget at any a; the benchmark's
         # rate_common_noise check still reads the key
         "surrogate_bias_budget": 0.0,

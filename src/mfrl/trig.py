@@ -157,13 +157,6 @@ def convolve(poly: TrigPoly, cm, sm, c: np.ndarray, s: np.ndarray) -> np.ndarray
     return out
 
 
-def density_moments(rho: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of densities on the uniform mesh of rho.shape[0] nodes, one per column."""
-    dx = TWO_PI / rho.shape[0]
-    c, s = harmonics(np.arange(rho.shape[0]) * dx, deg)
-    return (c @ rho) * dx, (s @ rho) * dx
-
-
 def particle_mean(x: np.ndarray) -> np.ndarray:
     """(1/N) sum_j x_j over the last (particle) axis, in the dtype of ``x``.
 

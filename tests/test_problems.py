@@ -4,7 +4,15 @@ import pytest
 from mfrl.errors import InputDomainError
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, GridDensity, TorusContext
-from mfrl.trig import TrigPoly, convolve, density_moments, harmonics
+from mfrl.trig import TrigPoly, convolve, harmonics
+
+
+def grid_moments(rho, deg):
+    """Rectangle-rule moments int cos(kx), sin(kx) rho dx, k = 1..deg, of
+    densities on a uniform mesh of rho.shape[0] nodes, one per column."""
+    dx = TWO_PI / rho.shape[0]
+    c, s = harmonics(np.arange(rho.shape[0]) * dx, deg)
+    return (c @ rho) * dx, (s @ rho) * dx
 
 
 def linear_ham():
@@ -40,7 +48,7 @@ def test_terminal_grid_matches_empirical_limit():
     nodes = np.arange(m) * (TWO_PI / m)
     dens = GridDensity(1.0 + 0.5 * np.cos(nodes))
     # int cos dmu = 0.25 for density (1 + 0.5 cos)/2pi
-    value = term.value_moments(*density_moments(dens.values, term.degree))
+    value = term.value_moments(*grid_moments(dens.values, term.degree))
     assert value == pytest.approx(0.25 + 0.04, abs=1e-10)
 
 
@@ -81,10 +89,10 @@ def test_terminal_moments_match_quadrature_on_densities():
     rho = np.random.default_rng(5).uniform(0.5, 1.5, (m, 3))
     rho /= rho.sum(axis=0) * dx
     direct = (_poly(term.g, nodes) @ rho) * dx + ((_poly(term.h, nodes) @ rho) * dx) ** 2
-    batch = term.value_moments(*density_moments(rho, term.degree))
+    batch = term.value_moments(*grid_moments(rho, term.degree))
     assert np.max(np.abs(batch - direct)) < 1e-13
     for j in range(3):
-        one = term.value_moments(*density_moments(GridDensity(rho[:, j]).values, term.degree))
+        one = term.value_moments(*grid_moments(GridDensity(rho[:, j]).values, term.degree))
         assert one == pytest.approx(direct[j], abs=1e-13)
 
 

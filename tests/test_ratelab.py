@@ -21,7 +21,7 @@ from mfrl import mc
 from mfrl.cli import EXIT_PRECONDITION, main
 from mfrl.errors import DivergenceError, InputDomainError, ResourceBudgetError
 from mfrl.mc import mc_path_values
-from mfrl.meanfield import deposit_empirical, mean_field_reference_batch
+from mfrl.meanfield import empirical_moments, mean_field_reference_batch
 from mfrl.metric import rho_star
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.ratelab import (
@@ -37,7 +37,6 @@ from mfrl.ratelab import (
 )
 from mfrl.torus import (
     TWO_PI,
-    EmpiricalMeasure,
     GridDensity,
     TorusContext,
     sample_iid,
@@ -151,7 +150,7 @@ def test_run_rate_experiment_deterministic_and_well_formed():
     assert isinstance(r1, RateReport)
     assert [row.N for row in r1.rows] == [2, 4, 8]
     assert all(row.sup_error > 0 for row in r1.rows)
-    assert r1.metadata["reference"] == "exact-fp"
+    assert r1.metadata["reference"] == "spectral-fp"
     assert r1.metadata["surrogate_bias_budget"] == 0.0
     header = r1.to_csv().splitlines()[0]
     assert header == "N,alpha,alpha_cbrt,sup_error,mc_std,notes"
@@ -168,10 +167,13 @@ def test_sweep_runs_one_flow_for_every_n_and_time(monkeypatch):
     monkeypatch.setattr(mfrl.meanfield, "fokker_planck_flow_batch", counted)
     plan = small_plan(n_time_points=3)
     report = run_rate_experiment(plan)
-    # 8 configurations of each of 3 particle counts, all from t = 0
-    assert calls == [((256, 24), 0.0, report.metadata["fp_steps"])]
+    # the moments l = 0..128 of 8 configurations of each of 3 particle
+    # counts, all from t = 0
+    assert calls == [((129, 24), 0.0, report.metadata["fp_steps"])]
     assert report.metadata["fp_steps"] % 3 == 0
-    assert 0.0 <= report.metadata["fp_mass_drift"] <= 1e-12
+    assert report.metadata["fp_modes"] == 128
+    assert report.metadata["fp_step_bound"] == "floor 64 over RK4 0"
+    assert 0.0 <= report.metadata["fp_mode_tail"] < 1e-40
 
 
 def test_common_noise_sweep_runs_one_flow_without_noise(monkeypatch):
@@ -185,10 +187,10 @@ def test_common_noise_sweep_runs_one_flow_without_noise(monkeypatch):
     monkeypatch.setattr(mfrl.meanfield, "fokker_planck_flow_batch", counted)
     report = run_rate_experiment(small_plan(problem=null_problem(a=0.5), n_paths=100))
     # the a = 0 flow of every configuration; the noise enters through G alone
-    assert calls == [(0.0, (256, 24), 0.0, report.metadata["fp_steps"])]
+    assert calls == [(0.0, (129, 24), 0.0, report.metadata["fp_steps"])]
     assert report.metadata["fp_steps"] > 0
-    assert 0.0 <= report.metadata["fp_mass_drift"] <= 1e-12
-    assert report.metadata["reference"] == "exact-fp-shift"
+    assert 0.0 <= report.metadata["fp_mode_tail"] < 1e-40
+    assert report.metadata["reference"] == "spectral-fp-shift"
     assert report.metadata["surrogate_bias_budget"] == 0.0
 
 
@@ -210,8 +212,36 @@ def test_noise_free_report_is_byte_identical_to_recorded():
         n_steps=60,
         seed=1,
     )
-    report = run_rate_experiment(plan)
-    assert report.to_json() == (DATA / "rate_meanfield_seed1.json").read_text()
+    got = run_rate_experiment(plan).to_json()
+    recorded = (DATA / "rate_meanfield_seed1.json").read_text()
+    if got != recorded:
+        fields = json_differences(json.loads(recorded), json.loads(got))
+        pytest.fail(
+            "report differs from the recorded one:\n"
+            + "\n".join(f"  {path}: recorded {want!r}, got {have!r}" for path, want, have in fields)
+            if fields
+            else "report differs from the recorded one in its bytes, not in its fields"
+        )
+
+
+def json_differences(recorded, got, path="$"):
+    """(key path, recorded value, got value) of every field where two JSON
+    documents differ; a key on one side only reads as missing on the other."""
+    if isinstance(recorded, dict) and isinstance(got, dict):
+        return [
+            diff
+            for key in sorted(recorded.keys() | got.keys())
+            for diff in json_differences(
+                recorded.get(key, "<missing>"), got.get(key, "<missing>"), f"{path}.{key}"
+            )
+        ]
+    if isinstance(recorded, list) and isinstance(got, list) and len(recorded) == len(got):
+        return [
+            diff
+            for i, (want, have) in enumerate(zip(recorded, got))
+            for diff in json_differences(want, have, f"{path}[{i}]")
+        ]
+    return [] if recorded == got and type(recorded) is type(got) else [(path, recorded, got)]
 
 
 def interaction_problem(a):
@@ -230,15 +260,8 @@ def serial_sweep(plan):
     for n in plan.n_list:
         rng = np.random.Generator(np.random.Philox(key=_derived_seed(plan.seed, n, 0)))
         draws.append((n, rng.uniform(0.0, TWO_PI, size=(plan.n_configs, n))))
-    densities = np.stack(
-        [
-            deposit_empirical(EmpiricalMeasure(c[:, None]), plan.ref_mesh).values
-            for _, configs in draws
-            for c in configs
-        ],
-        axis=1,
-    )
-    refs, _, _ = mean_field_reference_batch(problem, t_points, densities, plan.ref_steps)
+    moments = np.hstack([empirical_moments(configs, plan.ref_mesh // 2) for _, configs in draws])
+    refs, _ = mean_field_reference_batch(problem, t_points, moments, plan.ref_steps)
     out = []
     for i, (n, configs) in enumerate(draws):
         sup_error = mc_std = 0.0

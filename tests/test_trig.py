@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mfrl.errors import InputDomainError
-from mfrl.torus import TWO_PI, GridDensity
+from mfrl.torus import TWO_PI, GridDensity, TorusContext, fourier_coefficients
 from mfrl.trig import (
     ZERO_POLY,
     TrigPoly,
     convolve,
-    density_moments,
     harmonics,
     mean_field_eval,
 )
@@ -61,7 +60,10 @@ def test_moments_grid_vs_empirical():
     m = 1024
     nodes = np.arange(m) * (TWO_PI / m)
     dens = GridDensity(1.0 + 0.3 * np.cos(2 * nodes))
-    c, s = density_moments(dens.values, 3)
+    # a density's moments are its Fourier coefficients times sqrt(2 pi):
+    # int cos(k x) dmu = Re m_k, int sin(k x) dmu = -Im m_k
+    m = np.sqrt(TWO_PI) * fourier_coefficients(dens, TorusContext(1, 3))[4:]
+    c, s = m.real, -m.imag
     assert c[1] == pytest.approx(0.15, abs=1e-10)
     assert abs(c[0]) < 1e-10 and abs(s[1]) < 1e-10
 
