@@ -12,8 +12,8 @@ solution, one per multiset of lattice indices as ``GridValueFunction.slices``
 holds them (v^N and rho_star see only the multiset).  The multilinear corners
 of a point, and the point moved by a mesh multiple on every axis, are read
 through the rank tables of ``fd.neighbour_ranks``, so only the fractional
-part of the shift needs corner weights.  The tables are built on the first
-scan of a value function and shared by its later scans.
+part of the shift needs corner weights.  They are built on a function's
+first scan, from the rank table it holds, and shared by its later scans.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and
@@ -76,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
-from .fd import GridValueFunction, neighbour_ranks
+from .fd import GridValueFunction, _slice_positions, neighbour_ranks
 from .metric import metric_weights
 from .torus import TWO_PI, Measure, TorusContext, circle_arc
 from .torus import fourier_coefficients, phase_table
@@ -166,13 +166,6 @@ def _config_rho_sq(vn: GridValueFunction, mu: Measure) -> np.ndarray:
     return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
 
 
-def _slice_positions(vn: GridValueFunction, s_vals: np.ndarray):
-    """The stored slice k below each time and the weight theta of slice k + 1."""
-    pos = np.clip(s_vals, 0.0, vn.T) / vn.dt
-    ks = np.minimum(pos.astype(int), vn.n_t - 1)
-    return ks, pos - ks
-
-
 def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np.ndarray:
     """The time nodes that can hold a minimum, in ascending order.
 
@@ -223,9 +216,8 @@ def inf_convolve(
     penalties.  Ties are broken toward the smallest (w, sorted x) with the
     smallest minimizing s per physical point: time nodes are scanned in
     ascending order with strict-less comparisons, and shifts under the bound
-    of the module docstring.  A value array that is not symmetric under
-    permuting particles is refused with ``InputDomainError``, and so is a
-    target time or shift that is not finite.  ``MFRL_LOG=debug`` prints one
+    of the module docstring.  A target time or shift that is not finite is
+    refused with ``InputDomainError``.  ``MFRL_LOG=debug`` prints one
     line per call: the time nodes and the shifts it scanned.
     """
     t, z, mu = target

@@ -21,14 +21,14 @@ C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
 110,592 at N = 3, mesh 48).  Each step reads the neighbours of a sorted node
 (+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
 the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through the integer rank
-tables of ``neighbour_ranks``, built once per solve without a sort (the
-sorted cells are the nodes whose index tuple does not decrease); the
-inf-convolution and ``lipschitz_probe`` read through the same tables.  The
-solution keeps one value per multiset and time slice, and so does the value
-file (version 2).  ``values``, the full-lattice array that interpolation
-reads, is expanded from them with one gather per slice: by a solution on
-first read, and by ``load`` as it reads the file.  ``slice_at`` and
-``lipschitz_probe`` gather only the slices they read.
+tables of ``neighbour_ranks``; the inf-convolution and ``lipschitz_probe``
+read through the same tables.  All come from one rank table per lattice, the
+sorted cells (found without a sort) and every node's multiset, shared while
+a value function of that lattice lives.  A ``GridValueFunction`` holds one
+value per multiset and time slice, as the solve and the value file (version
+2) do, and every read takes its rows through ``_rows``.  ``values``, the
+full lattice, is expanded one slice at a time: by a solution on first read,
+and by ``load`` as it reads the file.
 
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
@@ -45,6 +45,7 @@ import logging
 import os
 import struct
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, comb, isfinite, log2
@@ -74,62 +75,44 @@ log = logging.getLogger(__name__)
 class GridValueFunction:
     """Backward-in-time solution on the periodic tensor grid.
 
-    ``values[k]`` is the slice at ``t_k = k T / n_t``; the last slice is the
-    terminal condition G(mu^x) exactly.  ``slices[k]`` holds it once per
-    multiset of lattice indices, in the order of ``neighbour_ranks``.  Each
-    constructor fills one of the two, the other is derived on first read:
-    ``fd_solve`` fills ``slices``, and a full array ``values``, whose slices
-    are gathered only if it is symmetric under permuting particles, NaN
-    equal to NaN; the array ``load`` expands from a file is so by
-    construction and is not checked.
+    ``slices[k]`` is the slice at ``t_k = k T / n_t``, one value per multiset
+    in the order of ``neighbour_ranks``; the last slice is G(mu^x) exactly.
+    ``values[k]`` is the same slice on the full lattice.  A function is built
+    from its slices; only ``load`` makes one that holds ``values`` instead.
+    ``_rows`` alone knows which of the two is held: every read goes through it.
     """
 
-    _symmetric = False  # set by ``load``
-
-    def __init__(self, N: int, mesh: int, n_t: int, T: float, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        expected = (n_t + 1,) + (mesh,) * N
-        if v.shape != expected:
-            raise InputDomainError(f"value array shape {v.shape} != {expected}")
-        v = v.view()  # read-only here, the caller's array stays writable
-        v.flags.writeable = False
+    def __init__(self, N: int, mesh: int, n_t: int, T: float, slices: np.ndarray):
+        _check_grid(N, mesh, n_t, T)
+        s = np.asarray(slices, dtype=float).view()  # the caller's array stays writable
+        expected = (n_t + 1, comb(mesh + N - 1, N))
+        if s.shape != expected:
+            raise InputDomainError(f"value slices of shape {s.shape} != {expected}")
+        s.flags.writeable = False
         self.N, self.mesh, self.n_t, self.T = N, mesh, n_t, T
-        self.values = v  # fills the cached property below
-
-    @classmethod
-    def _of_slices(cls, N: int, mesh: int, n_t: int, T: float, slices: np.ndarray):
-        vn = cls.__new__(cls)
-        slices.flags.writeable = False
-        vn.N, vn.mesh, vn.n_t, vn.T, vn.slices = N, mesh, n_t, T, slices
-        return vn
+        self._ranks = _rank_table(N, mesh)
+        self.slices = s  # fills the cached property below
 
     @cached_property
     def values(self) -> np.ndarray:  # shape (n_t + 1,) + (mesh,) * N, read-only
-        return _expand(self.N, self.mesh, self.n_t, self.slices)
+        return _expand(self, (self._rows(k) for k in range(self.n_t + 1)))
 
     @cached_property
     def slices(self) -> np.ndarray:  # shape (n_t + 1, C(mesh + N - 1, N)), read-only
-        slices = self._gather(np.arange(self.n_t + 1))
+        slices = self._rows(slice(None))
         slices.flags.writeable = False
         return slices
 
-    def _gather(self, ks: np.ndarray) -> np.ndarray:
-        """Slices ``ks`` of ``values``, one value per multiset; unless loaded,
-        each is checked to be symmetric under permuting particles."""
-        keys, multiset = _multisets(self.N, self.mesh)
-        flat = self.values.reshape(self.n_t + 1, -1)
-        rows = np.empty((len(ks), keys.size))
-        for k, row in zip(ks, rows):
+    def _rows(self, ks) -> np.ndarray:
+        """``slices[ks]`` for any index ``ks`` of the time axis: read from
+        ``slices``, or, if only ``values`` are held, gathered from them."""
+        if "slices" in vars(self):
+            return self.slices[ks]
+        keys, flat = self._ranks.keys, self.values.reshape(self.n_t + 1, -1)
+        ks = np.arange(self.n_t + 1)[ks]
+        rows = np.empty(ks.shape + keys.shape)
+        for k, row in zip(ks.reshape(-1), rows.reshape(-1, keys.size)):
             np.take(flat[k], keys, out=row)
-            if self._symmetric:
-                continue
-            # one slice expanded back at a time; NaN equals NaN, but the plain
-            # comparison goes first, as the NaN-aware one is 3x slower
-            back, full = row[multiset], flat[k]
-            if not (np.array_equal(back, full) or np.array_equal(back, full, equal_nan=True)):
-                raise InputDomainError(
-                    f"value slice {k} is not symmetric under permuting particles"
-                )
         return rows
 
     @property
@@ -145,17 +128,14 @@ class GridValueFunction:
         return np.arange(self.n_t + 1) * self.dt
 
     def slice_at(self, k: int) -> np.ndarray:
-        """Time slice k on the full lattice; without ``values`` only this
-        slice is gathered from ``slices``."""
-        if "values" in vars(self):
-            return self.values[k]
-        return self.slices[k][_multisets(self.N, self.mesh)[1]].reshape((self.mesh,) * self.N)
+        """Time slice k on the full lattice, expanded from its row alone."""
+        return self._rows(k)[self._ranks.multiset].reshape((self.mesh,) * self.N)
 
     def value(self, t: float, configs) -> np.ndarray | float:
         """Multilinear-in-space, linear-in-time interpolation.
 
         ``configs`` is one configuration (N,) or a stack (M, N) of finite
-        coordinates.
+        coordinates.  Only the two slices around ``t`` are read.
         """
         x = np.atleast_2d(np.asarray(configs, dtype=float))
         if x.shape[1] != self.N:
@@ -165,9 +145,8 @@ class GridValueFunction:
         t = float(t)
         if not isfinite(t):
             raise InputDomainError(f"time {t} is not finite")
-        t = min(max(t, 0.0), self.T)
-        kt = min(int(t / self.dt), self.n_t - 1)
-        wt = t / self.dt - kt
+        (kt,), (wt,) = _slice_positions(self, np.array([t]))
+        below, above = self._rows(slice(kt, kt + 2))
         u = np.mod(x, TWO_PI) / self.dx
         i0 = np.floor(u).astype(int) % self.mesh
         frac = u - np.floor(u)
@@ -176,23 +155,20 @@ class GridValueFunction:
             bits = (corner >> np.arange(self.N)) & 1
             idx = (i0 + bits[None, :]) % self.mesh
             w = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
-            flat = np.ravel_multi_index(tuple(idx.T), (self.mesh,) * self.N)
-            out += w * (
-                (1.0 - wt) * self.values[kt].reshape(-1)[flat]
-                + wt * self.values[kt + 1].reshape(-1)[flat]
-            )
+            # the corner is unsorted in general: its flat node names its multiset
+            rank = self._ranks.multiset[np.ravel_multi_index(tuple(idx.T), (self.mesh,) * self.N)]
+            out += w * ((1.0 - wt) * below[rank] + wt * above[rank])
         return float(out[0]) if np.asarray(configs).ndim == 1 else out
 
     def save(self, path) -> None:
         """Binary layout: magic, version u32, N, d, mesh, n_t u32, T f64, then
         the n_t + 1 rows of ``slices``, C(mesh + N - 1, N) f64 LE values each."""
         start = time.perf_counter()
-        slices = self.slices
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.N, 1, self.mesh, self.n_t, self.T))
-            np.ascontiguousarray(slices, dtype="<f8").tofile(fh)
+            np.ascontiguousarray(self._rows(slice(None)), dtype="<f8").tofile(fh)
             size = fh.tell()
-        _log_io("save", self, slices.shape[1], size, start)
+        _log_io("save", self, self._ranks.keys.size, size, start)
 
     @classmethod
     def load(cls, path) -> "GridValueFunction":
@@ -210,21 +186,26 @@ class GridValueFunction:
                 )
             if d != 1:
                 raise InputDomainError(f"value file of dimension {d}; only d = 1 is solved")
-            # mesh^N of any real file is below 2^64; bounding it first keeps
-            # an absurd header from computing a huge power or binomial
-            if min(n, mesh, n_t) < 1 or n * log2(mesh) > 64:
-                raise InputDomainError(f"bad value-file grid N={n} mesh={mesh} n_t={n_t}")
             # every check comes before anything is allocated
+            _check_grid(n, mesh, n_t, t_horizon)
             n_sorted = comb(mesh + n - 1, n)
             size, needed = os.fstat(fh.fileno()).st_size, _HEADER.size + 8 * (n_t + 1) * n_sorted
             if size != needed:
                 raise InputDomainError(f"value file has {size} bytes; its header needs {needed}")
             _check_value_bytes(n, mesh, n_t)
-            values = _expand(n, mesh, n_t, _read_slices(fh, n_t + 1, n_sorted))
-        vn = cls(n, mesh, n_t, t_horizon, values)
-        vn._symmetric = True
+            vn = cls.__new__(cls)  # holds values alone, expanded slice by slice as read
+            vn.N, vn.mesh, vn.n_t, vn.T, vn._ranks = n, mesh, n_t, t_horizon, _rank_table(n, mesh)
+            vn.values = _expand(vn, _read_slices(fh, n_t + 1, n_sorted))
         _log_io("load", vn, n_sorted, size, start)
         return vn
+
+
+def _check_grid(N: int, mesh: int, n_t: int, T: float) -> None:
+    # mesh^N < 2^64 bounds an absurd file header before a huge power or binomial
+    if min(N, mesh, n_t) < 1 or N * log2(mesh) > 64:
+        raise InputDomainError(f"bad value grid N={N} mesh={mesh} n_t={n_t}")
+    if not (isfinite(T) and T > 0):
+        raise InputDomainError(f"value horizon T = {T!r} is not finite and > 0")
 
 
 def _check_value_bytes(N: int, mesh: int, n_t: int) -> None:
@@ -233,6 +214,13 @@ def _check_value_bytes(N: int, mesh: int, n_t: int) -> None:
         raise ResourceBudgetError(
             f"value array of {value_bytes} bytes exceeds budget {VALUE_BYTES_BUDGET}"
         )
+
+
+def _slice_positions(vn: GridValueFunction, times: np.ndarray):
+    """The stored slice k below each time and the weight theta of slice k + 1."""
+    pos = np.clip(times, 0.0, vn.T) / vn.dt
+    ks = np.minimum(pos.astype(int), vn.n_t - 1)
+    return ks, pos - ks
 
 
 def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,6 +244,24 @@ def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, rank[np.ravel_multi_index(tuple(index), shape)]
 
 
+class _Ranks:  # the rank table of one lattice, weakly referable
+    pass  # its arrays stay writable: np.take copies a read-only index array per call
+
+
+#: the rank table of each lattice (N, mesh), while a value function holds it
+_RANK_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _rank_table(N: int, mesh: int) -> _Ranks:
+    """``_multisets(N, mesh)`` as ``keys`` and ``multiset``: a function's
+    solve, reads, scans and loaded copies share one table."""
+    ranks = _RANK_TABLES.get((N, mesh))
+    if ranks is None:
+        ranks = _RANK_TABLES[N, mesh] = _Ranks()
+        ranks.keys, ranks.multiset = _multisets(N, mesh)
+    return ranks
+
+
 def neighbour_ranks(N: int, mesh: int, steps) -> tuple[np.ndarray, np.ndarray]:
     """The sorted cells, and the rank of every cell moved by each step.
 
@@ -264,23 +270,23 @@ def neighbour_ranks(N: int, mesh: int, steps) -> tuple[np.ndarray, np.ndarray]:
     file), and a table whose row j holds the rank of the multiset of each
     cell moved by ``steps[j]`` on the periodic lattice.
     """
-    shape = (mesh,) * N
-    keys, multiset = _multisets(N, mesh)
-    cells = np.stack(np.unravel_index(keys, shape), axis=-1)
-    table = np.empty((len(steps), cells.shape[0]), dtype=multiset.dtype)
+    shape, ranks = (mesh,) * N, _rank_table(N, mesh)
+    cells = np.stack(np.unravel_index(ranks.keys, shape), axis=-1)
+    table = np.empty((len(steps), cells.shape[0]), dtype=ranks.multiset.dtype)
     for row, step in zip(table, steps):
         # the moved cell is unsorted in general: its flat node names its multiset
-        np.take(multiset, np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape), out=row)
+        moved = np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)
+        np.take(ranks.multiset, moved, out=row)
     return cells, table
 
 
-def _expand(N: int, mesh: int, n_t: int, slices) -> np.ndarray:
-    """Read-only full-lattice array, each multiset slice of ``slices`` (an
-    iterable of n_t + 1 rows) gathered into its time slice."""
-    multiset = _multisets(N, mesh)[1]
-    values = np.empty((n_t + 1,) + (mesh,) * N)
-    flat = values.reshape(n_t + 1, -1)  # a view: the gather writes into values
-    for k, row in enumerate(slices):
+def _expand(vn: GridValueFunction, rows) -> np.ndarray:
+    """Read-only full-lattice array of ``vn``, each of its n_t + 1 multiset
+    rows (an iterable) gathered into its time slice."""
+    values = np.empty((vn.n_t + 1,) + (vn.mesh,) * vn.N)
+    flat = values.reshape(vn.n_t + 1, -1)  # a view: the gather writes into values
+    multiset = vn._ranks.multiset
+    for k, row in enumerate(rows):
         # every index is in range; any mode but "raise" lets take write to out unbuffered
         np.take(row, multiset, out=flat[k], mode="wrap")
     values.flags.writeable = False
@@ -382,6 +388,9 @@ def fd_solve(
     # +e_i, then -e_i, then the diagonal +-(1, ..., 1)
     unit = np.eye(N, dtype=int)
     steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
+    slices = np.empty((n_t + 1, comb(mesh + N - 1, N)))
+    # the solution reads the slices written below; it holds the rank table first
+    vn = GridValueFunction(N, mesh, n_t, problem.T, slices)
     cells, table = neighbour_ranks(N, mesh, steps)
     n_sorted = cells.shape[0]
     configs = cells * dx
@@ -390,7 +399,6 @@ def fd_solve(
     drift_fields, cost_sum = _kernel_fields(problem, configs)
     b_max = max((float(np.max(np.abs(b))) for b in drift_fields or ()), default=0.0)
     upwind = b_max * dx / 2.0 > 1.0
-    slices = np.empty((n_t + 1, n_sorted))
     slices[n_t] = problem.terminal.value_atoms(configs)
     del configs
     center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
@@ -423,7 +431,7 @@ def fd_solve(
         "fd solve: N %d, mesh %d, n_t %d (stability needs %d), %d of %d nodes, upwind %s, %.3f s",
         N, mesh, n_t, n_req, n_sorted, mesh**N, upwind, time.perf_counter() - start,
     )
-    return GridValueFunction._of_slices(N, mesh, n_t, problem.T, slices)
+    return vn
 
 
 def _step_coefficients(drift_fields, N: int, a: float, dx: float, dt: float, upwind: bool):
@@ -467,16 +475,15 @@ _W1_PAIRS = 200
 
 def lipschitz_probe(vn: GridValueFunction, seed: int = 0) -> LipschitzReport:
     """The constants of ``LipschitzReport`` on 17 time slices (the W1 ratio
-    on the first and the middle one), read once per multiset: from
-    ``slices`` when ``vn`` holds them, else gathered from ``values``.  By
-    symmetry the differences at the sorted cells are those at every node.
-    A NaN makes NaN the constants it enters.
+    on the first and the middle one), read once per multiset.  By symmetry
+    the differences at the sorted cells are those at every node.  A NaN
+    makes NaN the constants it enters.
     """
     N, m = vn.N, vn.mesh
     ids = np.array(sorted(set(np.linspace(0, vn.n_t, 17).astype(int))))
-    rows = vn.slices[ids] if "slices" in vars(vn) else vn._gather(ids)
+    rows = vn._rows(ids)
     unit = np.eye(N, dtype=int)
-    cells, table = neighbour_ranks(N, m, [*unit, *(-unit)])
+    table = neighbour_ranks(N, m, [*unit, *(-unit)])[1]
     steep = np.max([np.max(np.abs(row[table[:N]] - row[table[N:]])) for row in rows])
     diff = np.empty((len(ids) - 1, rows.shape[1]))  # diff[a:] holds the pairs of slice a
     hoelder = np.max(np.concatenate([
@@ -491,9 +498,8 @@ def lipschitz_probe(vn: GridValueFunction, seed: int = 0) -> LipschitzReport:
     nodes = np.arange(m) * vn.dx
     w1 = w1_circle_rows(nodes[pairs[:, 0]], nodes[pairs[:, 1]])
     far = w1 >= 1e-12
-    shape = (m,) * N
-    sorted_pairs = np.ravel_multi_index(tuple(np.sort(pairs[far], axis=2).T), shape)
-    ranks = np.searchsorted(np.ravel_multi_index(tuple(cells.T), shape), sorted_pairs)
+    # an unsorted tuple's flat node names its multiset
+    ranks = vn._ranks.multiset[np.ravel_multi_index(tuple(pairs[far].T), (m,) * N)]
     at = rows[np.searchsorted(ids, [0, vn.n_t // 2])]  # n_t // 2 is the linspace's midpoint
     w1_lip = np.max(np.abs(at[:, ranks[0]] - at[:, ranks[1]]) / w1[far], initial=0.0)
     return LipschitzReport(float(N * (steep / (2.0 * vn.dx))), float(hoelder), float(w1_lip))

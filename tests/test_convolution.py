@@ -15,11 +15,13 @@ from mfrl.convolution import (
     inf_convolve,
 )
 from mfrl.errors import ConfigurationError, InputDomainError
-from mfrl.fd import GridValueFunction, fd_solve, required_time_steps
+from mfrl.fd import fd_solve, required_time_steps
 from mfrl.metric import MetricOrder, rho_sq
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, circle_arc
 from mfrl.trig import TrigPoly
+
+from full_lattice import of_full_array
 
 CTX = TorusContext(1, 64)
 
@@ -239,7 +241,7 @@ def test_time_window_counts_both_slices_a_node_blends(monkeypatch, t, dip, s_min
     # the slices from s* up to that other slice alone is 0
     values = np.zeros((5, 8))
     values[dip] = -1.0
-    vn = GridValueFunction(1, 8, 4, 1.0, values)
+    vn = of_full_array(values, 1.0)
     cfg = ConvolutionConfig(epsilon=0.5, n_time=11, shift_refine=2)
     target = (t, 0.0, EmpiricalMeasure(np.array([[0.0]])))
     (val, rec), full = scan_both_ways(monkeypatch, vn, target, cfg)
@@ -249,14 +251,14 @@ def test_time_window_counts_both_slices_a_node_blends(monkeypatch, t, dip, s_min
 
 def test_time_window_keeps_every_node_of_a_value_with_a_nan_in_one_slice():
     values = np.array(pinned().values)
-    vn = GridValueFunction(1, 64, values.shape[0] - 1, 0.5, values)
+    vn = of_full_array(values, 0.5)
     cfg = ConvolutionConfig(epsilon=0.025, n_time=201, shift_refine=4)
     target = (10 / 64.0 * vn.T, 5 * vn.dx, EmpiricalMeasure(np.array([[5 * vn.dx]])))
     inv = 1.0 / (2.0 * cfg.epsilon)
     assert convolution._time_window(vn, target[0], inv, 201).size < 201
     # far in time from the target, where the finite array's window never reaches
     values[-3, 40] = np.nan
-    vn = GridValueFunction(1, 64, values.shape[0] - 1, 0.5, values)
+    vn = of_full_array(values, 0.5)
     window = convolution._time_window(vn, target[0], inv, 201)
     assert np.array_equal(window, np.linspace(0.0, vn.T, 201))
     assert_same_scan(inf_convolve(vn, target, cfg), roll_inf_convolve(vn, target, cfg))
@@ -402,7 +404,7 @@ def test_shift_bound_keeps_the_smallest_key_among_ties():
     # eps = 1e18 every penalty is below half an ulp of the value, so every
     # candidate ties and the smallest key (q, f, c) = (0, 0, 0) must win,
     # although the scan starts at the shift nearest z
-    vn = GridValueFunction(2, 8, 4, 0.5, np.full((5, 8, 8), 0.7))
+    vn = of_full_array(np.full((5, 8, 8), 0.7), 0.5)
     mu = EmpiricalMeasure(np.array([[0.0], [np.pi]]))
     for eps in (0.2, 1e18):
         for z, refine in ((0.0, 1), (2.0, 2), (5.5, 4)):
@@ -417,20 +419,11 @@ def test_shift_bound_matches_the_full_scan_on_a_value_with_a_nan():
     values = np.array(solved(n=2, mesh=8).values)
     values[:, [3, 5], [5, 3]] = np.nan
     values[2, [0, 1], [1, 0]] = np.nan
-    vn = GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values)
+    vn = of_full_array(values, 0.5)
     mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
     for t, z in ((0.0, 0.0), (0.3, 1.9), (0.5, 5.0)):
         cfg = ConvolutionConfig(epsilon=0.1, n_time=17, shift_refine=2)
         assert_same_scan(inf_convolve(vn, (t, z, mu), cfg), roll_inf_convolve(vn, (t, z, mu), cfg))
-
-
-def test_inf_convolution_refuses_an_asymmetric_value_array():
-    values = np.array(solved(n=2, mesh=8).values)
-    values[2, 0, 1] += 1e-9
-    vn = GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values)
-    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
-    with pytest.raises(InputDomainError, match="symmetric"):
-        inf_convolve(vn, (0.3, 1.9, mu), ConvolutionConfig(epsilon=0.1, n_time=17))
 
 
 def test_multiset_scan_matches_the_roll_scan_for_three_particles():

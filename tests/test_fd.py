@@ -4,11 +4,13 @@ import logging
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from mfrl import fd
+from mfrl.convolution import ConvolutionConfig, inf_convolve
 from mfrl.errors import ConfigurationError, InputDomainError, ResourceBudgetError
 from mfrl.fd import (
     VALUE_BYTES_BUDGET,
@@ -22,6 +24,8 @@ from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, seeded_generator
 from mfrl.torus import w1_circle
 from mfrl.trig import TrigPoly
+
+from full_lattice import of_full_array
 
 CTX = TorusContext(1, 64)
 
@@ -217,8 +221,8 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.values, vn.values)
 
 
-def _header(n, mesh, n_t, version=fd._VERSION):
-    return struct.pack("<5sIIIIId", b"MFRL1", version, n, 1, mesh, n_t, 0.5)
+def _header(n, mesh, n_t, version=fd._VERSION, T=0.5):
+    return struct.pack("<5sIIIIId", b"MFRL1", version, n, 1, mesh, n_t, T)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -233,7 +237,7 @@ def test_value_file_holds_one_value_per_multiset(tmp_path, n, mesh, a):
     assert back.values.tobytes() == vn.values.tobytes()
     # a full array gathers the same slices as the solve kept
     full = tmp_path / "full.bin"
-    GridValueFunction(n, mesh, vn.n_t, vn.T, vn.values).save(full)
+    of_full_array(vn.values, vn.T).save(full)
     assert full.read_bytes() == path.read_bytes()
 
 
@@ -251,22 +255,6 @@ def test_solve_and_save_never_build_the_full_lattice(tmp_path):
     assert peak < full_bytes / 2
     assert vn.values.nbytes == full_bytes and not vn.values.flags.writeable
     assert vn.values is vn.values
-
-
-def test_save_refuses_an_asymmetric_array(tmp_path):
-    values = np.array(solve(linear_problem(), 2, 8).values)
-    values[:, 3, 5] = np.nan
-    values[2, 0, 1] = np.nan
-    path = tmp_path / "v.bin"
-    with pytest.raises(InputDomainError, match="symmetric"):
-        GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values).save(path)
-    assert not path.exists()
-    assert values.flags.writeable  # the object holds a read-only view, not the array
-    # with its mirror entries NaN too the array is symmetric: NaN equals NaN
-    values[:, 5, 3] = np.nan
-    values[2, 1, 0] = np.nan
-    GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values).save(path)
-    assert np.array_equal(GridValueFunction.load(path).values, values, equal_nan=True)
 
 
 def test_load_refuses_a_version_1_file(tmp_path):
@@ -483,31 +471,124 @@ def test_lipschitz_probe_reads_slices_once_per_multiset(tmp_path):
     assert all(type(x) is float for x in dataclasses.astuple(rep))
 
 
-def test_lipschitz_probe_refuses_an_asymmetric_array():
-    values = np.array(solve(linear_problem(), 2, 8).values)
-    values[0, 3, 5] += 1.0
-    with pytest.raises(InputDomainError, match="symmetric"):
-        lipschitz_probe(GridValueFunction(2, 8, values.shape[0] - 1, 0.5, values))
-
-
 def test_lipschitz_probe_propagates_nan():
     vn = solve(linear_problem(a=0.5), 2, 12)
     values = np.array(vn.values)
     values[0, 4, 4] = np.nan  # one node of slice 0, symmetric
-    rep = lipschitz_probe(GridValueFunction(2, 12, vn.n_t, vn.T, values))
+    rep = lipschitz_probe(of_full_array(values, vn.T))
     assert math.isnan(rep.max_scaled_gradient) and math.isnan(rep.time_hoelder)
     assert type(rep.time_hoelder) is float
     # slice 0 wholly NaN reaches the W1 ratio too
     values[0] = np.nan
-    rep = lipschitz_probe(GridValueFunction(2, 12, vn.n_t, vn.T, values))
+    rep = lipschitz_probe(of_full_array(values, vn.T))
     assert all(math.isnan(x) for x in dataclasses.astuple(rep))
     # a NaN in a slice the probe does not read changes nothing (n_t 43 > 16 here)
     vn = solve(linear_problem(a=0.5), 2, 24)
     values = np.array(vn.values)
     unread = next(k for k in range(vn.n_t + 1) if k not in np.linspace(0, vn.n_t, 17).astype(int))
     values[unread, 4, 4] = np.nan
-    assert lipschitz_probe(GridValueFunction(2, 24, vn.n_t, vn.T, values)) == lipschitz_probe(vn)
+    assert lipschitz_probe(of_full_array(values, vn.T)) == lipschitz_probe(vn)
 
+
+def test_a_nan_in_a_slice_is_saved_loaded_and_probed(tmp_path):
+    vn = solve(linear_problem(a=0.5), 2, 12)
+    slices = np.array(vn.slices)
+    slices[:, 40] = np.nan  # one multiset at every slice
+    slices[2, [0, 1]] = np.nan
+    nan = GridValueFunction(2, 12, vn.n_t, vn.T, slices)
+    assert slices.flags.writeable  # the object holds a read-only view, not the array
+    path = tmp_path / "v.bin"
+    nan.save(path)
+    back = GridValueFunction.load(path)
+    assert np.array_equal(back.slices, slices, equal_nan=True)
+    assert np.array_equal(back.values, nan.values, equal_nan=True)
+    rep = lipschitz_probe(back)
+    assert math.isnan(rep.max_scaled_gradient) and math.isnan(rep.time_hoelder)
+    same = dataclasses.astuple(lipschitz_probe(nan))
+    assert np.array_equal(dataclasses.astuple(rep), same, equal_nan=True)
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), -1.0, 0.0])
+def test_a_horizon_that_is_not_finite_and_positive_is_refused(tmp_path, T):
+    # a file of the right size whose header horizon alone is wrong
+    path = tmp_path / "v.bin"
+    path.write_bytes(_header(2, 8, 4, T=T) + bytes(8 * 5 * math.comb(9, 2)))
+    with pytest.raises(InputDomainError, match="horizon"):
+        GridValueFunction.load(path)
+    with pytest.raises(InputDomainError, match="horizon"):
+        GridValueFunction(2, 8, 4, T, np.zeros((5, math.comb(9, 2))))
+
+
+def test_constructor_refuses_slices_of_the_wrong_shape():
+    with pytest.raises(InputDomainError, match="shape"):
+        GridValueFunction(2, 8, 4, 0.5, np.zeros((5, 8, 8)))
+    with pytest.raises(InputDomainError, match="grid"):
+        GridValueFunction(0, 8, 4, 0.5, np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("n, mesh", [(1, 24), (2, 12), (3, 8)])
+def test_a_solved_function_and_its_loaded_copy_read_alike(tmp_path, n, mesh):
+    vn = solve(linear_problem(a=0.5), n, mesh)
+    rng = np.random.default_rng(n)
+    configs = rng.uniform(-1.0, 7.0, (20, n))
+    times = [-0.1, 0.0, *rng.uniform(0.0, vn.T, 3), vn.T, 1.0]
+
+    def reads(f):
+        values = [f.value(t, configs) for t in times] + [f.value(0.2, configs[0])]
+        slices = [f.slice_at(k) for k in (0, vn.n_t // 3, vn.n_t)]
+        return [np.asarray(a).tobytes() for a in values + slices], lipschitz_probe(f, seed=3)
+
+    got = reads(vn)
+    assert "values" not in vars(vn)  # neither value(), slice_at nor the probe expands
+    vn.save(tmp_path / "v.bin")
+    back = GridValueFunction.load(tmp_path / "v.bin")
+    assert reads(back) == got and "slices" not in vars(back)
+    back.save(tmp_path / "back.bin")
+    assert (tmp_path / "back.bin").read_bytes() == (tmp_path / "v.bin").read_bytes()
+    mu = EmpiricalMeasure(rng.uniform(0.0, TWO_PI, (n, 1)))
+    cfg = ConvolutionConfig(epsilon=0.1, n_time=17, shift_refine=2)
+    for target in ((0.0, 0.0, mu), (0.3 * vn.T, 1.9, mu), (vn.T, 5.0, mu)):
+        (val, rec), (val_back, rec_back) = (
+            inf_convolve(vn, target, cfg), inf_convolve(back, target, cfg)
+        )
+        assert val == val_back and rec.x0.tobytes() == rec_back.x0.tobytes()
+        assert [getattr(rec, f) for f in ("s0", "w0", "t_gap", "z_gap", "rho_gap")] == [
+            getattr(rec_back, f) for f in ("s0", "w0", "t_gap", "z_gap", "rho_gap")
+        ]
+    assert "values" not in vars(vn)
+
+
+def test_a_function_builds_its_rank_table_once(monkeypatch, tmp_path):
+    built = []
+
+    def multisets(N, mesh):
+        built.append((N, mesh))
+        return real(N, mesh)
+
+    real = fd._multisets
+    monkeypatch.setattr(fd, "_multisets", multisets)
+    monkeypatch.setattr(fd, "_RANK_TABLES", weakref.WeakValueDictionary())
+    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
+    cfg = ConvolutionConfig(epsilon=0.1, n_time=9)
+
+    def read_every_way(vn):
+        vn.value(0.2, [[0.3, 1.7], [4.0, 2.2]])
+        vn.slice_at(1)
+        lipschitz_probe(vn)
+        inf_convolve(vn, (0.3, 1.9, mu), cfg)
+        vn.save(tmp_path / "v.bin")
+        assert not vn.values.flags.writeable  # expanded, or read, through the table
+
+    vn = solve(linear_problem(a=0.5), 2, 8)
+    read_every_way(vn)
+    assert built == [(2, 8)]
+    # a loaded copy shares the table while the solved function lives ...
+    read_every_way(GridValueFunction.load(tmp_path / "v.bin"))
+    assert built == [(2, 8)]
+    # ... and builds its own, once, when it is alone
+    del vn
+    read_every_way(GridValueFunction.load(tmp_path / "v.bin"))
+    assert built == [(2, 8)] * 2
 
 
 def test_debug_log_reports_the_solve(caplog):
