@@ -13,7 +13,7 @@ holds them (v^N and rho_star see only the multiset).  The multilinear corners
 of a point, and the point moved by a mesh multiple on every axis, are read
 through the rank tables of ``fd.neighbour_ranks``, so only the fractional
 part of the shift needs corner weights.  They are built on a function's
-first scan, from the rank table it holds, and shared by its later scans.
+first scan, each cell ranked in closed form, and kept for its later scans.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and

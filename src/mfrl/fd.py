@@ -18,17 +18,18 @@ Time stepping is explicit Euler under a diffusion-dominated stability bound.
 v^N is a function of the empirical measure mu^x, so the scheme, which
 treats every axis alike, is solved once per multiset of lattice indices:
 C(mesh + N - 1, N) sorted configurations instead of mesh^N nodes (19,600 of
-110,592 at N = 3, mesh 48).  Each step reads the neighbours of a sorted node
-(+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps across
-the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through the integer rank
-tables of ``neighbour_ranks``; the inf-convolution and ``lipschitz_probe``
-read through the same tables.  All come from one rank table per lattice, the
-sorted cells (found without a sort) and every node's multiset, shared while
-a value function of that lattice lives.  A ``GridValueFunction`` holds one
-value per multiset and time slice, as the solve and the value file (version
-2) do, and every read takes its rows through ``_rows``.  ``values``, the
-full lattice, is expanded one slice at a time: by a solution on first read,
-and by ``load`` as it reads the file.
+110,592 at N = 3, mesh 48).  ``_rank`` names the multiset of any index
+tuple in closed form, one table entry per sorted coordinate, so no array of
+size mesh^N is built to rank.  Each step reads the neighbours of a sorted
+node (+-e_i on every axis, and +-(1, ..., 1) for the diagonal, which wraps
+across the seam: (3, 47) + 1 is (4, 0), stored as (0, 4)) through the
+integer rank tables of ``neighbour_ranks``; the inf-convolution and
+``lipschitz_probe`` read through the same tables.  A ``GridValueFunction``
+holds one value per multiset and time slice, as the solve and the value
+file (version 2) do, and every read takes its rows through ``_rows``.
+Only ``slice_at`` and ``values``, the full lattice, rank every node, when
+called; ``values`` is expanded one slice at a time, by a solution on first
+read and by ``load`` as it reads the file.
 
 The step is fused: every linear term is folded, once per solve, into
 coefficients of the node itself, of its two neighbours along each axis
@@ -45,7 +46,6 @@ import logging
 import os
 import struct
 import time
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, comb, isfinite, log2
@@ -90,7 +90,6 @@ class GridValueFunction:
             raise InputDomainError(f"value slices of shape {s.shape} != {expected}")
         s.flags.writeable = False
         self.N, self.mesh, self.n_t, self.T = N, mesh, n_t, T
-        self._ranks = _rank_table(N, mesh)
         self.slices = s  # fills the cached property below
 
     @cached_property
@@ -108,7 +107,8 @@ class GridValueFunction:
         ``slices``, or, if only ``values`` are held, gathered from them."""
         if "slices" in vars(self):
             return self.slices[ks]
-        keys, flat = self._ranks.keys, self.values.reshape(self.n_t + 1, -1)
+        keys = np.ravel_multi_index(tuple(_cells(self.N, self.mesh).T), (self.mesh,) * self.N)
+        flat = self.values.reshape(self.n_t + 1, -1)
         ks = np.arange(self.n_t + 1)[ks]
         rows = np.empty(ks.shape + keys.shape)
         for k, row in zip(ks.reshape(-1), rows.reshape(-1, keys.size)):
@@ -129,7 +129,7 @@ class GridValueFunction:
 
     def slice_at(self, k: int) -> np.ndarray:
         """Time slice k on the full lattice, expanded from its row alone."""
-        return self._rows(k)[self._ranks.multiset].reshape((self.mesh,) * self.N)
+        return self._rows(k)[_node_ranks(self.N, self.mesh)].reshape((self.mesh,) * self.N)
 
     def value(self, t: float, configs) -> np.ndarray | float:
         """Multilinear-in-space, linear-in-time interpolation.
@@ -151,12 +151,11 @@ class GridValueFunction:
         i0 = np.floor(u).astype(int) % self.mesh
         frac = u - np.floor(u)
         out = np.zeros(x.shape[0])
-        for corner in range(2**self.N):
-            bits = (corner >> np.arange(self.N)) & 1
-            idx = (i0 + bits[None, :]) % self.mesh
+        corners = [(corner >> np.arange(self.N)) & 1 for corner in range(2**self.N)]
+        # the corners are unsorted in general: all of them are ranked at once
+        idx = np.concatenate([((i0 + bits) % self.mesh).T for bits in corners], axis=1)
+        for bits, rank in zip(corners, _rank(idx, self.mesh).reshape(len(corners), -1)):
             w = np.prod(np.where(bits[None, :] == 1, frac, 1.0 - frac), axis=1)
-            # the corner is unsorted in general: its flat node names its multiset
-            rank = self._ranks.multiset[np.ravel_multi_index(tuple(idx.T), (self.mesh,) * self.N)]
             out += w * ((1.0 - wt) * below[rank] + wt * above[rank])
         return float(out[0]) if np.asarray(configs).ndim == 1 else out
 
@@ -168,7 +167,7 @@ class GridValueFunction:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.N, 1, self.mesh, self.n_t, self.T))
             np.ascontiguousarray(self._rows(slice(None)), dtype="<f8").tofile(fh)
             size = fh.tell()
-        _log_io("save", self, self._ranks.keys.size, size, start)
+        _log_io("save", self, comb(self.mesh + self.N - 1, self.N), size, start)
 
     @classmethod
     def load(cls, path) -> "GridValueFunction":
@@ -194,7 +193,7 @@ class GridValueFunction:
                 raise InputDomainError(f"value file has {size} bytes; its header needs {needed}")
             _check_value_bytes(n, mesh, n_t)
             vn = cls.__new__(cls)  # holds values alone, expanded slice by slice as read
-            vn.N, vn.mesh, vn.n_t, vn.T, vn._ranks = n, mesh, n_t, t_horizon, _rank_table(n, mesh)
+            vn.N, vn.mesh, vn.n_t, vn.T = n, mesh, n_t, t_horizon
             vn.values = _expand(vn, _read_slices(fh, n_t + 1, n_sorted))
         _log_io("load", vn, n_sorted, size, start)
         return vn
@@ -223,60 +222,61 @@ def _slice_positions(vn: GridValueFunction, times: np.ndarray):
     return ks, pos - ks
 
 
-def _multisets(N: int, mesh: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multisets of lattice indices, and the multiset of each lattice node.
+def _cells(N: int, mesh: int) -> np.ndarray:
+    """The sorted index tuples, shape (C(mesh + N - 1, N), N), in ascending
+    flat lattice order: the order of ``slices`` and of the value file.
 
-    Sorting an index tuple names its multiset.  Returns the flat lattice
-    index of each node whose index tuple does not decrease, ascending
-    (C(mesh + N - 1, N) of them), and for every flat lattice node the rank
-    of its multiset among them: the rank, in a dense mesh^N array, of its
-    tuple sorted by a network of N (N - 1) / 2 min/max exchanges.  int32
-    indices (mesh < 2^27 under the value budget) halve the set-up arrays.
+    The tuples are extended one coordinate at a time, each by every index
+    from its last one up, which keeps them in lexicographic order.
     """
-    shape = (mesh,) * N
-    index = np.indices(shape, dtype=np.int32).reshape(N, -1)
-    keys = np.flatnonzero((index[1:] >= index[:-1]).all(axis=0))
+    cells = np.arange(mesh)[:, None]
+    for _ in range(N - 1):
+        last = cells[:, -1]
+        reps = mesh - last
+        # row j of the extension holds last + (j - the first row of its tuple)
+        new = np.repeat(last + reps - np.cumsum(reps), reps) + np.arange(reps.sum())
+        cells = np.column_stack([np.repeat(cells, reps, axis=0), new])
+    return cells
+
+
+def _rank(index: np.ndarray, mesh: int) -> np.ndarray:
+    """The rank among ``_cells`` of the multiset of each column of ``index``,
+    an (N, M) array of lattice indices, which is sorted in place.
+
+    A network of N (N - 1) / 2 min/max exchanges sorts each column to
+    x_0 <= ... <= x_{N-1}.  Given x_0 .. x_{i-1}, C(mesh - v + N - i - 2,
+    N - 1 - i) sorted tuples hold v >= x_{i-1} at position i; with S_i[u]
+    their sum over v < u, the rank sum_i S_i[x_i] - S_i[x_{i-1}] (x_{-1} = 0)
+    telescopes, with S_N = 0, to sum_i W[i, x_i] for W[i] = S_i - S_{i+1}.
+    """
+    N = index.shape[0]
     for top in range(N - 1, 0, -1):
         for i in range(top):  # compare-exchange rows i and i + 1
             index[i : i + 2] = np.minimum(index[i], index[i + 1]), np.maximum(index[i], index[i + 1])
-    rank = np.zeros(mesh**N, dtype=np.intp)
-    rank[keys] = np.arange(keys.size)
-    return keys, rank[np.ravel_multi_index(tuple(index), shape)]
+    S = np.zeros((N + 1, mesh), dtype=np.intp)
+    for i in range(N):
+        S[i, 1:] = np.cumsum([comb(mesh - v + N - i - 2, N - 1 - i) for v in range(mesh - 1)])
+    W = S[:-1] - S[1:]
+    return sum(W[i, index[i]] for i in range(N))
 
 
-class _Ranks:  # the rank table of one lattice, weakly referable
-    pass  # its arrays stay writable: np.take copies a read-only index array per call
-
-
-#: the rank table of each lattice (N, mesh), while a value function holds it
-_RANK_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _rank_table(N: int, mesh: int) -> _Ranks:
-    """``_multisets(N, mesh)`` as ``keys`` and ``multiset``: a function's
-    solve, reads, scans and loaded copies share one table."""
-    ranks = _RANK_TABLES.get((N, mesh))
-    if ranks is None:
-        ranks = _RANK_TABLES[N, mesh] = _Ranks()
-        ranks.keys, ranks.multiset = _multisets(N, mesh)
-    return ranks
+def _node_ranks(N: int, mesh: int) -> np.ndarray:
+    """The rank of the multiset of every flat lattice node, mesh^N of them.
+    int32 indices (mesh < 2^27 under the value budget) halve the set-up array."""
+    return _rank(np.indices((mesh,) * N, dtype=np.int32).reshape(N, -1), mesh)
 
 
 def neighbour_ranks(N: int, mesh: int, steps) -> tuple[np.ndarray, np.ndarray]:
     """The sorted cells, and the rank of every cell moved by each step.
 
-    Returns the sorted index tuples, shape (C(mesh + N - 1, N), N), ranked
-    by ascending flat lattice index (the order of ``slices`` and of the value
-    file), and a table whose row j holds the rank of the multiset of each
-    cell moved by ``steps[j]`` on the periodic lattice.
+    Returns ``_cells(N, mesh)``, and a table whose row j holds the rank of
+    the multiset of each cell moved by ``steps[j]`` on the periodic lattice.
     """
-    shape, ranks = (mesh,) * N, _rank_table(N, mesh)
-    cells = np.stack(np.unravel_index(ranks.keys, shape), axis=-1)
-    table = np.empty((len(steps), cells.shape[0]), dtype=ranks.multiset.dtype)
+    cells = _cells(N, mesh)
+    columns = np.ascontiguousarray(cells.T)
+    table = np.empty((len(steps), cells.shape[0]), dtype=np.intp)
     for row, step in zip(table, steps):
-        # the moved cell is unsorted in general: its flat node names its multiset
-        moved = np.ravel_multi_index(tuple(((cells + step) % mesh).T), shape)
-        np.take(ranks.multiset, moved, out=row)
+        row[:] = _rank((columns + np.reshape(step, (N, 1))) % mesh, mesh)
     return cells, table
 
 
@@ -285,7 +285,7 @@ def _expand(vn: GridValueFunction, rows) -> np.ndarray:
     rows (an iterable) gathered into its time slice."""
     values = np.empty((vn.n_t + 1,) + (vn.mesh,) * vn.N)
     flat = values.reshape(vn.n_t + 1, -1)  # a view: the gather writes into values
-    multiset = vn._ranks.multiset
+    multiset = _node_ranks(vn.N, vn.mesh)
     for k, row in enumerate(rows):
         # every index is in range; any mode but "raise" lets take write to out unbuffered
         np.take(row, multiset, out=flat[k], mode="wrap")
@@ -384,17 +384,11 @@ def fd_solve(
     diag = problem.a * dt / dx**2
     # dt (lam N / 2) ((v(+e_i) - v(-e_i)) / (2 dx))^2
     quad = dt * problem.hamiltonian.lam * N / (8.0 * dx**2)
-    # one node per multiset of lattice indices; rows of the neighbour table:
-    # +e_i, then -e_i, then the diagonal +-(1, ..., 1)
-    unit = np.eye(N, dtype=int)
-    steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
-    slices = np.empty((n_t + 1, comb(mesh + N - 1, N)))
-    # the solution reads the slices written below; it holds the rank table first
+    n_sorted = comb(mesh + N - 1, N)  # one node per multiset of lattice indices
+    slices = np.empty((n_t + 1, n_sorted))
+    # the solution views the slices written below
     vn = GridValueFunction(N, mesh, n_t, problem.T, slices)
-    cells, table = neighbour_ranks(N, mesh, steps)
-    n_sorted = cells.shape[0]
-    configs = cells * dx
-    del cells
+    configs = _cells(N, mesh) * dx
 
     drift_fields, cost_sum = _kernel_fields(problem, configs)
     b_max = max((float(np.max(np.abs(b))) for b in drift_fields or ()), default=0.0)
@@ -404,6 +398,11 @@ def fd_solve(
     center, plus, minus = _step_coefficients(drift_fields, N, problem.a, dx, dt, upwind)
     del drift_fields
     source = None if cost_sum is None else dt * cost_sum
+    # built after the kernel fields, so that it is not held through their
+    # temporaries; rows: +e_i, then -e_i, then the diagonal +-(1, ..., 1)
+    unit = np.eye(N, dtype=int)
+    steps = [*unit, *(-unit)] + ([[1] * N, [-1] * N] if diag > 0 else [])
+    table = neighbour_ranks(N, mesh, steps)[1]
 
     nb = np.empty(table.shape)
     ups, dns = nb[:N], nb[N : 2 * N]
@@ -498,8 +497,7 @@ def lipschitz_probe(vn: GridValueFunction, seed: int = 0) -> LipschitzReport:
     nodes = np.arange(m) * vn.dx
     w1 = w1_circle_rows(nodes[pairs[:, 0]], nodes[pairs[:, 1]])
     far = w1 >= 1e-12
-    # an unsorted tuple's flat node names its multiset
-    ranks = vn._ranks.multiset[np.ravel_multi_index(tuple(pairs[far].T), (m,) * N)]
+    ranks = _rank(pairs[far].T.reshape(N, -1), m).reshape(2, -1)
     at = rows[np.searchsorted(ids, [0, vn.n_t // 2])]  # n_t // 2 is the linspace's midpoint
     w1_lip = np.max(np.abs(at[:, ranks[0]] - at[:, ranks[1]]) / w1[far], initial=0.0)
     return LipschitzReport(float(N * (steep / (2.0 * vn.dx))), float(hoelder), float(w1_lip))

@@ -37,8 +37,8 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.family not in ("zero", "linear", "quadratic"):
             raise InputDomainError(f"unknown Hamiltonian family {self.family!r}")
-        if self.lam < 0:
-            raise InputDomainError("quadratic coefficient must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise InputDomainError(f"quadratic coefficient {self.lam!r} is not finite and >= 0")
         if self.family == "zero" and not (
             self.drift_kernel.is_zero and self.cost_kernel.is_zero and self.lam == 0.0
         ):
@@ -144,10 +144,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.ctx.d != 1:
             raise InputDomainError(f"dimension d = {self.ctx.d}: every solver handles d = 1 only")
-        if self.a < 0:
-            raise InputDomainError("common-noise intensity a must be >= 0")
-        if self.T <= 0:
-            raise InputDomainError("horizon T must be > 0")
+        if not (np.isfinite(self.a) and self.a >= 0):
+            raise InputDomainError(f"common-noise intensity a = {self.a!r} is not finite and >= 0")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise InputDomainError(f"horizon T = {self.T!r} is not finite and > 0")
         maxdeg = max(
             self.hamiltonian.drift_kernel.degree,
             self.hamiltonian.cost_kernel.degree,

@@ -1,9 +1,19 @@
-"""A ``GridValueFunction`` from a full-lattice array, for tests that write
-their values node by node."""
+"""The multisets of a lattice by an independent construction, and a
+``GridValueFunction`` from a full-lattice array, for tests that write their
+values node by node."""
 
 import numpy as np
 
 from mfrl import fd
+
+
+def multisets_by_sorting(n, mesh):
+    """The flat lattice index of each sorted cell, ascending, and the rank of
+    the multiset of every flat lattice node: every index tuple sorted and
+    ``np.unique``."""
+    shape = (mesh,) * n
+    index = np.sort(np.indices(shape).reshape(n, -1), axis=0)
+    return np.unique(np.ravel_multi_index(tuple(index), shape), return_inverse=True)
 
 
 def of_full_array(values, T):
@@ -12,5 +22,5 @@ def of_full_array(values, T):
     at the other nodes are not read."""
     values = np.asarray(values, dtype=float)
     n_t, N, mesh = values.shape[0] - 1, values.ndim - 1, values.shape[-1]
-    ranks = fd._rank_table(N, mesh)  # held here, the function below shares it
-    return fd.GridValueFunction(N, mesh, n_t, T, values.reshape(n_t + 1, -1)[:, ranks.keys])
+    keys = multisets_by_sorting(N, mesh)[0]
+    return fd.GridValueFunction(N, mesh, n_t, T, values.reshape(n_t + 1, -1)[:, keys])

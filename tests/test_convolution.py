@@ -21,7 +21,7 @@ from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
 from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, circle_arc
 from mfrl.trig import TrigPoly
 
-from full_lattice import of_full_array
+from full_lattice import multisets_by_sorting, of_full_array
 
 CTX = TorusContext(1, 64)
 
@@ -61,7 +61,7 @@ def test_config_rho_penalty_matches_direct_metric():
     mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
     flat = _config_rho_sq(vn, mu)
     assert flat.shape == (36,)  # C(9, 2) multisets
-    rank = fd._multisets(2, 8)[1]
+    rank = multisets_by_sorting(2, 8)[1]
     order = MetricOrder(CTX.k_star)
     rng = np.random.default_rng(0)
     for _ in range(6):
@@ -307,7 +307,7 @@ def test_config_penalty_of_an_on_lattice_target_is_exactly_zero(n):
     idx = np.array([3, 11])[:n]
     mu = EmpiricalMeasure((idx * vn.dx)[:, None])
     flat = _config_rho_sq(vn, mu)
-    assert flat[fd._multisets(n, 16)[1][np.ravel_multi_index(tuple(idx), (16,) * n)]] == 0.0
+    assert flat[multisets_by_sorting(n, 16)[1][np.ravel_multi_index(tuple(idx), (16,) * n)]] == 0.0
 
 
 def roll_inf_convolve(vn, target, cfg):
@@ -316,7 +316,7 @@ def roll_inf_convolve(vn, target, cfg):
     updates) and every shift q scanned in ascending order."""
     t, z, mu = target
     inv = 1.0 / (2.0 * cfg.epsilon)
-    rho_pen = _config_rho_sq(vn, mu)[fd._multisets(vn.N, vn.mesh)[1]]
+    rho_pen = _config_rho_sq(vn, mu)[multisets_by_sorting(vn.N, vn.mesh)[1]]
     n_cfg, mesh, refine = rho_pen.size, vn.mesh, cfg.shift_refine
     w_vals = np.arange(mesh * refine) * (vn.dx / refine)
     z_pen = (inv * circle_arc(z - w_vals) ** 2).reshape(mesh, refine)

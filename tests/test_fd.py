@@ -1,10 +1,10 @@
 import dataclasses
 import itertools
+import json
 import logging
 import math
 import struct
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +25,8 @@ from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, see
 from mfrl.torus import w1_circle
 from mfrl.trig import TrigPoly
 
-from full_lattice import of_full_array
+from full_lattice import multisets_by_sorting, of_full_array
+from recorded import DATA, fail_on_differences
 
 CTX = TorusContext(1, 64)
 
@@ -257,6 +258,67 @@ def test_solve_and_save_never_build_the_full_lattice(tmp_path):
     assert vn.values is vn.values
 
 
+def test_a_solve_and_its_reads_hold_nothing_beyond_the_slices():
+    prob = linear_problem(a=0.5)
+    n_t = required_time_steps(prob, 4, 24)
+    lipschitz_probe(solve(prob, 1, 8))  # the probe's first call imports numpy.random
+    tracemalloc.start()
+    try:
+        vn = fd_solve(prob, 4, 24, n_t)
+        held = tracemalloc.get_traced_memory()[0] - vn.slices.nbytes
+        vn.value(0.2, [[0.3, 1.7, 4.0, 2.2], [6.0, 0.1, 0.1, 3.3]])
+        lipschitz_probe(vn)
+        held_after_reads = tracemalloc.get_traced_memory()[0] - vn.slices.nbytes
+    finally:
+        tracemalloc.stop()
+    # any array with one entry per lattice node (24^4 of them) would break this
+    assert held < 24**4 and held_after_reads < 24**4
+    assert "values" not in vars(vn)
+
+
+#: the value file of ``linear_problem(a=0.5)`` at N = 3, mesh 8 (.bin) and
+#: ``recorded_reads`` of it (.json), recorded before the multiset ranking went
+#: from a mesh^N table to the closed form
+FIXTURE = DATA / "fd_linear_n3_mesh8"
+
+
+def recorded_reads(vn, inputs):
+    """value() at the recorded times and configurations, one ``slice_at`` and
+    the ``LipschitzReport`` of ``vn``, with the inputs, as a JSON document."""
+    configs = np.array(inputs["configs"])
+    return json.dumps({
+        "inputs": inputs,
+        "value": [vn.value(t, configs).tolist() for t in inputs["times"]],
+        "slice_at": vn.slice_at(inputs["slice"]).tolist(),
+        "lipschitz": dataclasses.asdict(lipschitz_probe(vn, seed=inputs["probe_seed"])),
+    }, indent=1) + "\n"
+
+
+def value_file_fields(data):
+    """A value file's header fields and its slices, in file order."""
+    names = ("magic", "version", "N", "d", "mesh", "n_t", "T")
+    fields = dict(zip(names, fd._HEADER.unpack(data[: fd._HEADER.size])))
+    fields["magic"] = fields["magic"].decode()
+    return {**fields, "slices": np.frombuffer(data[fd._HEADER.size :], dtype="<f8").tolist()}
+
+
+def test_fd_outputs_are_byte_identical_to_recorded(tmp_path):
+    # recorded with numpy 2.4.6 on x86-64 AVX-512: the kernel fields and the
+    # terminal slice go through numpy's vectorized float64 sin and cos, so the
+    # fixture pins them as well as the scheme and the order of the file
+    vn = solve(linear_problem(a=0.5), 3, 8)
+    vn.save(tmp_path / "v.bin")
+    got, recorded = (tmp_path / "v.bin").read_bytes(), FIXTURE.with_suffix(".bin").read_bytes()
+    if got != recorded:
+        fail_on_differences("value file", value_file_fields(recorded), value_file_fields(got))
+    recorded = FIXTURE.with_suffix(".json").read_text()
+    inputs = json.loads(recorded)["inputs"]
+    for f in (vn, GridValueFunction.load(tmp_path / "v.bin")):
+        got = recorded_reads(f, inputs)
+        if got != recorded:
+            fail_on_differences("reads", json.loads(recorded), json.loads(got))
+
+
 def test_load_refuses_a_version_1_file(tmp_path):
     path = tmp_path / "v.bin"
     path.write_bytes(_header(2, 16, 4, version=1) + bytes(8 * 5 * 16**2))
@@ -432,22 +494,30 @@ def test_lipschitz_probe_matches_roll_differences():
     assert (rep.max_scaled_gradient, rep.time_hoelder, rep.w1_lipschitz) == (grad, hoelder, w1_lip)
 
 
-def multisets_by_sorting(n, mesh):
-    """The multiset tables by sorting every index tuple and ``np.unique``."""
-    shape = (mesh,) * n
-    index = np.sort(np.indices(shape).reshape(n, -1), axis=0)
-    return np.unique(np.ravel_multi_index(tuple(index), shape), return_inverse=True)
-
-
 @pytest.mark.parametrize("n, mesh", [
     (n, mesh) for n in (1, 2, 3, 4) for mesh in (1, 2, 8, 48) if mesh**n <= 48**3
 ])
 def test_multisets_equal_the_sorting_construction(n, mesh):
-    keys, multiset = fd._multisets(n, mesh)
-    want_keys, want_multiset = multisets_by_sorting(n, mesh)
-    assert keys.dtype == want_keys.dtype and multiset.dtype == want_multiset.dtype
-    assert np.array_equal(keys, want_keys) and np.array_equal(multiset, want_multiset)
-    assert keys.size == math.comb(mesh + n - 1, n)
+    keys, multiset = multisets_by_sorting(n, mesh)
+    cells = fd._cells(n, mesh)
+    assert cells.shape == (math.comb(mesh + n - 1, n), n)
+    assert np.array_equal(np.ravel_multi_index(tuple(cells.T), (mesh,) * n), keys)
+    assert np.array_equal(fd._rank(np.indices((mesh,) * n).reshape(n, -1), mesh), multiset)
+    assert np.array_equal(fd._node_ranks(n, mesh), multiset)
+
+
+@pytest.mark.parametrize("mesh", [1, 2, 5])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_every_sorted_cell_ranks_to_its_position_where_no_lattice_is_built(n, mesh):
+    cells = fd._cells(n, mesh)
+    assert cells.shape == (math.comb(mesh + n - 1, n), n)
+    # sorted tuples in strictly ascending flat order: each multiset once
+    assert (np.diff(cells, axis=1) >= 0).all()
+    assert (np.diff(np.ravel_multi_index(tuple(cells.T), (mesh,) * n)) > 0).all()
+    position = np.arange(cells.shape[0])
+    assert np.array_equal(fd._rank(cells.T.copy(), mesh), position)
+    shuffled = np.random.default_rng(10 * n + mesh).permuted(cells, axis=1)
+    assert np.array_equal(fd._rank(shuffled.T.copy(), mesh), position)
 
 
 def test_slice_at_gathers_one_slice_without_expanding_the_rest():
@@ -556,39 +626,6 @@ def test_a_solved_function_and_its_loaded_copy_read_alike(tmp_path, n, mesh):
             getattr(rec_back, f) for f in ("s0", "w0", "t_gap", "z_gap", "rho_gap")
         ]
     assert "values" not in vars(vn)
-
-
-def test_a_function_builds_its_rank_table_once(monkeypatch, tmp_path):
-    built = []
-
-    def multisets(N, mesh):
-        built.append((N, mesh))
-        return real(N, mesh)
-
-    real = fd._multisets
-    monkeypatch.setattr(fd, "_multisets", multisets)
-    monkeypatch.setattr(fd, "_RANK_TABLES", weakref.WeakValueDictionary())
-    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
-    cfg = ConvolutionConfig(epsilon=0.1, n_time=9)
-
-    def read_every_way(vn):
-        vn.value(0.2, [[0.3, 1.7], [4.0, 2.2]])
-        vn.slice_at(1)
-        lipschitz_probe(vn)
-        inf_convolve(vn, (0.3, 1.9, mu), cfg)
-        vn.save(tmp_path / "v.bin")
-        assert not vn.values.flags.writeable  # expanded, or read, through the table
-
-    vn = solve(linear_problem(a=0.5), 2, 8)
-    read_every_way(vn)
-    assert built == [(2, 8)]
-    # a loaded copy shares the table while the solved function lives ...
-    read_every_way(GridValueFunction.load(tmp_path / "v.bin"))
-    assert built == [(2, 8)]
-    # ... and builds its own, once, when it is alone
-    del vn
-    read_every_way(GridValueFunction.load(tmp_path / "v.bin"))
-    assert built == [(2, 8)] * 2
 
 
 def test_debug_log_reports_the_solve(caplog):

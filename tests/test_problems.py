@@ -129,6 +129,19 @@ def test_problem_validation():
     ProblemSpec(linear_ham(), TerminalSpec(), ctx=ctx)  # degree 2 fits
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: ProblemSpec(linear_ham(), TerminalSpec(), T=x),
+    lambda x: ProblemSpec(linear_ham(), TerminalSpec(), a=x),
+    lambda x: HamiltonianSpec("quadratic", lam=x),
+], ids=["T", "a", "lam"])
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_problem_numbers_that_are_not_finite_are_refused(make, x):
+    # built, they reached the solver's time-step count as a bare ValueError,
+    # OverflowError or ZeroDivisionError, or (lam = nan) as n_t = 2
+    with pytest.raises(InputDomainError, match="finite"):
+        make(x)
+
+
 def test_drift_at_uses_mean_field_convolution():
     # b(x, mu) = int K(x - y) mu(dy) at points x, from the harmonic means of mu
     kernel = linear_ham().drift_kernel

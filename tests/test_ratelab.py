@@ -44,8 +44,9 @@ from mfrl.torus import (
 )
 from mfrl.trig import TrigPoly
 
+from recorded import DATA, fail_on_differences
+
 CTX = TorusContext(1, 64)
-DATA = Path(__file__).resolve().parent / "data"
 
 
 def null_problem(a=0.0):
@@ -215,33 +216,7 @@ def test_noise_free_report_is_byte_identical_to_recorded():
     got = run_rate_experiment(plan).to_json()
     recorded = (DATA / "rate_meanfield_seed1.json").read_text()
     if got != recorded:
-        fields = json_differences(json.loads(recorded), json.loads(got))
-        pytest.fail(
-            "report differs from the recorded one:\n"
-            + "\n".join(f"  {path}: recorded {want!r}, got {have!r}" for path, want, have in fields)
-            if fields
-            else "report differs from the recorded one in its bytes, not in its fields"
-        )
-
-
-def json_differences(recorded, got, path="$"):
-    """(key path, recorded value, got value) of every field where two JSON
-    documents differ; a key on one side only reads as missing on the other."""
-    if isinstance(recorded, dict) and isinstance(got, dict):
-        return [
-            diff
-            for key in sorted(recorded.keys() | got.keys())
-            for diff in json_differences(
-                recorded.get(key, "<missing>"), got.get(key, "<missing>"), f"{path}.{key}"
-            )
-        ]
-    if isinstance(recorded, list) and isinstance(got, list) and len(recorded) == len(got):
-        return [
-            diff
-            for i, (want, have) in enumerate(zip(recorded, got))
-            for diff in json_differences(want, have, f"{path}[{i}]")
-        ]
-    return [] if recorded == got and type(recorded) is type(got) else [(path, recorded, got)]
+        fail_on_differences("report", json.loads(recorded), json.loads(got))
 
 
 def interaction_problem(a):
