@@ -12,8 +12,10 @@ solution, one per multiset of lattice indices as ``GridValueFunction.slices``
 holds them (v^N and rho_star see only the multiset).  The multilinear corners
 of a point, and the point moved by a mesh multiple on every axis, are read
 through the rank tables of ``fd.neighbour_ranks``, so only the fractional
-part of the shift needs corner weights.  They are built on a function's
-first scan, each cell ranked in closed form, and kept for its later scans.
+part of the shift needs corner weights; the measure penalty reads each
+multiset's row of ``torus.empirical_coefficients``.  These tables are built
+on a function's first scan, each cell ranked in closed form, and kept for
+its later scans.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and
@@ -78,13 +80,17 @@ import numpy as np
 from .errors import ConfigurationError, InputDomainError
 from .fd import GridValueFunction, _slice_positions, neighbour_ranks
 from .metric import metric_weights
-from .torus import TWO_PI, Measure, TorusContext, circle_arc
-from .torus import fourier_coefficients, phase_table
+from .torus import Measure, TorusContext, circle_arc
+from .torus import empirical_coefficients, fourier_coefficients
 
 log = logging.getLogger(__name__)
 
 #: the context of the measure penalty rho_star^2(mu^x, mu)
 PENALTY_CTX = TorusContext(1, 64)
+
+#: multiply-adds (M N K) of the largest product OpenBLAS keeps on the calling
+#: thread; a larger one wakes a second, which spins ~0.12 s of CPU after it
+_BLAS_ONE_THREAD = 65_536 * 4
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,9 @@ def _lattice(vn: GridValueFunction) -> _Lattice:
     """The tables of the lattice of ``vn``, built on its first scan.
 
     Only the tables of the last value function asked for are kept, and only
-    while it lives.  The coefficients of a cell are the mean over particles
-    of a per-node phase table, gathered at the sorted cells axis by axis.
+    while it lives.  A cell's coefficients are ``empirical_coefficients``
+    of its configuration, as ``fourier_coefficients`` gives a target's, so a
+    target on the lattice (N <= 2) reads exactly 0 at its own configuration.
     """
     tables = _TABLES.get(vn)
     if tables is not None:
@@ -140,12 +147,9 @@ def _lattice(vn: GridValueFunction) -> _Lattice:
     N, mesh = vn.N, vn.mesh
     corners = list(product((0, 1), repeat=N))
     cells, table = neighbour_ranks(N, mesh, corners + [(q,) * N for q in range(mesh)])
-    nodes = np.arange(mesh) * vn.dx
-    phases = phase_table(nodes[:, None], PENALTY_CTX)  # (n_modes, mesh)
-    total = sum(phases[:, col] for col in cells.T)
-    # normalized as fourier_coefficients normalizes a mean, so a target on
-    # the lattice (N <= 2) reads exactly 0 at its own configuration
-    coeffs = TWO_PI ** (-0.5) * (total / N)
+    # a view of the (n_sorted, n_modes) rows: the einsum of ``_config_rho_sq``
+    # sums each cell's modes in this memory order
+    coeffs = empirical_coefficients(cells[:, :, None] * vn.dx, PENALTY_CTX).T
     for arr in (cells, table, coeffs):
         arr.flags.writeable = False
     tables = _TABLES[vn] = _Lattice(
@@ -241,6 +245,8 @@ def inf_convolve(
         ones = sum(e)
         corner_w[:, ci : ci + 1] = fracs**ones * (1.0 - fracs) ** (vn.N - ones)
     n_sorted = cells.shape[0]
+    width = max(1, _BLAS_ONE_THREAD // corner_w.size)  # columns of a blend chunk
+    chunks = [slice(lo, lo + width) for lo in range(0, n_sorted, width)]
 
     # time envelope per refined diagonal point: M[f, c] = min_s v(s, y) + t-pen.
     # v(s) blends stored slices k and k + 1 with weight theta; corner e of the
@@ -258,7 +264,8 @@ def inf_convolve(
         blend += np.multiply(slices[k + 1], theta, out=tmp)
         # every index is in range; any mode but "raise" lets take write to out unbuffered
         np.take(blend, corner_ranks, out=stack, mode="wrap")
-        np.matmul(corner_w, stack, out=cand)
+        for cols in chunks:
+            np.matmul(corner_w, stack[:, cols], out=cand[:, cols])
         cand += pen
         np.less(cand, envelope, out=better)
         np.copyto(envelope, cand, where=better)

@@ -77,9 +77,6 @@ _FLOW_BUFFERS = 20
 #: where the CPU multiplies about 100x slower (the flow ran 1.5-2x slower)
 _NEGLIGIBLE = 1e-100
 
-#: phase-table entries ``empirical_moments`` holds at once
-_TABLE_ENTRIES = 1 << 20
-
 log = logging.getLogger(__name__)
 
 
@@ -106,18 +103,11 @@ def empirical_moments(configs: np.ndarray, modes: int) -> np.ndarray:
     (modes + 1, R) complex array, one column per configuration, m_0 = 1.
 
     Each column is ``torus.empirical_coefficients`` of its row times
-    sqrt(2 pi); the rows go in blocks whose phase table holds at most
-    ``_TABLE_ENTRIES`` entries, and a row's moments do not depend on the
-    others.
+    sqrt(2 pi), which bounds its own working memory; a row's moments do not
+    depend on the others.
     """
-    configs = np.asarray(configs, dtype=float)
-    ctx = TorusContext(1, modes)
-    rows = max(1, _TABLE_ENTRIES // ((modes + 1) * configs.shape[1]))
-    blocks = [
-        empirical_coefficients(configs[a : a + rows, :, None], ctx)[:, modes:]
-        for a in range(0, configs.shape[0], rows)
-    ]
-    out = np.sqrt(TWO_PI) * np.concatenate(blocks).T
+    atoms = np.asarray(configs, dtype=float)[:, :, None]
+    out = np.sqrt(TWO_PI) * empirical_coefficients(atoms, TorusContext(1, modes))[:, modes:].T
     out[0] = 1.0
     return out
 

@@ -16,7 +16,8 @@ the paths (the noise, ``mc.NOISE``, and numpy's version).
 ``sample_complexity_experiment`` measures E[W1] and E[rho_star] between a
 density and its N-sample empirical measures, the quantities that drive the
 alpha(N) scale in the first place.  Its trials run as the rows of blocks:
-sampling, the empirical Fourier mean and W1 each run once per block.
+sampling, the empirical Fourier mean and W1 each run once per block, and the
+last two bound their own working memory under the ``torus`` batch budget.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .meanfield import check_flow_budget, empirical_moments, mean_field_referenc
 from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
 from .torus import (
-    DENSITY_REFINE,
     TWO_PI,
     GridDensity,
     TorusContext,
+    _row_blocks,
     empirical_coefficients,
     fourier_coefficients,
     sample_rows,
@@ -359,17 +360,6 @@ class ComplexityTable:
     max_rho_over_w1: float
 
 
-#: numbers held by the largest array of one block of complexity trials,
-#: counted in entries of the complex phase table of the Fourier mean
-_BLOCK_NUMBERS = 2**18
-
-#: phase-table entries as large as the arrays ``w1_density_rows`` holds per
-#: breakpoint: about a dozen float64 and index arrays of the breakpoints'
-#: shape, 93-105 bytes per breakpoint at its peak (tracemalloc, 3 to 168
-#: rows of 16 to 1024 atoms), against 16.5 bytes per phase-table entry
-_W1_NUMBERS_PER_BREAKPOINT = 6
-
-
 def sample_complexity_experiment(
     mu: GridDensity,
     n_list,
@@ -381,17 +371,15 @@ def sample_complexity_experiment(
 
     Trial k of sample size N draws from its own Philox key,
     ``_derived_seed(seed, N, k)``, so at most ``SEED_TAGS`` trials are
-    allowed.  The trials of one N run as the rows of blocks, each stage in
-    blocks of its own that hold at most ``_BLOCK_NUMBERS`` numbers:
-    ``sample_rows`` and ``w1_density_rows`` by the arrays of W1's
-    breakpoints, ``empirical_coefficients`` with ``rho_sq_rows`` by the
-    phase table of the Fourier mean.  Each row is bit for bit the trial that
-    ``sample_iid``, ``rho_star`` and ``w1_circle_density`` give, so the table
-    does not depend on the block sizes.  The slopes are log-log fits over the
-    sample sizes, so at least two distinct sizes are required; the input is
-    checked before anything is drawn.  ``MFRL_LOG=debug`` prints one line
-    per N: its trials, the blocks of the stage that runs in the most, and
-    seconds.
+    allowed.  The trials of one N run as the rows of blocks whose atoms and
+    Fourier coefficients fit the ``torus`` batch budget; within a block,
+    ``empirical_coefficients`` and ``w1_density_rows`` bound their own
+    working memory.  Each row is bit for bit the trial that ``sample_iid``,
+    ``rho_star`` and ``w1_circle_density`` give, so the table does not
+    depend on the block sizes.  The slopes are log-log fits over the sample
+    sizes, so at least two distinct sizes are required; the input is checked
+    before anything is drawn.  ``MFRL_LOG=debug`` prints one line per N:
+    its trials and seconds.
     """
     if not 2 <= n_trials <= SEED_TAGS:
         raise InputDomainError(f"n_trials must be in [2, {SEED_TAGS}]")
@@ -408,29 +396,18 @@ def sample_complexity_experiment(
     max_ratio = 0.0
     for n in n_list:
         start = time.perf_counter()
-        breakpoints = DENSITY_REFINE * mu.m + n + 1
-        w1_block = max(1, _BLOCK_NUMBERS // (_W1_NUMBERS_PER_BREAKPOINT * breakpoints))
-        phase_block = max(1, _BLOCK_NUMBERS // ((ctx.trunc + 1) * n))
-        # the finer stage's blocks tile the coarser one's
-        fine = min(w1_block, phase_block)
-        block = max(w1_block, phase_block) // fine * fine
         w1s = np.empty(n_trials)
         rhos = np.empty(n_trials)
-        for lo in range(0, n_trials, block):
-            hi = min(lo + block, n_trials)
-            atoms = sample_rows(mu, n, [_derived_seed(seed, n, k) for k in range(lo, hi)])
-            for a in range(lo, hi, phase_block):
-                b = min(a + phase_block, hi)
-                coeffs = empirical_coefficients(atoms[a - lo : b - lo, :, None], ctx)
-                rhos[a:b] = np.sqrt(np.maximum(rho_sq_rows(coeffs - target, order, ctx), 0.0))
-            for a in range(lo, hi, w1_block):
-                b = min(a + w1_block, hi)
-                w1s[a:b] = w1_density_rows(np.sort(atoms[a - lo : b - lo], axis=1), mu)
+        for trials in _row_blocks(n_trials, n + target.size):
+            seeds = [_derived_seed(seed, n, k) for k in range(n_trials)[trials]]
+            atoms = sample_rows(mu, n, seeds)
+            coeffs = empirical_coefficients(atoms[:, :, None], ctx)
+            rhos[trials] = np.sqrt(np.maximum(rho_sq_rows(coeffs - target, order, ctx), 0.0))
+            w1s[trials] = w1_density_rows(np.sort(atoms, axis=1), mu)
         positive = w1s > 0
         max_ratio = max([max_ratio, *(rhos[positive] / w1s[positive])])
         log.debug(
-            "sample complexity N=%d: %d trials in %d blocks, %.3f s",
-            n, n_trials, -(-n_trials // fine), time.perf_counter() - start,
+            "sample complexity N=%d: %d trials, %.3f s", n, n_trials, time.perf_counter() - start
         )
         rows.append(
             ComplexityRow(

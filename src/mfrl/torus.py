@@ -13,8 +13,10 @@ sampling from grid densities, a seeded counter-based generator, and
 1-Wasserstein distances on the circle (d = 1).  Sampling, the empirical
 Fourier mean and both W1 distances run on rows, one empirical measure (or
 pair of them) per row, and keep every sort, sum and search within a row;
-the one-measure functions are their one-row case.  W1 between two empirical
-measures and W1 against a density share one formula,
+the one-measure functions are their one-row case.  The empirical Fourier
+mean and W1 against a density run the rows in blocks under one memory
+budget, ``_BLOCK_NUMBERS``.  W1 between two empirical measures and W1
+against a density share one formula,
 ``W1 = min_t integral |F_mu - F_nu - t| dx`` over [0, 2 pi) (Rabin, Delon &
 Gousseau 2011): the CDF gap is read at the midpoints of the
 intervals between its breakpoints and t is its length-weighted median.
@@ -46,6 +48,21 @@ MODE_BUDGET = 1 << 18
 
 #: mesh refinement of ``w1_circle_density``: breakpoints every 1/8 grid cell
 DENSITY_REFINE = 8
+
+#: numbers held by the largest array of one block of rows, counted in
+#: entries of the complex phase table: the batch budget of
+#: ``empirical_coefficients`` and ``w1_density_rows``
+_BLOCK_NUMBERS = 1 << 18
+
+#: phase-table entries (16.5 bytes) as large as what ``w1_density_rows`` holds
+#: per breakpoint: 93-105 bytes at its peak (tracemalloc, 16 to 1024 atoms)
+_W1_NUMBERS_PER_BREAKPOINT = 6
+
+
+def _row_blocks(n_rows: int, numbers_per_row: int) -> list[slice]:
+    """Consecutive blocks of rows, each of at most ``_BLOCK_NUMBERS`` numbers, or one row."""
+    step = max(1, _BLOCK_NUMBERS // numbers_per_row)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def canonicalize(point):
@@ -224,11 +241,15 @@ def empirical_coefficients(atoms, ctx: TorusContext) -> np.ndarray:
     array: an (R, n_modes) array, modes in ``ctx.modes`` order.
 
     The mean over each row's atoms of the upper half of the phase table,
-    mirrored, which is bit for bit the mean of the whole table.  Each row's
-    mean is a pairwise sum over its own atoms, in their order, so a row's
-    coefficients do not depend on the other rows.
+    mirrored, which is bit for bit the mean of the whole table.  The rows go
+    in blocks whose upper table holds at most ``_BLOCK_NUMBERS`` entries.
+    Each row's mean is a pairwise sum over its own atoms, in their order, so
+    a row's coefficients do not depend on the other rows or the blocks.
     """
     R, n, d = atoms.shape
+    blocks = _row_blocks(R, (ctx.modes.shape[0] // 2 + 1) * n)
+    if len(blocks) > 1:
+        return np.concatenate([empirical_coefficients(atoms[rows], ctx) for rows in blocks])
     upper = _upper_phase_table(atoms.reshape(R * n, d), ctx)
     means = upper.reshape(-1, R, n).mean(axis=-1)
     # contiguous rows, so that a reduction over modes stays pairwise per row
@@ -367,10 +388,14 @@ def w1_density_rows(atoms, rho: GridDensity) -> np.ndarray:
     refined ``DENSITY_REFINE`` times (each atom after the mesh points equal
     to it); the density's CDF is linear between them and the gap is read at
     the midpoints, where the empirical CDF counts the atoms merged at or
-    before the interval.
+    before the interval.  The rows go in blocks of at most
+    ``_BLOCK_NUMBERS`` numbers, ``_W1_NUMBERS_PER_BREAKPOINT`` a breakpoint.
     """
     R, n = atoms.shape
     fine = rho.m * DENSITY_REFINE
+    blocks = _row_blocks(R, _W1_NUMBERS_PER_BREAKPOINT * (fine + n + 1))
+    if len(blocks) > 1:
+        return np.concatenate([w1_density_rows(atoms[rows], rho) for rows in blocks])
     refined = np.arange(fine) * (TWO_PI / fine)
     is_atom = np.zeros((R, fine + n), dtype=bool)
     slots = np.searchsorted(refined, atoms, side="right") + np.arange(n)

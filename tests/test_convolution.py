@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import logging
 import re
 
@@ -22,6 +24,7 @@ from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, cir
 from mfrl.trig import TrigPoly
 
 from full_lattice import multisets_by_sorting, of_full_array
+from recorded import DATA, fail_on_differences
 
 CTX = TorusContext(1, 64)
 
@@ -489,3 +492,50 @@ def test_debug_log_reports_the_scanned_nodes_and_shifts(caplog):
     inv = 1.0 / (2.0 * cfg.epsilon)
     assert nodes == convolution._time_window(vn, target[0], inv, 201).size
     assert 1 <= shifts < 64
+
+
+#: ``recorded_scans`` as it read before the lattice penalty took its
+#: coefficients from ``torus.empirical_coefficients`` and the corner blend
+#: went in column chunks
+SCANS = DATA / "convolution_scans_n123.json"
+
+
+def recorded_scans():
+    """inf_convolve values with their argmin records, at drawn targets under
+    a coarse and a fine search grid, and one gap table, for N = 1, 2 and 3,
+    with the inputs, as a JSON document.  The fine grid's corner blend runs
+    in several column chunks at N = 2 and 3."""
+    prob = two_particle_problem()
+    rng = np.random.default_rng(27)
+    doc = []
+    for vn in (pinned(), *(fd_solve(prob, n, m, required_time_steps(prob, n, m))
+                           for n, m in ((2, 12), (3, 8)))):
+        targets = [
+            (float(rng.uniform(0.0, vn.T)), float(rng.uniform(0.0, TWO_PI)),
+             rng.uniform(0.0, TWO_PI, vn.N))
+            for _ in range(3)
+        ]
+        scans = []
+        for eps, n_time, refine in ((0.1, 33, 4), (0.02, vn.n_t + 1, 1024)):
+            cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=refine)
+            for t, z, atoms in targets:
+                val, rec = inf_convolve(vn, (t, z, EmpiricalMeasure(atoms[:, None])), cfg)
+                scans.append({
+                    "target": [t, z, atoms.tolist()],
+                    "config": [eps, n_time, refine],
+                    "value": val,
+                    "record": {**dataclasses.asdict(rec), "x0": rec.x0.tolist()},
+                })
+        gaps = gap_scaling_probe(
+            vn, [(t, z, EmpiricalMeasure(atoms[:, None])) for t, z, atoms in targets],
+            [0.2, 0.1, 0.05], n_time=65, shift_refine=16,
+        )
+        doc.append({"N": vn.N, "mesh": vn.mesh, "scans": scans, "gaps": dataclasses.asdict(gaps)})
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_convolution_outputs_are_byte_identical_to_recorded():
+    # recorded with numpy 2.4.6 on x86-64 AVX-512, like the FD value file
+    got, recorded = recorded_scans(), SCANS.read_text()
+    if got != recorded:
+        fail_on_differences("convolution scans", json.loads(recorded), json.loads(got))

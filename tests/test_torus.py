@@ -356,6 +356,8 @@ _SPIN_PROBE = """
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
+from mfrl.convolution import ConvolutionConfig, inf_convolve
+from mfrl.fd import GridValueFunction
 from mfrl.metric import rho_star
 from mfrl.ratelab import sample_complexity_experiment
 from mfrl.torus import EmpiricalMeasure, GridDensity, TorusContext, fourier_coefficients, phase_table
@@ -372,6 +374,8 @@ ctx = TorusContext(1, 64)
 mu = GridDensity(np.random.default_rng(0).uniform(0.1, 1.0, 64))
 nu = EmpiricalMeasure(np.array([[0.5], [2.0]]))
 table = phase_table(mu.nodes[:, None], ctx)
+# N = 2 at mesh 48: the corner blend is a (256 x 4) @ (4 x 1176) product
+pair = GridValueFunction(2, 48, 4, 0.5, np.random.default_rng(1).uniform(size=(5, 1176)))
 print(json.dumps({
     "control": spin(lambda: table @ mu.values),
     "fourier_coefficients": spin(lambda: fourier_coefficients(mu, ctx)),
@@ -379,14 +383,18 @@ print(json.dumps({
     "sample_complexity_experiment": spin(
         lambda: sample_complexity_experiment(mu, [4, 8], n_trials=4, seed=0)
     ),
+    "inf_convolve": spin(
+        lambda: inf_convolve(pair, (0.1, 1.0, nu), ConvolutionConfig(0.1, shift_refine=256))
+    ),
 }))
 """
 
 
 def test_grid_density_calls_leave_no_blas_thread_spinning():
-    # OpenBLAS hands a complex (129 x 64) table times a vector to a second
-    # thread, which then spin-waits for about 0.12 s of CPU time; the
-    # control shows that this BLAS does so here, the calls must not
+    # OpenBLAS hands a complex (129 x 64) table times a vector, or a product
+    # of more than 65,536 * 4 multiply-adds, to a second thread, which then
+    # spin-waits for about 0.12 s of CPU time; the control shows that this
+    # BLAS does so here, the calls must not
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _SPIN_PROBE, src],
