@@ -12,10 +12,11 @@ solution, one per multiset of lattice indices as ``GridValueFunction.slices``
 holds them (v^N and rho_star see only the multiset).  The multilinear corners
 of a point, and the point moved by a mesh multiple on every axis, are read
 through the rank tables of ``fd.neighbour_ranks``, so only the fractional
-part of the shift needs corner weights; the measure penalty reads each
-multiset's row of ``torus.empirical_coefficients``.  These tables are built
-on a function's first scan, each cell ranked in closed form, and kept for
-its later scans.
+part of the shift needs corner weights; the measure penalty is
+``metric.rho_sq_rows`` of each multiset's row of ``torus.empirical_coefficients``,
+bit for bit ``metric.rho_sq`` of its measure.  These tables are built on a
+function's first scan, each cell ranked in closed form, and kept for its
+later scans.
 
 Only time nodes inside an exact window are scanned.  A blended value v(s, y)
 weighs the same lattice nodes c with the same corner weights at every s, and
@@ -63,7 +64,8 @@ argmin record are again those of the full scan, bit for bit.
 
 The argmin gaps |t - s0|, dist(z, w0), rho_star(mu^{x0}, mu) shrink with eps at
 known rates (2/3, 1, and an eps + alpha(N) mix respectively), which
-``gap_scaling_probe`` measures by log-log fits across an eps sweep.
+``gap_scaling_probe`` measures across an eps sweep by the least-squares
+log-log line that ``ratelab.fit_rate`` also fits.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
 from .fd import GridValueFunction, _slice_positions, neighbour_ranks
-from .metric import metric_weights
+from .metric import MetricOrder, _log_log_line, rho_sq_rows
 from .torus import Measure, TorusContext, circle_arc
 from .torus import empirical_coefficients, fourier_coefficients
 
@@ -125,7 +127,7 @@ class _Lattice(NamedTuple):
     cells: np.ndarray  # the sorted cells of ``neighbour_ranks``, (n_sorted, N)
     corner_ranks: np.ndarray  # rank of each cell moved by each corner
     shift_ranks: np.ndarray  # rank of each cell moved by each shift (q, ..., q)
-    coeffs: np.ndarray  # Fourier coefficients of mu^x at ``PENALTY_CTX``, (n_modes, n_sorted)
+    coeffs: np.ndarray  # Fourier coefficients of mu^x at ``PENALTY_CTX``, (n_sorted, n_modes)
 
 
 #: the tables of the last value function scanned, dropped with it
@@ -136,9 +138,9 @@ def _lattice(vn: GridValueFunction) -> _Lattice:
     """The tables of the lattice of ``vn``, built on its first scan.
 
     Only the tables of the last value function asked for are kept, and only
-    while it lives.  A cell's coefficients are ``empirical_coefficients``
-    of its configuration, as ``fourier_coefficients`` gives a target's, so a
-    target on the lattice (N <= 2) reads exactly 0 at its own configuration.
+    while it lives.  A cell's coefficients are its C-contiguous row of
+    ``empirical_coefficients``, as ``fourier_coefficients`` gives a target's,
+    so a target on the lattice (N <= 2) reads exactly 0 at its own cell.
     """
     tables = _TABLES.get(vn)
     if tables is not None:
@@ -147,9 +149,7 @@ def _lattice(vn: GridValueFunction) -> _Lattice:
     N, mesh = vn.N, vn.mesh
     corners = list(product((0, 1), repeat=N))
     cells, table = neighbour_ranks(N, mesh, corners + [(q,) * N for q in range(mesh)])
-    # a view of the (n_sorted, n_modes) rows: the einsum of ``_config_rho_sq``
-    # sums each cell's modes in this memory order
-    coeffs = empirical_coefficients(cells[:, :, None] * vn.dx, PENALTY_CTX).T
+    coeffs = empirical_coefficients(cells[:, :, None] * vn.dx, PENALTY_CTX)
     for arr in (cells, table, coeffs):
         arr.flags.writeable = False
     tables = _TABLES[vn] = _Lattice(
@@ -164,10 +164,8 @@ def _config_rho_sq(vn: GridValueFunction, mu: Measure) -> np.ndarray:
 
     Returns a flat array in the rank order of ``vn.slices``.
     """
-    mw = metric_weights(PENALTY_CTX, PENALTY_CTX.k_star)
-    target = fourier_coefficients(mu, PENALTY_CTX)
-    diff = _lattice(vn).coeffs - target[:, None]
-    return np.einsum("m,mc->c", mw.weights, np.abs(diff) ** 2).real
+    diff = _lattice(vn).coeffs - fourier_coefficients(mu, PENALTY_CTX)
+    return rho_sq_rows(diff, MetricOrder(PENALTY_CTX.k_star), PENALTY_CTX)
 
 
 def _time_window(vn: GridValueFunction, t: float, inv: float, n_time: int) -> np.ndarray:
@@ -301,7 +299,7 @@ def inf_convolve(
     x0 = cells[c_idx] * vn.dx
     # env_s is indexed by the physical lattice point y = x + q dx
     s0 = float(env_s[f_idx, shift_ranks[q0, c_idx]])
-    rho_gap = float(np.sqrt(max(rho_pen[c_idx], 0.0)))
+    rho_gap = float(np.sqrt(rho_pen[c_idx]))
     rec = ArgminRecord(s0=s0, w0=w0, x0=x0, t_gap=abs(t - s0),
                        z_gap=float(circle_arc(z - w0)), rho_gap=rho_gap)
     return best, rec
@@ -324,13 +322,6 @@ class GapTable:
     z_cell: float
 
 
-def _fit_slope(eps: np.ndarray, gaps: np.ndarray, floor: float) -> float:
-    """Log-log slope of gap vs eps; zero gaps are clamped to half a grid cell."""
-    g = np.maximum(gaps, 0.5 * floor)
-    coef = np.polyfit(np.log(eps), np.log(g), 1)
-    return float(coef[0])
-
-
 def gap_scaling_probe(
     vn: GridValueFunction,
     targets: list[tuple[float, float, Measure]],
@@ -338,9 +329,11 @@ def gap_scaling_probe(
     n_time: int = 33,
     shift_refine: int = 8,
 ) -> GapTable:
-    """Max argmin gaps per epsilon across targets, with fitted log-log slopes."""
-    if len(eps_list) < 3:
-        raise InputDomainError("slope fits require at least 3 epsilon values")
+    """Max argmin gaps per epsilon across targets, with fitted log-log slopes
+    (a gap of 0 counted as half a grid cell); fewer than 3 distinct epsilon
+    values are refused before any scan."""
+    if len(set(eps_list)) < 3:
+        raise InputDomainError("slope fits need at least 3 distinct epsilon values")
     rows = []
     for eps in sorted(eps_list, reverse=True):
         cfg = ConvolutionConfig(epsilon=eps, n_time=n_time, shift_refine=shift_refine)
@@ -354,6 +347,6 @@ def gap_scaling_probe(
     eps_arr = np.array([r.epsilon for r in rows])
     t_cell = vn.T / (n_time - 1)
     z_cell = vn.dx / shift_refine
-    t_slope = _fit_slope(eps_arr, np.array([r.t_gap for r in rows]), t_cell)
-    z_slope = _fit_slope(eps_arr, np.array([r.z_gap for r in rows]), z_cell)
+    t_slope = _log_log_line(eps_arr, np.maximum([r.t_gap for r in rows], 0.5 * t_cell))[0]
+    z_slope = _log_log_line(eps_arr, np.maximum([r.z_gap for r in rows], 0.5 * z_cell))[0]
     return GapTable(tuple(rows), t_slope, z_slope, t_cell, z_cell)

@@ -74,9 +74,9 @@ def metric_weights(ctx: TorusContext, k: int) -> MetricWeights:
 def rho_sq_rows(diff: np.ndarray, order: MetricOrder, ctx: TorusContext) -> np.ndarray:
     """rho_{-k}^2 for each row of Fourier-coefficient differences
     ``F(mu) - F(nu)``, an (..., n_modes) array: the weighted sum over the
-    last axis, pairwise within each row."""
+    last axis in mode order, the same bits for a row alone or among others."""
     w = metric_weights(ctx, order.k).weights
-    return np.sum(w * np.abs(diff) ** 2, axis=-1)
+    return np.einsum("...m,m->...", np.abs(diff) ** 2, w)
 
 
 def rho_sq(mu: Measure, nu: Measure, order: MetricOrder, ctx: TorusContext) -> float:
@@ -86,7 +86,7 @@ def rho_sq(mu: Measure, nu: Measure, order: MetricOrder, ctx: TorusContext) -> f
 
 
 def rho(mu, nu, order: MetricOrder, ctx: TorusContext) -> float:
-    return math.sqrt(max(rho_sq(mu, nu, order, ctx), 0.0))
+    return math.sqrt(rho_sq(mu, nu, order, ctx))
 
 
 def rho_star(mu, nu, ctx: TorusContext) -> float:
@@ -187,6 +187,15 @@ def alpha_rate(N: int, d: int) -> float:
     if d == 2:
         return N ** -0.5 * math.log(N)
     return N ** (-1.0 / d)
+
+
+def _log_log_line(x, y) -> tuple[float, float, np.ndarray]:
+    """Least-squares line of log y on log x, for positive x and y, that every
+    log-log slope of the lab fits: (slope, intercept, residuals of log y)."""
+    lx, ly = np.log(x), np.log(y)
+    design = np.column_stack([lx, np.ones_like(lx)])
+    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
+    return float(coef[0]), float(coef[1]), ly - design @ coef
 
 
 def truncation_tail_bound(ctx: TorusContext, k: int) -> float:

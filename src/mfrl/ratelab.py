@@ -6,7 +6,8 @@ mean-field value v(t, mu^x) by the Fokker-Planck reference (the flow of the
 Fourier moments of mu^x, started from their exact values; exact for every
 common-noise intensity a: one a = 0 flow and a Gaussian shift average of G,
 see ``meanfield``), and fits the observed sup-differences against the
-sample-complexity scale alpha(N) in log-log space.
+sample-complexity scale alpha(N) by ``metric._log_log_line``, the one
+log-log line that also gives the complexity and gap slopes.
 The target law is sup |v^N - v| <= C alpha(N)^{1/3}; only the exponent is
 asserted downstream since the constant is problem-dependent.  The sweep hands
 its Monte Carlo calls to the MC worker processes and computes its one
@@ -35,7 +36,7 @@ from .errors import InputDomainError, check_fields, plan_int
 from .mc import NOISE, PATH_BYTES_BUDGET, _cpu_count, check_path_budget, path_job
 from .mc import pool_jobs, worker_pool
 from .meanfield import check_flow_budget, empirical_moments, mean_field_reference_batch
-from .metric import MetricOrder, alpha_rate, rho_sq_rows, truncation_tail_bound
+from .metric import MetricOrder, _log_log_line, alpha_rate, rho_sq_rows, truncation_tail_bound
 from .problems import ProblemSpec
 from .torus import (
     TWO_PI,
@@ -61,7 +62,7 @@ log = logging.getLogger(__name__)
 
 
 def fit_rate(points) -> tuple[float, float, np.ndarray]:
-    """Least squares of log error on log alpha.
+    """Least squares of log error on log alpha: ``metric._log_log_line``.
 
     ``points`` is a sequence of (alpha_value, error) pairs, all positive.
     Returns (beta, C, residuals) for the model error = C * alpha**beta.
@@ -71,11 +72,7 @@ def fit_rate(points) -> tuple[float, float, np.ndarray]:
         raise InputDomainError("rate fit needs at least 3 points")
     if np.any(pts <= 0):
         raise InputDomainError("rate fit requires positive alphas and errors")
-    la, le = np.log(pts[:, 0]), np.log(pts[:, 1])
-    design = np.column_stack([la, np.ones_like(la)])
-    coef, *_ = np.linalg.lstsq(design, le, rcond=None)
-    beta, log_c = float(coef[0]), float(coef[1])
-    residuals = le - design @ coef
+    beta, log_c, residuals = _log_log_line(pts[:, 0], pts[:, 1])
     return beta, float(np.exp(log_c)), residuals
 
 
@@ -402,7 +399,7 @@ def sample_complexity_experiment(
             seeds = [_derived_seed(seed, n, k) for k in range(n_trials)[trials]]
             atoms = sample_rows(mu, n, seeds)
             coeffs = empirical_coefficients(atoms[:, :, None], ctx)
-            rhos[trials] = np.sqrt(np.maximum(rho_sq_rows(coeffs - target, order, ctx), 0.0))
+            rhos[trials] = np.sqrt(rho_sq_rows(coeffs - target, order, ctx))
             w1s[trials] = w1_density_rows(np.sort(atoms, axis=1), mu)
         positive = w1s > 0
         max_ratio = max([max_ratio, *(rhos[positive] / w1s[positive])])
@@ -418,14 +415,10 @@ def sample_complexity_experiment(
                 rho_std_error=float(rhos.std(ddof=1) / np.sqrt(n_trials)),
             )
         )
-    ns = np.array([r.N for r in rows], dtype=float)
-
-    def log_slope(means):
-        m = np.asarray(means, dtype=float)
-        if np.any(m <= 0):
-            return float("nan")  # degenerate target, e.g. a point mass
-        return float(np.polyfit(np.log(ns), np.log(m), 1)[0])
-
-    w1_slope = log_slope([r.w1_mean for r in rows])
-    rho_slope = log_slope([r.rho_mean for r in rows])
+    ns = [r.N for r in rows]
+    # a mean of 0 (a degenerate target, e.g. a point mass) has no slope
+    w1_slope, rho_slope = (
+        _log_log_line(ns, means)[0] if np.all(np.asarray(means) > 0) else float("nan")
+        for means in ([r.w1_mean for r in rows], [r.rho_mean for r in rows])
+    )
     return ComplexityTable(tuple(rows), w1_slope, rho_slope, max_ratio)

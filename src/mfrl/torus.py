@@ -252,7 +252,7 @@ def empirical_coefficients(atoms, ctx: TorusContext) -> np.ndarray:
         return np.concatenate([empirical_coefficients(atoms[rows], ctx) for rows in blocks])
     upper = _upper_phase_table(atoms.reshape(R * n, d), ctx)
     means = upper.reshape(-1, R, n).mean(axis=-1)
-    # contiguous rows, so that a reduction over modes stays pairwise per row
+    # contiguous rows, so that ``metric.rho_sq_rows`` sums each row in mode order
     return np.ascontiguousarray((TWO_PI ** (-d / 2.0) * _mirror(means)).T)
 
 

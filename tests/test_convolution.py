@@ -20,6 +20,7 @@ from mfrl.errors import ConfigurationError, InputDomainError
 from mfrl.fd import fd_solve, required_time_steps
 from mfrl.metric import MetricOrder, rho_sq
 from mfrl.problems import HamiltonianSpec, ProblemSpec, TerminalSpec
+from mfrl.ratelab import fit_rate
 from mfrl.torus import TWO_PI, EmpiricalMeasure, TorusContext, canonicalize, circle_arc
 from mfrl.trig import TrigPoly
 
@@ -60,19 +61,20 @@ def test_non_finite_target_time_or_shift_is_refused():
 
 
 def test_config_rho_penalty_matches_direct_metric():
-    vn = solved(n=2, mesh=8)
-    mu = EmpiricalMeasure(np.array([[0.4], [3.3]]))
-    flat = _config_rho_sq(vn, mu)
-    assert flat.shape == (36,)  # C(9, 2) multisets
-    rank = multisets_by_sorting(2, 8)[1]
-    order = MetricOrder(CTX.k_star)
-    rng = np.random.default_rng(0)
-    for _ in range(6):
-        i, j = rng.integers(0, 8, size=2)
-        atoms = EmpiricalMeasure(np.array([[i * vn.dx], [j * vn.dx]]))
-        assert flat[rank[i * 8 + j]] == pytest.approx(
-            rho_sq(atoms, mu, order, CTX), abs=1e-12
-        )
+    # bit for bit at every multiset, against a target on the lattice and one off it
+    ctx = convolution.PENALTY_CTX
+    order = MetricOrder(ctx.k_star)
+    for n, mesh, size in ((1, 8, 8), (2, 8, 36), (3, 6, 56)):  # C(mesh + n - 1, n) multisets
+        vn = solved(n=n, mesh=mesh)
+        cells = np.array(np.unravel_index(multisets_by_sorting(n, mesh)[0], (mesh,) * n)).T
+        on = EmpiricalMeasure((np.array([5, 2, 3])[:n] * vn.dx)[:, None])
+        for mu in (on, EmpiricalMeasure(np.array([[0.4], [3.3]]))):
+            flat = _config_rho_sq(vn, mu)
+            assert flat.shape == (size,)
+            direct = [
+                rho_sq(EmpiricalMeasure((c * vn.dx)[:, None]), mu, order, ctx) for c in cells
+            ]
+            assert np.array_equal(flat, direct), (n, mesh)
 
 
 def test_inf_convolution_below_value_on_grid():
@@ -162,10 +164,31 @@ def test_gap_probe_rows_and_csv():
     assert np.isfinite(table.t_slope) and np.isfinite(table.z_slope)
 
 
-def test_gap_probe_requires_three_epsilons():
+def test_gap_probe_requires_three_epsilons(monkeypatch):
     vn = solved(n=1, mesh=8)
-    with pytest.raises(InputDomainError):
-        gap_scaling_probe(vn, [], [0.1, 0.05])
+
+    def no_scans(*args):
+        raise AssertionError("scanned for an invalid call")
+
+    # repeated values count once, and are refused before any scan
+    monkeypatch.setattr(convolution, "inf_convolve", no_scans)
+    targets = [(0.2, 1.0, EmpiricalMeasure(np.array([[1.0]])))]
+    for eps_list in ([0.1, 0.05], [0.1, 0.1, 0.1], [0.1, 0.05, 0.1, 0.05]):
+        with pytest.raises(InputDomainError):
+            gap_scaling_probe(vn, targets, eps_list)
+
+
+def test_gap_slopes_are_the_fit_rate_slopes_of_the_clamped_gaps_on_criterion_7():
+    vn = pinned()
+    targets = [
+        (ti / 64.0 * vn.T, xi * vn.dx, EmpiricalMeasure(np.array([[xi * vn.dx]])))
+        for ti, xi in ((10, 5), (22, 20), (34, 41), (46, 58))
+    ]
+    table = gap_scaling_probe(vn, targets, [0.2, 0.1, 0.05, 0.025], n_time=2001, shift_refine=1024)
+    for slope, name, cell in ((table.t_slope, "t_gap", table.t_cell),
+                              (table.z_slope, "z_gap", table.z_cell)):
+        points = [(r.epsilon, max(getattr(r, name), 0.5 * cell)) for r in table.rows]
+        assert slope == fit_rate(points)[0], name
 
 
 def pinned():
@@ -496,7 +519,8 @@ def test_debug_log_reports_the_scanned_nodes_and_shifts(caplog):
 
 #: ``recorded_scans`` as it read before the lattice penalty took its
 #: coefficients from ``torus.empirical_coefficients`` and the corner blend
-#: went in column chunks
+#: went in column chunks, with the gap slopes re-recorded once when they
+#: became ``fit_rate``'s least-squares line (the other fields kept their bits)
 SCANS = DATA / "convolution_scans_n123.json"
 
 

@@ -560,6 +560,9 @@ def test_batched_complexity_trials_equal_the_per_trial_loop_on_criterion_6():
     mu = uniform64()
     table = sample_complexity_experiment(mu, [16, 64, 256, 1024], n_trials=200, seed=61, ctx=CTX)
     assert table.rows == per_trial_rows(mu, [16, 64, 256, 1024], 200, 61)
+    # the slopes are fit_rate's least-squares line through the means
+    assert table.w1_slope == fit_rate([(r.N, r.w1_mean) for r in table.rows])[0]
+    assert table.rho_slope == fit_rate([(r.N, r.rho_mean) for r in table.rows])[0]
 
 
 def test_batched_complexity_trials_equal_the_per_trial_loop_for_one_atom():
